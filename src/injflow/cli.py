@@ -25,7 +25,7 @@ from .errors import (
     NumericError,
 )
 from .expansive import random_well_conditioned
-from .geometry import CompactSampleSet
+from .geometry import CompactSampleSet, load_points_csv
 from .network import InjectiveNetwork
 
 FLOAT_FMT = "%.17g"
@@ -248,10 +248,7 @@ def _cmd_run(args) -> int:
 def _cmd_project(args) -> int:
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
     queries = CompactSampleSet.from_csv(args.queries).points
-    if queries.shape[1] != net.ambient_dim:
-        raise InvalidArgumentError(
-            f"queries have dimension {queries.shape[1]}, "
-            f"network ambient dimension is {net.ambient_dim}")
+    res = projection.project_to_range(net, queries)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     m, n = net.ambient_dim, net.latent_dim
@@ -259,17 +256,13 @@ def _cmd_project(args) -> int:
                + [f"preimage{i}" for i in range(n)]
                + [f"rangepoint{i}" for i in range(m)]
                + ["residual", "tie_flag"])
-    rows = []
-    for y in queries:
-        res = projection.project_to_range(net, y)
-        rows.append(np.concatenate([y, res.x, res.y_hat,
-                                    [res.residual, float(res.tie_flag)]]))
+    rows = np.column_stack([queries, res.x, res.y_hat, res.residual, res.tie_flag])
     _write_table(out_dir, "projections", columns, rows, args.format)
     return 0
 
 
 def _cmd_gap(args) -> int:
-    pairs = np.loadtxt(args.pairs, delimiter=",", skiprows=1, ndmin=2)
+    pairs = load_points_csv(args.pairs)
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
     latent = CompactSampleSet.from_csv(args.latent).points
     o, m = net.latent_dim, net.ambient_dim
@@ -380,7 +373,8 @@ def main(argv=None) -> int:
         return 2
     except NumericError as err:
         _error_record("numeric", str(err),
-                      {"stage": err.stage_index} if err.stage_index is not None else None)
+                      {k: v for k, v in (("stage", err.stage_index), ("row", err.row))
+                       if v is not None})
         return 1
     except InjectiveFlowError as err:
         _error_record("numeric", str(err))

@@ -30,8 +30,11 @@ class BudgetExceededError(InjectiveFlowError, ValueError):
 
 
 class NumericError(InjectiveFlowError, ArithmeticError):
-    """A numeric failure (non-finite values), attributed to a pipeline stage."""
+    """A numeric failure (non-finite values), attributed to a pipeline stage
+    and, for batched work, to the first offending row."""
 
-    def __init__(self, message: str, stage_index: int | None = None):
+    def __init__(self, message: str, stage_index: int | None = None,
+                 row: int | None = None):
         super().__init__(message)
         self.stage_index = stage_index
+        self.row = row

@@ -13,9 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_batch, as_rng, spectral_norm, unbatch
-from .errors import InvalidArgumentError, InvalidLayerError
+from .errors import InvalidArgumentError, InvalidLayerError, UnsupportedLayerError
 
 RANK_TOLERANCE = 1e-10
+# |z_i - z_{i+n}| below this (relative) threshold flags a tie between the
+# two per-coordinate minimizers of the ReLU pseudo-inverse.
+TIE_RELATIVE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,12 @@ class ExpansiveLayer:
         """Returns (grad wrt input, dict of parameter gradients)."""
         raise NotImplementedError
 
+    def pseudo_inverse(self, Z: np.ndarray):
+        """(X, tie_rows): least-squares preimages of the rows of Z and a flag
+        per row whose minimizer is not unique."""
+        raise UnsupportedLayerError(
+            f"projection does not support expansive kind {self.kind!r}")
+
     def parameters(self):
         return []
 
@@ -79,6 +88,9 @@ class ZeroPad(ExpansiveLayer):
 
     def vjp(self, cache, grad_out):
         return grad_out[:, :self.in_dim], {}
+
+    def pseudo_inverse(self, Z):
+        return Z[:, :self.in_dim], np.zeros(Z.shape[0], dtype=bool)
 
     def lipschitz_bound(self) -> float:
         return 1.0
@@ -121,6 +133,14 @@ class LinearExpansive(ExpansiveLayer):
     def forward_with_cache(self, X):
         return self._apply(X), X
 
+    def pseudo_inverse(self, Z):
+        # Training updates the weight in place, so the rank is checked again.
+        X, _, _, sv = np.linalg.lstsq(self.weight, Z.T, rcond=None)
+        report = _column_rank_report(sv)
+        if not report.ok:
+            raise InvalidLayerError(report.detail)
+        return X.T, np.zeros(Z.shape[0], dtype=bool)
+
     def parameters(self):
         return [("weight", self.weight)]
 
@@ -128,13 +148,7 @@ class LinearExpansive(ExpansiveLayer):
         return spectral_norm(self.weight)
 
     def validate(self) -> InjectivityReport:
-        sv = np.linalg.svd(self.weight, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            return InjectivityReport(False, "zero weight matrix has rank 0")
-        if sv[-1] <= RANK_TOLERANCE * sv[0]:
-            return InjectivityReport(
-                False, f"rank-deficient: sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
-        return InjectivityReport(True, f"full column rank (cond {sv[0] / sv[-1]:.3e})")
+        return _column_rank_report(np.linalg.svd(self.weight, compute_uv=False))
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "n": self.in_dim, "m": self.out_dim,
@@ -145,6 +159,16 @@ class LinearExpansive(ExpansiveLayer):
         return cls(np.asarray(cfg["weight"], dtype=float))
 
 
+def _column_rank_report(sv: np.ndarray) -> InjectivityReport:
+    """Full-column-rank verdict from a weight's singular values (descending)."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return InjectivityReport(False, "zero weight matrix has rank 0")
+    if sv[-1] <= RANK_TOLERANCE * sv[0]:
+        return InjectivityReport(
+            False, f"rank-deficient: sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
+    return InjectivityReport(True, f"full column rank (cond {sv[0] / sv[-1]:.3e})")
+
+
 def assemble_relu_weight(b_mat: np.ndarray, d_diag: np.ndarray,
                          m_mat: np.ndarray | None) -> np.ndarray:
     """Stack [B; -diag(d) B; M] into the full (m x n) weight."""
@@ -152,6 +176,16 @@ def assemble_relu_weight(b_mat: np.ndarray, d_diag: np.ndarray,
     if m_mat is not None and m_mat.size:
         rows.append(m_mat)
     return np.vstack(rows)
+
+
+def relu_sign_pattern(Z: np.ndarray):
+    """(delta, ties) for the rows of Z (N, 2n), both (N, n) booleans:
+    delta_i where the -DB row carries the preimage (z_{i+n} > z_i), ties_i
+    where z_i and z_{i+n} agree within TIE_RELATIVE_TOLERANCE."""
+    n = Z.shape[1] // 2
+    head, tail = Z[:, :n], Z[:, n:]
+    ties = np.abs(head - tail) <= TIE_RELATIVE_TOLERANCE * np.maximum(1.0, np.abs(head))
+    return tail > head, ties
 
 
 class InjectiveRelu(ExpansiveLayer):
@@ -196,6 +230,30 @@ class InjectiveRelu(ExpansiveLayer):
         mask = (cache > 0.0).astype(float)
         return (grad_out * mask) @ self.weight, {}
 
+    def pseudo_inverse(self, Z):
+        """Least-squares preimages under x -> ReLU([B; -DB] x).
+
+        Solves (M_z W) x = M_z z, with the selection M_z = [(I - Delta),
+        Delta] for Delta = diag(delta), through its per-coordinate form: in
+        alpha = Bx coordinates, alpha_i = z_i on the inactive-tail pattern
+        and alpha_i = -z_{i+n}/D_ii on the active one.  When a pair
+        (z_i, z_{i+n}) is entirely negative the selected value is clipped
+        to the range corner alpha_i = 0, which is the actual per-coordinate
+        minimizer there (the raw selection formula would overshoot past
+        the corner).  Away from ties (z_i = z_{i+n}) a row's result is the
+        unique minimizer of ||z - ReLU(Wx)||_2; on ties it is one of the
+        minimizers and the row is flagged.  Only m = 2n (no M rows) has
+        this closed form.
+        """
+        if self.m_mat is not None:
+            raise UnsupportedLayerError(
+                f"{self.kind!r} projection needs m = 2n and no extra M rows")
+        n = self.in_dim
+        delta, ties = relu_sign_pattern(Z)
+        alpha = np.where(delta, -np.maximum(Z[:, n:], 0.0) / self.d_diag,
+                         np.maximum(Z[:, :n], 0.0))
+        return np.linalg.solve(self.b_mat, alpha.T).T, ties.any(axis=1)
+
     def lipschitz_bound(self) -> float:
         # ReLU is 1-Lipschitz, so the assembled weight's norm dominates.
         return spectral_norm(self.weight)
@@ -209,11 +267,6 @@ class InjectiveRelu(ExpansiveLayer):
                 False, f"B nearly singular: sigma_min = {sv[-1]:.3e}")
         return InjectivityReport(
             True, f"[B; -DB; M] form with cond(B) = {sv[0] / sv[-1]:.3e}")
-
-    @property
-    def projection_compatible(self) -> bool:
-        """True when the closed-form pseudo-inverse applies (m = 2n, M empty)."""
-        return self.m_mat is None and self.out_dim == 2 * self.in_dim
 
     def to_config(self) -> dict:
         cfg = {"kind": self.kind, "n": self.in_dim, "m": self.out_dim,

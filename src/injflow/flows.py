@@ -418,6 +418,10 @@ class FlowBlock:
             Y = layer.inverse(Y)
         return unbatch(Y, single)
 
+    def pseudo_inverse(self, Z):
+        """Exact inverse of the rows of Z; a bijection has no ties."""
+        return self.inverse(Z), np.zeros(Z.shape[0], dtype=bool)
+
     def log_det(self, x):
         X, single = as_batch(x, self.dim)
         total = np.zeros(X.shape[0])

@@ -70,8 +70,12 @@ def save_points_csv(path, points: np.ndarray) -> None:
 
 
 def load_points_csv(path) -> np.ndarray:
-    arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return arr
+    """Numeric rows after one header line; an unreadable or non-numeric
+    file raises InvalidArgumentError naming the path."""
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as err:
+        raise InvalidArgumentError(f"cannot load points CSV {path}: {err}") from err
 
 
 @dataclass(frozen=True)

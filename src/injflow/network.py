@@ -68,12 +68,6 @@ class InjectiveNetwork:
     def ambient_dim(self) -> int:
         return self.stages[-1].dim
 
-    def flow_blocks(self):
-        return [s for s in self.stages if isinstance(s, FlowBlock)]
-
-    def expansive_layers(self):
-        return [s for s in self.stages if isinstance(s, ExpansiveLayer)]
-
     def forward(self, x):
         X, single = as_batch(x, self.latent_dim, "latent input")
         for idx, stage in enumerate(self.stages):
@@ -158,8 +152,14 @@ class InjectiveNetwork:
 
     @classmethod
     def load_checkpoint(cls, path) -> "InjectiveNetwork":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_config(json.load(fh))
+        """Load a saved network; an unreadable, malformed, incomplete or
+        invalid checkpoint raises InvalidArgumentError naming the path."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_config(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+            raise InvalidArgumentError(
+                f"cannot load checkpoint {path}: {type(err).__name__}: {err}") from err
 
 
 def lipschitz_estimate(net, samples, min_separation: float = 1e-9,

@@ -1,10 +1,10 @@
 """Exact layer-wise projection onto the network's range.
 
-Linear expansive layers invert through the normal equations; injective ReLU
-layers with W = [B; -DB] invert through the closed-form sign-pattern
-selection R+(y) = (M_y W)^{-1} M_y y; flow blocks invert exactly.  Composing
-the stage inverses back-to-front gives an idempotent (generally
-non-orthogonal) projection onto the range of the whole network.
+Every stage owns a batched `pseudo_inverse`: linear layers solve least
+squares, m = 2n injective ReLU layers use the closed-form sign-pattern
+selection, flow blocks invert exactly.  Composing the stage inverses
+back-to-front gives an idempotent (generally non-orthogonal) projection onto
+the range of the whole network.
 """
 
 from __future__ import annotations
@@ -14,28 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .errors import InvalidArgumentError, InvalidLayerError, UnsupportedLayerError
-from .expansive import InjectiveRelu, LinearExpansive, ZeroPad
-from .flows import FlowBlock
+from ._util import as_batch
+from .errors import InvalidArgumentError, InvalidLayerError, NumericError
+from .expansive import InjectiveRelu, LinearExpansive, relu_sign_pattern
+from .flows import identity_block
 from .network import InjectiveNetwork
-
-# |y_i - y_{i+n}| below this (relative) threshold flags a tie between the
-# two per-coordinate minimizers.
-TIE_RELATIVE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
 class ReluProjectionWorkspace:
     """Sign-pattern bookkeeping for one query y in R^{2n}.
 
-    c = max([[I, -I], [-I, I]] y, 0); Delta_ii = 1 iff c_{i+n} > 0; the
-    selection matrix M_y = [(I - Delta), Delta] picks, per coordinate, which
-    of the paired rows carries the preimage information.
+    Delta_ii = 1 iff y_{i+n} > y_i: the selection M_y = [(I - Delta), Delta]
+    picks, per coordinate, which of the paired rows carries the preimage
+    information.  tie_indices lists the coordinates where both rows do.
     """
 
-    c: np.ndarray
     delta: np.ndarray
-    m_y: np.ndarray
     tie_indices: tuple[int, ...]
 
     @property
@@ -45,142 +40,77 @@ class ReluProjectionWorkspace:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Preimage x, range point y_hat, residual ||y - y_hat||, tie flag."""
+    """Preimage x, range point y_hat, residual ||y - y_hat||, tie flag;
+    one row or entry per query for a stack of queries."""
 
     x: np.ndarray
     y_hat: np.ndarray
-    residual: float
-    tie_flag: bool
+    residual: float | np.ndarray
+    tie_flag: bool | np.ndarray
 
 
-def relu_workspace(y, tie_tol: float = TIE_RELATIVE_TOLERANCE) -> ReluProjectionWorkspace:
+def relu_workspace(y) -> ReluProjectionWorkspace:
     yv = np.asarray(y, dtype=float).ravel()
     if yv.size % 2 != 0 or yv.size == 0:
         raise InvalidArgumentError("query must live in R^{2n}")
-    n = yv.size // 2
-    head, tail = yv[:n], yv[n:]
-    c = np.concatenate([np.maximum(head - tail, 0.0), np.maximum(tail - head, 0.0)])
-    delta = (c[n:] > 0.0).astype(float)
-    m_y = np.hstack([np.diag(1.0 - delta), np.diag(delta)])
-    ties = tuple(int(i) for i in
-                 np.nonzero(np.abs(head - tail) <= tie_tol * np.maximum(1.0, np.abs(head)))[0])
-    return ReluProjectionWorkspace(c=c, delta=delta, m_y=m_y, tie_indices=ties)
-
-
-def _check_relu_params(b_mat, d_diag):
-    b = np.asarray(b_mat, dtype=float)
-    d = np.asarray(d_diag, dtype=float).ravel()
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise InvalidLayerError("B must be square")
-    if d.shape != (b.shape[0],):
-        raise InvalidLayerError("D must be a length-n diagonal")
-    if np.any(d <= 0.0):
-        raise InvalidLayerError("D must be positive")
-    sv = np.linalg.svd(b, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
-        raise InvalidLayerError("B must be invertible")
-    return b, d
+    delta, ties = relu_sign_pattern(yv[None, :])
+    return ReluProjectionWorkspace(
+        delta=delta[0].astype(float),
+        tie_indices=tuple(int(i) for i in np.nonzero(ties[0])[0]))
 
 
 def relu_pseudo_inverse(b_mat, d_diag, y) -> ProjectionResult:
     """Least-squares preimage of y under x -> ReLU([B; -DB] x).
 
-    Solves (M_y W) x = M_y y through the per-coordinate form of the
-    selection: in alpha = Bx coordinates, alpha_i = y_i on the inactive-tail
-    pattern and alpha_i = -y_{i+n}/D_ii on the active one.  When a pair
-    (y_i, y_{i+n}) is entirely negative the selected value is clipped to the
-    range corner alpha_i = 0, which is the actual per-coordinate minimizer
-    there (the raw selection formula would overshoot past the corner).
-    Away from ties (y_i = y_{i+n}) the result is the unique minimizer of
-    ||y - ReLU(Wx)||_2; on ties it is one of the minimizers and tie_flag
-    is set.
+    See InjectiveRelu.pseudo_inverse for the closed form and its ties.
     """
-    b, d = _check_relu_params(b_mat, d_diag)
-    n = b.shape[0]
-    yv = np.asarray(y, dtype=float).ravel()
-    if yv.shape != (2 * n,):
-        raise InvalidArgumentError(f"query must have dimension {2 * n}")
-    ws = relu_workspace(yv)
-    head, tail = yv[:n], yv[n:]
-    alpha = np.where(ws.delta == 0.0,
-                     np.maximum(head, 0.0),
-                     -np.maximum(tail, 0.0) / d)
-    try:
-        x = np.linalg.solve(b, alpha)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - guarded above
-        raise RuntimeError("B unexpectedly singular after validation") from err
-    w_mat = np.vstack([b, -d[:, None] * b])
-    y_hat = np.maximum(w_mat @ x, 0.0)
-    return ProjectionResult(x=x, y_hat=y_hat,
-                            residual=float(np.linalg.norm(yv - y_hat)),
-                            tie_flag=bool(ws.tie_indices))
+    return _project_through(InjectiveRelu(b_mat, d_diag), y)
 
 
 def linear_pseudo_inverse(weight, y) -> ProjectionResult:
-    """Unique least-squares preimage of y under x -> Wx (normal equations)."""
-    w = np.asarray(weight, dtype=float)
-    yv = np.asarray(y, dtype=float).ravel()
-    if w.ndim != 2 or yv.shape != (w.shape[0],):
-        raise InvalidArgumentError("weight must be (m, n) and y must be in R^m")
-    sv = np.linalg.svd(w, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
-        raise InvalidLayerError("weight must have full column rank")
-    x, *_ = np.linalg.lstsq(w, yv, rcond=None)
-    y_hat = w @ x
-    return ProjectionResult(x=x, y_hat=y_hat,
-                            residual=float(np.linalg.norm(yv - y_hat)),
-                            tie_flag=False)
+    """Unique least-squares preimage of y under x -> Wx for a tall W."""
+    return _project_through(LinearExpansive(weight), y)
 
 
-def _invert_expansive(stage, z):
-    if isinstance(stage, ZeroPad):
-        return z[:stage.in_dim], False
-    if isinstance(stage, LinearExpansive):
-        res = linear_pseudo_inverse(stage.weight, z)
-        return res.x, False
-    if isinstance(stage, InjectiveRelu):
-        if not stage.projection_compatible:
-            raise UnsupportedLayerError(
-                "closed-form ReLU projection needs m = 2n and no extra M rows")
-        res = relu_pseudo_inverse(stage.b_mat, stage.d_diag, z)
-        return res.x, res.tie_flag
-    raise UnsupportedLayerError(
-        f"projection does not support expansive kind {stage.kind!r}")
+def _project_through(layer, y) -> ProjectionResult:
+    net = InjectiveNetwork([identity_block(layer.in_dim), layer,
+                            identity_block(layer.out_dim)], check=False)
+    return project_to_range(net, y)
+
+
+def _require_finite(values: np.ndarray, what: str, stage_index: int | None) -> None:
+    bad = np.nonzero(~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1))[0]
+    if bad.size:
+        row = int(bad[0])
+        raise NumericError(f"non-finite {what} at query row {row}",
+                           stage_index=stage_index, row=row)
 
 
 def project_to_range(net: InjectiveNetwork, y) -> ProjectionResult:
-    """Project y onto the network's range by stage-wise inversion.
-
-    Flow blocks invert exactly; expansive layers invert through their
-    pseudo-inverses.  Idempotent but in general not orthogonal.
+    """Project y, one query or an (N, m) stack, onto the network's range by
+    stage-wise pseudo-inversion, back to front.  Idempotent but in general
+    not orthogonal.  A non-finite stage inverse or residual raises
+    NumericError naming the stage (if any) and the first offending row.
     """
-    yv = np.asarray(y, dtype=float).ravel()
-    if yv.shape != (net.ambient_dim,):
-        raise InvalidArgumentError(
-            f"query must have dimension {net.ambient_dim}")
-    z = yv
-    tie = False
+    Y, single = as_batch(y, net.ambient_dim, "query")
+    Z = Y
+    ties = np.zeros(Y.shape[0], dtype=bool)
     for idx in range(len(net.stages) - 1, -1, -1):
-        stage = net.stages[idx]
         try:
-            if isinstance(stage, FlowBlock):
-                z = np.asarray(stage.inverse(z), dtype=float)
-            else:
-                z, stage_tie = _invert_expansive(stage, z)
-                tie = tie or stage_tie
-        except UnsupportedLayerError:
-            raise
-        except Exception as err:
-            from .errors import NumericError
+            Z, stage_ties = net.stages[idx].pseudo_inverse(Z)
+        except (InvalidLayerError, NumericError) as err:
             raise NumericError(f"stage {idx} inversion failed: {err}",
                                stage_index=idx) from err
-        if not np.all(np.isfinite(z)):
-            from .errors import NumericError
-            raise NumericError("non-finite stage inverse", stage_index=idx)
-    y_hat = np.asarray(net.forward(z), dtype=float)
-    return ProjectionResult(x=z, y_hat=y_hat,
-                            residual=float(np.linalg.norm(yv - y_hat)),
-                            tie_flag=tie)
+        _require_finite(Z, "stage inverse", idx)
+        ties |= stage_ties
+    y_hat = net.forward(Z)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        residual = np.linalg.norm(Y - y_hat, axis=1)
+    _require_finite(residual, "residual", None)
+    if single:
+        return ProjectionResult(x=Z[0], y_hat=y_hat[0], residual=float(residual[0]),
+                                tie_flag=bool(ties[0]))
+    return ProjectionResult(x=Z, y_hat=y_hat, residual=residual, tie_flag=ties)
 
 
 def map_projection_regions(b_mat, d_diag, grid) -> list[str]:
@@ -189,12 +119,10 @@ def map_projection_regions(b_mat, d_diag, grid) -> list[str]:
     Adjacent cells with different labels straddle a discontinuity boundary
     of the range projection.
     """
-    b, d = _check_relu_params(b_mat, d_diag)
-    n = b.shape[0]
+    layer = InjectiveRelu(b_mat, d_diag)
     pts = grid.points if hasattr(grid, "points") else np.atleast_2d(np.asarray(grid, float))
-    if pts.shape[1] != 2 * n:
-        raise InvalidArgumentError(f"grid must have dimension {2 * n}")
-    return [relu_workspace(row).pattern for row in pts]
+    delta, _ = relu_sign_pattern(as_batch(pts, layer.out_dim, "grid")[0])
+    return ["".join(row) for row in np.where(delta, "1", "0")]
 
 
 # --- independent optimality oracle ----------------------------------------
@@ -208,10 +136,10 @@ def brute_force_relu_projection(b_mat, d_diag, y, value_tol: float = 1e-9):
     affine, so each pattern yields a bounded least-squares problem over its
     cone.  Minimizers within value_tol of the best feasible value are
     collected and deduplicated.  Independent of the closed-form path: this
-    route never builds c(y), Delta_y, or M_y.
+    route never builds the sign pattern Delta_y or calls pseudo_inverse.
     """
-    b, d = _check_relu_params(b_mat, d_diag)
-    n = b.shape[0]
+    layer = InjectiveRelu(b_mat, d_diag)
+    b, d, n = layer.b_mat, layer.d_diag, layer.in_dim
     yv = np.asarray(y, dtype=float).ravel()
     if yv.shape != (2 * n,):
         raise InvalidArgumentError(f"query must have dimension {2 * n}")

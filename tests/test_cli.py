@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from injflow.cli import main
 from injflow.expansive import random_linear_expansive
@@ -138,6 +139,19 @@ class TestProjectSubcommand:
                      "--queries", str(qpath), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_non_finite_residual_is_numeric_error_with_row(self, tmp_path, capsys):
+        _, ckpt = _toy_checkpoint(tmp_path)
+        queries = np.random.default_rng(1).normal(size=(4, 3))
+        queries[2, 1] = 1e300
+        qpath = tmp_path / "huge.csv"
+        save_points_csv(qpath, queries)
+        code = _run(["project", "--checkpoint", str(ckpt),
+                     "--queries", str(qpath), "--out", str(tmp_path / "o")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "numeric"
+        assert record["error"]["row"] == 2
+
 
 class TestGapSubcommand:
     def test_gap_json_fields(self, tmp_path):
@@ -164,6 +178,58 @@ class TestGapSubcommand:
         # Target pairs generated by the network itself: gap near zero.
         assert payload["upper"] <= 1e-6
         assert payload["bound_check"]["passed"]
+
+
+def _write_bad_input(path, kind):
+    """A missing, malformed, incomplete or non-numeric input file at path."""
+    if kind == "malformed":
+        path.write_text('{"format": "injflow-checkpoint-v1", "stages": [\n')
+    elif kind == "incomplete":
+        path.write_text('{"format": "injflow-checkpoint-v1", '
+                        '"stages": [{"kind": "flow_block", "dim": 2}]}')
+    elif kind == "non-numeric":
+        path.write_text("x0,x1\n0.5,abc\n")
+    return path
+
+
+class TestInputFailures:
+    """Bad input files end in a JSON usage record naming the file, exit 2."""
+
+    @staticmethod
+    def _expect_usage_error(argv, bad_path, capsys):
+        assert _run(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "usage"
+        assert str(bad_path) in record["error"]["message"]
+
+    @pytest.mark.parametrize("kind", ["missing", "malformed", "incomplete"])
+    def test_bad_checkpoint(self, tmp_path, capsys, kind):
+        qpath = tmp_path / "queries.csv"
+        save_points_csv(qpath, np.zeros((2, 3)))
+        ckpt = _write_bad_input(tmp_path / "net.json", kind)
+        self._expect_usage_error(["project", "--checkpoint", str(ckpt),
+                                  "--queries", str(qpath),
+                                  "--out", str(tmp_path / "o")], ckpt, capsys)
+
+    @pytest.mark.parametrize("flag", ["--queries", "--pairs", "--latent"])
+    @pytest.mark.parametrize("kind", ["missing", "non-numeric"])
+    def test_bad_points_csv(self, tmp_path, capsys, flag, kind):
+        _, ckpt = _toy_checkpoint(tmp_path)
+        files = {"--queries": np.zeros((2, 3)), "--pairs": np.zeros((4, 5)),
+                 "--latent": np.zeros((4, 2))}
+        paths = {}
+        for name, points in files.items():
+            paths[name] = tmp_path / f"{name[2:]}.csv"
+            save_points_csv(paths[name], points)
+        paths[flag].unlink()
+        _write_bad_input(paths[flag], kind)
+        if flag == "--queries":
+            argv = ["project", "--queries", str(paths["--queries"])]
+        else:
+            argv = ["gap", "--pairs", str(paths["--pairs"]),
+                    "--latent", str(paths["--latent"])]
+        argv += ["--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]
+        self._expect_usage_error(argv, paths[flag], capsys)
 
 
 class TestErrors:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from injflow.errors import InvalidArgumentError, InvalidLayerError, UnsupportedLayerError
+from injflow.errors import (
+    InvalidArgumentError,
+    InvalidLayerError,
+    NumericError,
+    UnsupportedLayerError,
+)
 from injflow.expansive import (
+    InjectiveRelu,
     ZeroPad,
     random_injective_relu,
     random_injective_relu_network,
@@ -226,3 +234,74 @@ class TestProjectToRange:
         net = _supported_network(6)
         with pytest.raises(InvalidArgumentError):
             project_to_range(net, np.zeros(net.ambient_dim + 1))
+
+
+# --- batched projection properties ------------------------------------------
+
+
+def _query_stack(net, rng, n_off, n_tied):
+    """Off-range Gaussians, one on-range point, and (for an R1 ReLU layer)
+    forward images of points tied at R1 (z_i = z_{i+n}), which take the tie
+    branch on the way back.  Returns (queries, number of tied rows at the end)."""
+    parts = [rng.normal(0.0, 2.0, size=(n_off, net.ambient_dim)),
+             np.atleast_2d(net.forward(rng.normal(size=(1, net.latent_dim))))]
+    t0, r1, t1, r2, t2 = net.stages
+    if not isinstance(r1, InjectiveRelu):
+        return np.vstack(parts), 0
+    z = r1(t0.forward(rng.normal(size=(n_tied, net.latent_dim))))
+    rows = np.arange(n_tied)
+    col = rng.integers(0, r1.in_dim, size=n_tied)
+    z[rows, col] = z[rows, col + r1.in_dim] = np.abs(rng.normal(size=n_tied)) + 0.1
+    parts.append(t2.forward(r2(t1.forward(z))))
+    return np.vstack(parts), n_tied
+
+
+_PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
+_net_seeds = st.integers(0, 2 ** 16)
+
+
+class TestBatchedProjectionProperties:
+    @_PROPERTY_SETTINGS
+    @given(_net_seeds, st.integers(0, 2 ** 16), st.integers(0, 6), st.integers(0, 4))
+    def test_batch_matches_per_row_calls(self, net_seed, query_seed, n_off, n_tied):
+        net = _supported_network(net_seed)
+        queries, tied = _query_stack(net, np.random.default_rng(query_seed), n_off, n_tied)
+        batch = project_to_range(net, queries)
+        assert batch.x.shape == (len(queries), net.latent_dim)
+        assert batch.tie_flag[len(queries) - tied:].all()
+        for i, y in enumerate(queries):
+            single = project_to_range(net, y)
+            assert single.tie_flag == batch.tie_flag[i]
+            if not single.tie_flag:
+                assert np.abs(single.x - batch.x[i]).max() <= 1e-12
+                assert np.abs(single.y_hat - batch.y_hat[i]).max() <= 1e-12
+                assert abs(single.residual - batch.residual[i]) <= 1e-12
+
+    @_PROPERTY_SETTINGS
+    @given(_net_seeds, st.integers(0, 2 ** 16), st.integers(1, 6), st.integers(0, 4))
+    def test_batch_idempotent_and_range_consistent(self, net_seed, query_seed,
+                                                   n_off, n_tied):
+        net = _supported_network(net_seed)
+        queries, _ = _query_stack(net, np.random.default_rng(query_seed), n_off, n_tied)
+        first = project_to_range(net, queries)
+        second = project_to_range(net, first.y_hat)
+        assert np.linalg.norm(second.y_hat - first.y_hat, axis=1).max() <= 1e-8
+        assert np.linalg.norm(net.forward(first.x) - first.y_hat, axis=1).max() <= 1e-10
+        np.testing.assert_allclose(first.residual,
+                                   np.linalg.norm(queries - first.y_hat, axis=1))
+
+    @_PROPERTY_SETTINGS
+    @given(_net_seeds, st.integers(1, 3), st.integers(1, 3))
+    def test_rank_check_after_in_place_update(self, seed, n, extra):
+        rng = np.random.default_rng(seed)
+        layer = random_linear_expansive(n, n + extra, rng)
+        # Training updates the weight in place, after construction validated it.
+        layer.weight[:, int(rng.integers(0, n))] = 0.0
+        with pytest.raises(InvalidLayerError):
+            layer.pseudo_inverse(rng.normal(size=(3, n + extra)))
+        net = InjectiveNetwork([identity_block(n), layer, identity_block(n + extra)],
+                               check=False)
+        with pytest.raises(NumericError) as err:
+            project_to_range(net, rng.normal(size=(3, n + extra)))
+        assert err.value.stage_index == 1
+
