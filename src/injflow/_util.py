@@ -6,6 +6,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+# 17 significant digits round-trip every float64.
+CSV_FLOAT_FORMAT = "%.17g"
+
 
 def as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
@@ -52,3 +55,11 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Header line of column names, then one line per row of numbers."""
+    line = ",".join([CSV_FLOAT_FORMAT] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, projection, training
-from ._util import as_rng
+from ._util import CSV_FLOAT_FORMAT, as_rng, write_csv
 from .errors import (
     InjectiveFlowError,
     InvalidArgumentError,
@@ -28,7 +28,6 @@ from .expansive import random_well_conditioned
 from .geometry import CompactSampleSet, load_points_csv
 from .network import InjectiveNetwork
 
-FLOAT_FMT = "%.17g"
 PRESETS = ("gap-visualization", "layerwise-toy", "trefoil-obstruction",
            "projection-bench")
 
@@ -37,14 +36,11 @@ def _write_table(out_dir: Path, name: str, columns, rows, fmt: str) -> Path:
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if fmt == "csv":
         path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        write_csv(path, columns, rows)
     elif fmt == "json":
         path = out_dir / f"{name}.json"
         payload = {"columns": list(columns),
-                   "rows": [[float(FLOAT_FMT % v) for v in row] for row in rows]}
+                   "rows": [[float(CSV_FLOAT_FORMAT % v) for v in row] for row in rows]}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
@@ -282,17 +278,13 @@ def _cmd_gap(args) -> int:
     gap = metrics.estimate_embedding_gap(x, fx, g_map, latent, family=args.family)
     check = metrics.wasserstein_bound_check(x, fx, g_map, latent, gap,
                                             tolerance=args.tolerance)
-    mu_f = metrics.EmpiricalMeasure.uniform(fx)
-    mu_g = metrics.EmpiricalMeasure.uniform(g_map(latent))
-    if len(mu_f) + len(mu_g) <= metrics.EXACT_W2_MAX_POINTS:
-        w2_key, w2_val = "w2_exact", metrics.wasserstein2_exact(mu_f, mu_g)
-    else:
-        w2_key, w2_val = "w2_sliced", metrics.wasserstein2_sliced(
-            mu_f, mu_g, seed=args.seed or 0)
+    w2, method = metrics.wasserstein2(metrics.EmpiricalMeasure.uniform(fx),
+                                      metrics.EmpiricalMeasure.uniform(g_map(latent)),
+                                      seed=args.seed or 0)
     payload = {
         "lower": gap.lower,
         "upper": gap.upper,
-        w2_key: w2_val,
+        f"w2_{method}": w2,
         "bound_check": {"w2": check.w2, "upper": check.upper,
                         "tolerance": check.tolerance,
                         "passed": check.passed, "method": check.method},

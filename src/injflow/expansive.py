@@ -28,7 +28,8 @@ class InjectivityReport:
 
 
 class ExpansiveLayer:
-    """Base class: an injective Lipschitz map R^n -> R^m with m > n."""
+    """Base class: an injective Lipschitz map R^n -> R^m with m > n.  Its
+    Lipschitz bound is global, so lipschitz_bound ignores the radius."""
 
     kind = "abstract"
 
@@ -63,7 +64,7 @@ class ExpansiveLayer:
     def parameters(self):
         return []
 
-    def lipschitz_bound(self) -> float:
+    def lipschitz_bound(self, radius: float | None = None) -> float:
         raise NotImplementedError
 
     def output_radius(self, radius: float) -> float:
@@ -92,7 +93,7 @@ class ZeroPad(ExpansiveLayer):
     def pseudo_inverse(self, Z):
         return Z[:, :self.in_dim], np.zeros(Z.shape[0], dtype=bool)
 
-    def lipschitz_bound(self) -> float:
+    def lipschitz_bound(self, radius: float | None = None) -> float:
         return 1.0
 
     def validate(self) -> InjectivityReport:
@@ -144,7 +145,7 @@ class LinearExpansive(ExpansiveLayer):
     def parameters(self):
         return [("weight", self.weight)]
 
-    def lipschitz_bound(self) -> float:
+    def lipschitz_bound(self, radius: float | None = None) -> float:
         return spectral_norm(self.weight)
 
     def validate(self) -> InjectivityReport:
@@ -254,7 +255,7 @@ class InjectiveRelu(ExpansiveLayer):
                          np.maximum(Z[:, :n], 0.0))
         return np.linalg.solve(self.b_mat, alpha.T).T, ties.any(axis=1)
 
-    def lipschitz_bound(self) -> float:
+    def lipschitz_bound(self, radius: float | None = None) -> float:
         # ReLU is 1-Lipschitz, so the assembled weight's norm dominates.
         return spectral_norm(self.weight)
 
@@ -342,7 +343,7 @@ class InjectiveReluNetwork(ExpansiveLayer):
             g = (g * (pre > 0.0)) @ lp["weight"]
         return g, {}
 
-    def lipschitz_bound(self) -> float:
+    def lipschitz_bound(self, radius: float | None = None) -> float:
         prod = 1.0
         for lp in self._layers:
             prod *= spectral_norm(lp["weight"])

@@ -406,6 +406,9 @@ class FlowBlock:
                 raise InvalidLayerError(
                     f"layer dim {layer.dim} does not match block dim {self.dim}")
 
+    def __call__(self, x):
+        return self.forward(x)
+
     def forward(self, x):
         X, single = as_batch(x, self.dim)
         for layer in self.layers:

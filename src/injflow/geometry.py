@@ -14,11 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_rng
+from ._util import as_rng, write_csv
 from .errors import InvalidArgumentError
 from .metrics import EmpiricalMeasure
 
-CSV_FLOAT_FORMAT = "%.17g"
 RIBBON_R_MIN = 0.5
 RIBBON_R_MAX = 1.5
 DEFAULT_RIBBON_HALF_WIDTH = 0.1
@@ -64,9 +63,7 @@ class CompactSampleSet:
 def save_points_csv(path, points: np.ndarray) -> None:
     """One point per row, header x0..x{d-1}, 17 significant digits."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    header = ",".join(f"x{i}" for i in range(pts.shape[1]))
-    np.savetxt(path, pts, delimiter=",", header=header, comments="",
-               fmt=CSV_FLOAT_FORMAT)
+    write_csv(path, [f"x{i}" for i in range(pts.shape[1])], pts)
 
 
 def load_points_csv(path) -> np.ndarray:

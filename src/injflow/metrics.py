@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from ._util import as_rng, pairwise_sq_dists
@@ -279,7 +280,10 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
 
     # Nearest-neighbor matched affine fit, ICP-style refinement.  A
     # rank-deficient regression is a caller error regardless of incumbents.
-    matched = W[np.argmin(pairwise_sq_dists(FX, GW), axis=1)]
+    d2_gw = pairwise_sq_dists(FX, GW)
+    nearest_w = np.argmin(d2_gw, axis=1)
+    d_gw = d2_gw.min(axis=1)
+    matched = W[nearest_w]
     prev_upper = np.inf
     for it in range(max(1, icp_iters)):
         a, c = _fit_affine(X, matched)
@@ -308,10 +312,9 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
         # candidate's own in-domain outputs.
         H = func(X)
         GH = np.atleast_2d(np.asarray(g(H), dtype=float))
-        d_gw = pairwise_sq_dists(FX, GW).min(axis=1)
         d_gh = np.sum((GH - FX) ** 2, axis=1)
         use_h = d_gh < d_gw
-        matched_new = W[np.argmin(pairwise_sq_dists(FX, GW), axis=1)]
+        matched_new = W[nearest_w]
         matched_new[use_h] = H[use_h]
         if np.allclose(matched_new, matched, atol=1e-14):
             break
@@ -424,11 +427,8 @@ def _w2_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     n, m = len(mu), len(nu)
     cost = pairwise_sq_dists(mu.points, nu.points).ravel()
     # Transportation polytope: row sums = mu.weights, col sums = nu.weights.
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
     b_eq = np.concatenate([mu.weights, nu.weights])
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
@@ -500,6 +500,15 @@ def wasserstein2_sliced(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     return float(np.sqrt(d * total / n_projections))
 
 
+def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
+                 n_projections: int = 128, seed: int = 0) -> tuple[float, str]:
+    """(W2, "exact") while the combined support fits EXACT_W2_MAX_POINTS,
+    else (sliced W2, "sliced")."""
+    if len(mu) + len(nu) <= EXACT_W2_MAX_POINTS:
+        return wasserstein2_exact(mu, nu), "exact"
+    return wasserstein2_sliced(mu, nu, n_projections, seed), "sliced"
+
+
 @dataclass(frozen=True)
 class BoundCheckReport:
     """Outcome of checking W2(f#mu, g#mu_o) against the gap upper bound."""
@@ -526,14 +535,10 @@ def wasserstein_bound_check(f_params, f_points, g, w_samples,
     box = DomainBox.from_points(np.asarray(w_samples, dtype=float), margin=1e-6)
     if not box.contains(H, tol=1e-6):
         raise InvalidCandidateError("candidate output leaves the W sample box")
-    mu_f = EmpiricalMeasure.uniform(FX)
-    mu_g = EmpiricalMeasure.uniform(np.atleast_2d(np.asarray(g(H), dtype=float)))
-    if len(mu_f) + len(mu_g) <= EXACT_W2_MAX_POINTS:
-        w2 = wasserstein2_exact(mu_f, mu_g)
-        method = "exact"
-    else:
-        w2 = wasserstein2_sliced(mu_f, mu_g, n_projections=n_projections, seed=seed)
-        method = "sliced"
+    w2, method = wasserstein2(
+        EmpiricalMeasure.uniform(FX),
+        EmpiricalMeasure.uniform(np.atleast_2d(np.asarray(g(H), dtype=float))),
+        n_projections=n_projections, seed=seed)
     return BoundCheckReport(w2=w2, upper=gap.upper, tolerance=tolerance,
                             passed=bool(w2 <= gap.upper + tolerance),
                             method=method)

@@ -72,7 +72,7 @@ class InjectiveNetwork:
         X, single = as_batch(x, self.latent_dim, "latent input")
         for idx, stage in enumerate(self.stages):
             try:
-                X = stage.forward(X) if isinstance(stage, FlowBlock) else stage(X)
+                X = stage(X)
             except NumericError as err:
                 raise NumericError(str(err), stage_index=idx) from err
             if not np.all(np.isfinite(X)):
@@ -120,12 +120,8 @@ class InjectiveNetwork:
         bound = 1.0
         r = radius
         for stage in self.stages:
-            if isinstance(stage, FlowBlock):
-                bound *= stage.lipschitz_bound(r)
-                r = stage.output_radius(r)
-            else:
-                bound *= stage.lipschitz_bound()
-                r = stage.output_radius(r)
+            bound *= stage.lipschitz_bound(r)
+            r = stage.output_radius(r)
         return bound
 
     def to_config(self) -> dict:

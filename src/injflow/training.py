@@ -11,12 +11,12 @@ knotted-target experiment.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from ._util import as_rng, pairwise_sq_dists
+from ._util import as_rng, pairwise_sq_dists, write_csv
 from .errors import InvalidArgumentError, InvalidConfigError, NumericError
 from .expansive import LinearExpansive, random_orthonormal_columns
 from .flows import (
@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .network import InjectiveNetwork, lipschitz_estimate
 
-CSV_FLOAT_FORMAT = "%.17g"
+LOSSES = ("manifold", "density")
 TRACE_COLUMNS = ("step", "loss", "directed_supinf", "sliced_w2",
                  "lipschitz_estimate")
 
@@ -106,6 +106,34 @@ def density_loss(net: InjectiveNetwork, latent_batch, target_batch,
     return value
 
 
+def _effective_weights(loss: str, loss_weights) -> dict:
+    """The given loss mix, with the named loss at weight 1.0 unless it is set."""
+    weights = dict(loss_weights) if loss_weights else {}
+    weights.setdefault(loss, 1.0)
+    return weights
+
+
+def _weighted_loss(gen, target, weights: dict, directions):
+    """(value, gradient wrt gen) of the weighted sum of the named losses;
+    zero weights are skipped, and the density loss needs `directions`."""
+    total = 0.0
+    grad = np.zeros_like(gen)
+    for name, w in weights.items():
+        if w == 0.0:
+            continue
+        if name == "manifold":
+            v, g = chamfer_loss_and_grad(gen, target)
+        elif name == "density":
+            if directions is None:
+                raise InvalidArgumentError("density loss needs projection directions")
+            v, g = sliced_w2sq_loss_and_grad(gen, target, directions)
+        else:
+            raise InvalidArgumentError(f"unknown loss {name!r}")
+        total += w * v
+        grad += w * g
+    return total, grad
+
+
 def compute_gradients(net: InjectiveNetwork, loss: str, latent_batch,
                       target_batch, trainable=None, directions=None,
                       loss_weights=None):
@@ -119,24 +147,9 @@ def compute_gradients(net: InjectiveNetwork, loss: str, latent_batch,
     T = np.atleast_2d(np.asarray(target_batch, dtype=float))
     if X.shape[0] == 0 or T.shape[0] == 0:
         raise InvalidArgumentError("batches must be non-empty")
-    weights = dict(loss_weights) if loss_weights else {loss: 1.0}
-    weights.setdefault(loss, 1.0)
     gen, caches = net.forward_with_cache(X)
-    total = 0.0
-    grad_gen = np.zeros_like(gen)
-    for name, w in weights.items():
-        if w == 0.0:
-            continue
-        if name == "manifold":
-            v, g = chamfer_loss_and_grad(gen, T)
-        elif name == "density":
-            if directions is None:
-                raise InvalidArgumentError("density loss needs projection directions")
-            v, g = sliced_w2sq_loss_and_grad(gen, T, directions)
-        else:
-            raise InvalidArgumentError(f"unknown loss {name!r}")
-        total += w * v
-        grad_gen += w * g
+    total, grad_gen = _weighted_loss(gen, T, _effective_weights(loss, loss_weights),
+                                     directions)
     _, stage_grads = net.vjp(caches, grad_gen, trainable=trainable)
     flat = {}
     for sidx, grads in stage_grads.items():
@@ -193,8 +206,11 @@ class PhaseConfig:
             raise InvalidConfigError("steps must be > 0")
         if self.learning_rate <= 0:
             raise InvalidConfigError("learning_rate must be > 0")
-        if self.loss not in ("manifold", "density"):
+        if self.loss not in LOSSES:
             raise InvalidConfigError(f"unknown loss {self.loss!r}")
+        unknown = sorted(set(self.loss_weights or ()) - set(LOSSES))
+        if unknown:
+            raise InvalidConfigError(f"unknown loss weights {unknown}")
 
 
 @dataclass(frozen=True)
@@ -202,7 +218,6 @@ class TrainingConfig:
     phases: tuple
     batch_size: int = 256
     seed: int = 0
-    loss_weights: dict = field(default_factory=dict)
     lipschitz_log_interval: int = 50
     n_projections: int = 64
 
@@ -222,10 +237,6 @@ class TrainingConfig:
             if any(s < 0 or s >= n_stages for s in trainable):
                 raise InvalidConfigError(
                     f"phase {pidx}: stage index out of range 0..{n_stages - 1}")
-            frozen = set(range(n_stages)) - trainable
-            if trainable & frozen:
-                raise InvalidConfigError(
-                    f"phase {pidx}: stages marked both frozen and trainable")
 
     def to_dict(self) -> dict:
         return {
@@ -237,7 +248,6 @@ class TrainingConfig:
                        for p in self.phases],
             "batch_size": self.batch_size,
             "seed": self.seed,
-            "loss_weights": dict(self.loss_weights),
             "lipschitz_log_interval": self.lipschitz_log_interval,
             "n_projections": self.n_projections,
         }
@@ -253,7 +263,6 @@ class TrainingConfig:
         return cls(phases=phases,
                    batch_size=int(cfg.get("batch_size", 256)),
                    seed=int(cfg.get("seed", 0)),
-                   loss_weights=dict(cfg.get("loss_weights", {})),
                    lipschitz_log_interval=int(cfg.get("lipschitz_log_interval", 50)),
                    n_projections=int(cfg.get("n_projections", 64)))
 
@@ -293,12 +302,8 @@ class TrainingTrace:
         return np.array([getattr(r, name) for r in self.records])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for r in self.records:
-                row = [str(r.step)] + [CSV_FLOAT_FORMAT % getattr(r, c)
-                                       for c in TRACE_COLUMNS[1:]]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, TRACE_COLUMNS,
+                  [[getattr(r, c) for c in TRACE_COLUMNS] for r in self.records])
 
 
 def _digest(net: InjectiveNetwork, stage_indices) -> str:
@@ -328,14 +333,13 @@ class LayerwiseResult:
 
 
 def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
-                eval_target, trace=None, lipschitz_samples=None):
+                eval_target):
     """Shared schedule runner; diagnostics are evaluated on the fixed
     eval sets at every lipschitz_log_interval steps."""
 
     config.validate_for(net)
     rng = as_rng(config.seed)
-    trace = trace if trace is not None else TrainingTrace()
-    lip_pts = eval_latent if lipschitz_samples is None else lipschitz_samples
+    trace = TrainingTrace()
     interval = config.lipschitz_log_interval
     diag_seed = int(as_rng(config.seed + 1).integers(0, 2 ** 31))
     global_step = 0
@@ -350,21 +354,13 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
     def record(step, weights):
         """Diagnostics on the fixed eval sets, free of batch sampling noise."""
         gen = np.atleast_2d(np.asarray(net.forward(eval_latent), dtype=float))
-        loss_value = 0.0
-        for name, w in weights.items():
-            if w == 0.0:
-                continue
-            if name == "manifold":
-                loss_value += w * chamfer_loss_and_grad(gen, eval_target)[0]
-            else:
-                loss_value += w * sliced_w2sq_loss_and_grad(
-                    gen, eval_target, diag_dirs)[0]
+        loss_value, _ = _weighted_loss(gen, eval_target, weights, diag_dirs)
         supinf = metrics.directed_supinf(eval_target, gen)
         w2 = metrics.wasserstein2_sliced(
             metrics.EmpiricalMeasure.uniform(gen),
             metrics.EmpiricalMeasure.uniform(eval_target),
             n_projections=128, seed=diag_seed)
-        lip = lipschitz_estimate(net, lip_pts)
+        lip = lipschitz_estimate(net, eval_latent)
         trace.append(TraceRecord(step=step, loss=loss_value,
                                  directed_supinf=supinf, sliced_w2=w2,
                                  lipschitz_estimate=lip))
@@ -373,9 +369,7 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
         trainable = sorted(set(phase.trainable_stages))
         frozen = sorted(set(range(len(net.stages))) - set(trainable))
         before = _digest(net, frozen) if frozen else ""
-        weights = phase.loss_weights or config.loss_weights or None
-        eff_weights = dict(weights) if weights else {phase.loss: 1.0}
-        eff_weights.setdefault(phase.loss, 1.0)
+        weights = _effective_weights(phase.loss, phase.loss_weights)
         optimizer = Adam(
             [((sidx, name), arr)
              for sidx, name, arr in net.parameters(stage_indices=trainable)],
@@ -383,18 +377,18 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
         for local_step in range(phase.steps):
             latent = latent_sampler(config.batch_size, rng)
             target = target_sampler(config.batch_size, rng)
-            needs_dirs = eff_weights.get("density", 0.0) > 0.0
+            needs_dirs = weights.get("density", 0.0) > 0.0
             dirs = (draw_directions(target.shape[1], config.n_projections, rng)
                     if needs_dirs else None)
             if global_step % interval == 0:
-                record(global_step, eff_weights)
+                record(global_step, weights)
             _, grads = compute_gradients(
                 net, phase.loss, latent, target, trainable=set(trainable),
                 directions=dirs, loss_weights=weights)
             optimizer.step(grads)
             global_step += 1
         # Final state of the phase.
-        record(global_step, eff_weights)
+        record(global_step, weights)
         global_step += 1
         after = _digest(net, frozen) if frozen else ""
         frozen_digests.append((before, after))
@@ -423,9 +417,6 @@ def run_layerwise(net: InjectiveNetwork, target: ManifoldTarget,
             f"network latent dim {net.latent_dim}")
     sampler = _param_sampler(target)
 
-    def latent_sampler(count, rng):
-        return sampler(count, rng)
-
     def target_sampler(count, rng):
         return target.map_points(sampler(count, rng))
 
@@ -433,7 +424,7 @@ def run_layerwise(net: InjectiveNetwork, target: ManifoldTarget,
     grid = np.linspace(lo, hi, eval_count)[:, None]
     eval_latent = grid
     eval_target = target.map_points(grid)
-    return _run_phases(net, config, latent_sampler, target_sampler,
+    return _run_phases(net, config, sampler, target_sampler,
                        eval_latent, eval_target)
 
 
@@ -605,8 +596,7 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
         eval_latent = sample_circle(eval_count, mode="grid").points
         eval_target = target.map_points(arclen.grid(eval_count))
         result = _run_phases(net, config, latent_sampler, target_sampler,
-                             eval_latent, eval_target,
-                             lipschitz_samples=eval_latent)
+                             eval_latent, eval_target)
         traces[arm] = result.trace
 
     control = traces["control"]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from injflow.metrics import (
     fit_candidate_alignment,
     w2_1d_squared,
     w2_enumeration_uniform,
+    wasserstein2,
     wasserstein2_exact,
     wasserstein2_sliced,
     wasserstein_bound_check,
@@ -241,6 +243,21 @@ class TestExactW2:
             want = np.sqrt(w2_1d_squared(x[:, 0], wx, y[:, 0], wy))
             assert abs(got - want) <= 1e-7
 
+    def test_lp_path_memory_on_unequal_uniform_supports(self):
+        rng = np.random.default_rng(7)
+        mu = EmpiricalMeasure.uniform(rng.uniform(size=(300, 1)))
+        nu = EmpiricalMeasure.uniform(rng.uniform(size=(200, 1)))
+        tracemalloc.start()
+        try:
+            got = wasserstein2_exact(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        want = np.sqrt(w2_1d_squared(mu.points[:, 0], mu.weights,
+                                     nu.points[:, 0], nu.weights))
+        assert abs(got - want) <= 1e-7
+
     def test_budget_exceeded(self):
         pts = np.zeros((300, 1))
         m = EmpiricalMeasure.uniform(pts)
@@ -286,6 +303,18 @@ class TestSlicedW2:
         m = EmpiricalMeasure.uniform(np.zeros((2, 2)))
         with pytest.raises(InvalidArgumentError):
             wasserstein2_sliced(m, m, 0)
+
+
+class TestBudgetedW2:
+    def test_method_follows_combined_support_budget(self):
+        rng = np.random.default_rng(8)
+        small = EmpiricalMeasure.uniform(rng.normal(size=(10, 2)))
+        other = EmpiricalMeasure.uniform(rng.normal(size=(12, 2)))
+        large = EmpiricalMeasure.uniform(rng.normal(size=(600, 2)))
+        assert wasserstein2(small, other) == (wasserstein2_exact(small, other), "exact")
+        assert (wasserstein2(large, other, n_projections=16, seed=3)
+                == (wasserstein2_sliced(large, other, n_projections=16, seed=3),
+                    "sliced"))
 
 
 class TestBoundCheck:

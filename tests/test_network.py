@@ -2,15 +2,24 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injflow.errors import InvalidArgumentError, InvalidLayerError, NumericError
 from injflow.expansive import (
     LinearExpansive,
     ZeroPad,
     random_injective_relu,
+    random_injective_relu_network,
     random_linear_expansive,
 )
-from injflow.flows import CouplingLayer, FlowBlock, identity_block, make_coupling_block
+from injflow.flows import (
+    CouplingLayer,
+    FlowBlock,
+    identity_block,
+    make_autoregressive_block,
+    make_coupling_block,
+)
 from injflow.network import InjectiveNetwork, lipschitz_estimate
 
 
@@ -112,6 +121,43 @@ class TestLipschitz:
             lipschitz_estimate(lambda x: x, np.zeros((1, 2)))
         with pytest.raises(InvalidArgumentError):
             lipschitz_estimate(lambda x: x, np.zeros((5, 2)))  # coincident
+
+
+_EXPANSIVE_KINDS = ("zero_pad", "linear", "relu", "relu_network")
+
+
+def _random_expansive(kind, n, rng):
+    if kind == "zero_pad":
+        return ZeroPad(n, n + int(rng.integers(1, 3)))
+    if kind == "linear":
+        return random_linear_expansive(n, n + int(rng.integers(1, 3)), rng)
+    if kind == "relu":
+        return random_injective_relu(n, 2 * n + int(rng.integers(0, 2)), rng)
+    return random_injective_relu_network(n, int(rng.integers(1, 3)), rng)
+
+
+def _autoregressive_network(seed, n, kinds, final_scale):
+    """Autoregressive flow blocks around the given expansive kinds."""
+    rng = np.random.default_rng(seed)
+    stages = [make_autoregressive_block(n, int(rng.integers(1, 3)), rng=rng,
+                                        hidden=6, final_scale=final_scale)]
+    for kind in kinds:
+        stages.append(_random_expansive(kind, stages[-1].dim, rng))
+        stages.append(make_autoregressive_block(stages[-1].out_dim, 1, rng=rng,
+                                                hidden=6, final_scale=final_scale))
+    return InjectiveNetwork(stages)
+
+
+class TestLipschitzProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+           st.lists(st.sampled_from(_EXPANSIVE_KINDS), min_size=1, max_size=2),
+           st.floats(0.05, 1.0), st.floats(0.1, 3.0))
+    def test_estimate_below_bound(self, seed, n, kinds, final_scale, scale):
+        net = _autoregressive_network(seed, n, kinds, final_scale)
+        samples = np.random.default_rng(seed + 1).uniform(-scale, scale, size=(30, n))
+        radius = float(np.linalg.norm(samples, axis=1).max())
+        assert lipschitz_estimate(net, samples) <= net.lipschitz_bound(radius)
 
 
 class TestComposition:

@@ -278,6 +278,11 @@ class TestRunLayerwise:
             PhaseConfig(trainable_stages=(0,), loss="nope", steps=5,
                         learning_rate=1e-3)
 
+    def test_unknown_loss_weight_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            PhaseConfig(trainable_stages=(0,), loss="manifold", steps=5,
+                        learning_rate=1e-3, loss_weights={"foo": 1.0})
+
     def test_latent_dim_must_match_target(self):
         net = _tiny_network(4)
 
