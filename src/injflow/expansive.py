@@ -43,13 +43,11 @@ class ExpansiveLayer:
 
     def __call__(self, x):
         X, single = as_batch(x, self.in_dim)
-        return unbatch(self._apply(X), single)
-
-    def _apply(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return unbatch(self.forward_with_cache(X)[0], single)
 
     def forward_with_cache(self, X: np.ndarray):
-        return self._apply(X), None
+        """(output rows, cache that vjp reads) for the rows of X."""
+        raise NotImplementedError
 
     def vjp(self, cache, grad_out: np.ndarray):
         """Returns (grad wrt input, dict of parameter gradients)."""
@@ -82,10 +80,10 @@ class ZeroPad(ExpansiveLayer):
 
     kind = "zero_pad"
 
-    def _apply(self, X):
+    def forward_with_cache(self, X):
         out = np.zeros((X.shape[0], self.out_dim))
         out[:, :self.in_dim] = X
-        return out
+        return out, None
 
     def vjp(self, cache, grad_out):
         return grad_out[:, :self.in_dim], {}
@@ -123,16 +121,13 @@ class LinearExpansive(ExpansiveLayer):
             if not report.ok:
                 raise InvalidLayerError(report.detail)
 
-    def _apply(self, X):
-        return X @ self.weight.T
+    def forward_with_cache(self, X):
+        # The input batch is the cache: the weight gradient needs it.
+        return X @ self.weight.T, X
 
     def vjp(self, cache, grad_out):
-        # cache is the input batch (needed for the weight gradient).
         grads = {"weight": grad_out.T @ cache}
         return grad_out @ self.weight, grads
-
-    def forward_with_cache(self, X):
-        return self._apply(X), X
 
     def pseudo_inverse(self, Z):
         # Training updates the weight in place, so the rank is checked again.
@@ -220,9 +215,6 @@ class InjectiveRelu(ExpansiveLayer):
                 raise InvalidLayerError(report.detail)
         self.weight = assemble_relu_weight(self.b_mat, self.d_diag, self.m_mat)
 
-    def _apply(self, X):
-        return np.maximum(X @ self.weight.T, 0.0)
-
     def forward_with_cache(self, X):
         pre = X @ self.weight.T
         return np.maximum(pre, 0.0), pre
@@ -287,9 +279,10 @@ class InjectiveRelu(ExpansiveLayer):
 class InjectiveReluNetwork(ExpansiveLayer):
     """Stack of [B; -DB; M]-form ReLU layers with biases and doubling widths.
 
-    Each hidden layer doubles (at least) the width, and biases satisfy
-    b_lower >= -D b_upper coordinate-wise so that no input lands in a dead
-    zone of the paired rows; the composition is then injective.
+    Each layer is an InjectiveRelu block (which owns the B, D and M checks)
+    followed by a bias; the biases satisfy b_lower >= -D b_upper
+    coordinate-wise so that no input lands in a dead zone of the paired
+    rows, and the composition is then injective.
     """
 
     kind = "injective_relu_network"
@@ -297,97 +290,72 @@ class InjectiveReluNetwork(ExpansiveLayer):
     def __init__(self, layer_params: list[dict], check: bool = True):
         if not layer_params:
             raise InvalidLayerError("need at least one layer")
-        self._layers = []
+        self.blocks, self.biases = [], []
         for lp in layer_params:
-            b = np.asarray(lp["b"], dtype=float)
-            d = np.asarray(lp["d"], dtype=float).ravel()
-            m = lp.get("m_rows")
-            m = None if m is None else np.atleast_2d(np.asarray(m, dtype=float))
-            if m is not None and not m.size:
-                m = None
-            n = b.shape[0]
-            extra = 0 if m is None else m.shape[0]
-            width = 2 * n + extra
-            bias = np.asarray(lp.get("bias", np.zeros(width)), dtype=float).ravel()
-            if bias.shape != (width,):
+            block = InjectiveRelu(lp["b"], lp["d"], lp.get("m_rows"), check=False)
+            bias = np.asarray(lp.get("bias", np.zeros(block.out_dim)), dtype=float).ravel()
+            if bias.shape != (block.out_dim,):
                 raise InvalidLayerError("bias length must match layer width")
-            self._layers.append({"b": b.copy(), "d": d.copy(),
-                                 "m": None if m is None else m.copy(),
-                                 "bias": bias.copy(),
-                                 "weight": assemble_relu_weight(b, d, m)})
-        super().__init__(self._layers[0]["b"].shape[0],
-                         self._layers[-1]["weight"].shape[0])
+            self.blocks.append(block)
+            self.biases.append(bias.copy())
+        super().__init__(self.blocks[0].in_dim, self.blocks[-1].out_dim)
         if check:
             report = self.validate()
             if not report.ok:
                 raise InvalidLayerError(report.detail)
 
-    def _apply(self, X):
-        h = X
-        for lp in self._layers:
-            h = np.maximum(h @ lp["weight"].T + lp["bias"][None, :], 0.0)
-        return h
-
     def forward_with_cache(self, X):
         pres = []
         h = X
-        for lp in self._layers:
-            pre = h @ lp["weight"].T + lp["bias"][None, :]
+        for block, bias in zip(self.blocks, self.biases):
+            pre = h @ block.weight.T + bias[None, :]
             pres.append(pre)
             h = np.maximum(pre, 0.0)
         return h, pres
 
     def vjp(self, cache, grad_out):
         g = grad_out
-        for lp, pre in zip(reversed(self._layers), reversed(cache)):
-            g = (g * (pre > 0.0)) @ lp["weight"]
+        for block, pre in zip(reversed(self.blocks), reversed(cache)):
+            g, _ = block.vjp(pre, g)
         return g, {}
 
     def lipschitz_bound(self, radius: float | None = None) -> float:
         prod = 1.0
-        for lp in self._layers:
-            prod *= spectral_norm(lp["weight"])
+        for block in self.blocks:
+            prod *= block.lipschitz_bound()
         return prod
 
     def output_radius(self, radius: float) -> float:
         r = radius
-        for lp in self._layers:
-            r = spectral_norm(lp["weight"]) * r + float(np.linalg.norm(lp["bias"]))
+        for block, bias in zip(self.blocks, self.biases):
+            r = block.lipschitz_bound() * r + float(np.linalg.norm(bias))
         return r
 
     def validate(self) -> InjectivityReport:
         prev_width = self.in_dim
-        for idx, lp in enumerate(self._layers):
-            n = lp["b"].shape[0]
+        for idx, (block, bias) in enumerate(zip(self.blocks, self.biases)):
+            n = block.in_dim
             if n != prev_width:
                 return InjectivityReport(
                     False, f"layer {idx}: expects input width {n}, got {prev_width}")
-            width = lp["weight"].shape[0]
-            if width < 2 * n:
-                return InjectivityReport(
-                    False, f"layer {idx}: width {width} < 2x input {n}")
-            if np.any(lp["d"] <= 0.0):
-                return InjectivityReport(False, f"layer {idx}: D not positive")
-            sv = np.linalg.svd(lp["b"], compute_uv=False)
-            if sv[-1] <= RANK_TOLERANCE * max(sv[0], 1e-300):
-                return InjectivityReport(False, f"layer {idx}: B nearly singular")
-            b1 = lp["bias"][:n]
-            b2 = lp["bias"][n:2 * n]
-            if np.any(b2 + lp["d"] * b1 < -1e-12):
+            report = block.validate()
+            if not report.ok:
+                return InjectivityReport(False, f"layer {idx}: {report.detail}")
+            if np.any(bias[n:2 * n] + block.d_diag * bias[:n] < -1e-12):
                 return InjectivityReport(
                     False, f"layer {idx}: biases open a dead zone "
                            "(need b_lower >= -D b_upper)")
-            prev_width = width
+            prev_width = block.out_dim
         return InjectivityReport(
-            True, f"{len(self._layers)} stacked [B; -DB; M] layers, widths double")
+            True, f"{len(self.blocks)} stacked [B; -DB; M] layers, widths double")
 
     def to_config(self) -> dict:
         layers = []
-        for lp in self._layers:
-            entry = {"b": lp["b"].tolist(), "d": lp["d"].tolist(),
-                     "bias": lp["bias"].tolist()}
-            if lp["m"] is not None:
-                entry["m_rows"] = lp["m"].tolist()
+        for block, bias in zip(self.blocks, self.biases):
+            entry = {"b": block.b_mat.tolist(), "d": block.d_diag.tolist(),
+                     "bias": bias.tolist()}
+            if block.m_mat is not None:
+                entry["m_rows"] = block.m_mat.tolist()
             layers.append(entry)
         return {"kind": self.kind, "n": self.in_dim, "m": self.out_dim,
                 "layers": layers}

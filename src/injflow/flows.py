@@ -53,13 +53,7 @@ class Mlp:
         return self.sizes[-1]
 
     def __call__(self, x):
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b[None, :]
-            if k != last:
-                h = np.tanh(h)
-        return h
+        return self.forward_with_cache(np.atleast_2d(np.asarray(x, dtype=float)))[0]
 
     def forward_with_cache(self, X):
         acts = [X]
@@ -160,30 +154,34 @@ class CouplingLayer:
                 f"expected ({b.shape[0]}, {self.split})")
         return out
 
-    def forward(self, x):
-        X, single = as_batch(x, self.dim)
+    def _scale_shift(self, b):
+        """Clamped log-scale and shift for the conditioning half b."""
+        s = _clamp(self._subnet_out(self.s_net, b, "scale"), self.scale_clamp)
+        return s, self._subnet_out(self.t_net, b, "shift")
+
+    def forward_and_log_det(self, X):
+        """(Y, log|det J|) for the rows of X, one pass through each subnet."""
         xp = X[:, self.perm]
         a, b = xp[:, :self.split], xp[:, self.split:]
-        s = _clamp(self._subnet_out(self.s_net, b, "scale"), self.scale_clamp)
-        t = self._subnet_out(self.t_net, b, "shift")
-        out = np.concatenate([a * np.exp(s) + t, b], axis=1)
-        return unbatch(out, single)
+        s, t = self._scale_shift(b)
+        return np.concatenate([a * np.exp(s) + t, b], axis=1), s.sum(axis=1)
+
+    def forward(self, x):
+        X, single = as_batch(x, self.dim)
+        return unbatch(self.forward_and_log_det(X)[0], single)
+
+    def log_det(self, x):
+        X, single = as_batch(x, self.dim)
+        return unbatch(self.forward_and_log_det(X)[1], single)
 
     def inverse(self, y):
         Y, single = as_batch(y, self.dim)
         ya, b = Y[:, :self.split], Y[:, self.split:]
-        s = _clamp(self._subnet_out(self.s_net, b, "scale"), self.scale_clamp)
-        t = self._subnet_out(self.t_net, b, "shift")
+        s, t = self._scale_shift(b)
         a = (ya - t) * np.exp(-s)
         out = np.empty_like(Y)
         out[:, self.perm] = np.concatenate([a, b], axis=1)
         return unbatch(out, single)
-
-    def log_det(self, x):
-        X, single = as_batch(x, self.dim)
-        b = X[:, self.perm][:, self.split:]
-        s = _clamp(self._subnet_out(self.s_net, b, "scale"), self.scale_clamp)
-        return unbatch(s.sum(axis=1), single)
 
     def forward_with_cache(self, X):
         xp = X[:, self.perm]
@@ -294,10 +292,18 @@ class AutoregressiveLayer:
             sh[:, i] = out[:, 1]
         return _clamp(ls, self.scale_clamp), sh
 
+    def forward_and_log_det(self, X):
+        """(Y, log|det J|) for the rows of X, one pass through each conditioner."""
+        ls, sh = self._scales_shifts(X)
+        return X * np.exp(ls) + sh, ls.sum(axis=1)
+
     def forward(self, x):
         X, single = as_batch(x, self.dim)
-        ls, sh = self._scales_shifts(X)
-        return unbatch(X * np.exp(ls) + sh, single)
+        return unbatch(self.forward_and_log_det(X)[0], single)
+
+    def log_det(self, x):
+        X, single = as_batch(x, self.dim)
+        return unbatch(self.forward_and_log_det(X)[1], single)
 
     def inverse(self, y):
         Y, single = as_batch(y, self.dim)
@@ -309,11 +315,6 @@ class AutoregressiveLayer:
             ls = np.clip(out[:, 0], -self.scale_clamp, self.scale_clamp)
             X[:, i] = (Y[:, i] - out[:, 1]) * np.exp(-ls)
         return unbatch(X, single)
-
-    def log_det(self, x):
-        X, single = as_batch(x, self.dim)
-        ls, _ = self._scales_shifts(X)
-        return unbatch(ls.sum(axis=1), single)
 
     def forward_with_cache(self, X):
         n_pts = X.shape[0]
@@ -352,35 +353,35 @@ class AutoregressiveLayer:
             out += [(f"cond{i}.{k}", v) for k, v in cond.parameters()]
         return out
 
-    def lipschitz_bound(self, radius: float) -> float:
-        """Ball-certified bound via the operator norm of the entrywise
-        coefficient-bound matrix of the (lower-triangular) Jacobian."""
-        g = np.zeros((self.dim, self.dim))
-        ls0 = min(abs(float(self.first_params[0])), self.scale_clamp)
-        g[0, 0] = np.exp(ls0)
-        for i in range(1, self.dim):
-            cond = self.conditioners[i - 1]
-            zero = np.zeros((1, i))
-            out0 = np.atleast_2d(np.asarray(cond(zero), dtype=float))
-            lip = cond.lipschitz_bound()
-            s_max = min(self.scale_clamp, abs(float(out0[0, 0])) + lip * radius)
-            es = float(np.exp(s_max))
-            g[i, i] = es
-            g[i, :i] = radius * es * lip + lip
-        return spectral_norm(g)
-
-    def output_radius(self, radius: float) -> float:
-        bounds = np.zeros(self.dim)
-        ls0 = min(abs(float(self.first_params[0])), self.scale_clamp)
-        bounds[0] = radius * np.exp(ls0) + abs(float(self.first_params[1]))
+    def _coordinate_bounds(self, radius: float):
+        """Per-coordinate bounds on the ball ||x||_2 <= radius: the scale
+        factor exp(ls_i), |sh_i| and the Lipschitz constant of coordinate
+        i's conditioner (0 for the constant first pair)."""
+        es = np.empty(self.dim)
+        sh = np.empty(self.dim)
+        lip = np.zeros(self.dim)
+        es[0] = np.exp(min(abs(float(self.first_params[0])), self.scale_clamp))
+        sh[0] = abs(float(self.first_params[1]))
         for i in range(1, self.dim):
             cond = self.conditioners[i - 1]
             out0 = np.atleast_2d(np.asarray(cond(np.zeros((1, i))), dtype=float))
-            lip = cond.lipschitz_bound()
-            s_max = min(self.scale_clamp, abs(float(out0[0, 0])) + lip * radius)
-            sh_max = abs(float(out0[0, 1])) + lip * radius
-            bounds[i] = radius * np.exp(s_max) + sh_max
-        return float(np.linalg.norm(bounds))
+            lip[i] = cond.lipschitz_bound()
+            es[i] = np.exp(min(self.scale_clamp, abs(float(out0[0, 0])) + lip[i] * radius))
+            sh[i] = abs(float(out0[0, 1])) + lip[i] * radius
+        return es, sh, lip
+
+    def lipschitz_bound(self, radius: float) -> float:
+        """Ball-certified bound via the operator norm of the entrywise
+        coefficient-bound matrix of the (lower-triangular) Jacobian."""
+        es, _, lip = self._coordinate_bounds(radius)
+        cross = radius * es * lip + lip
+        g = np.tril(np.broadcast_to(cross[:, None], (self.dim, self.dim)), -1)
+        np.fill_diagonal(g, es)
+        return spectral_norm(g)
+
+    def output_radius(self, radius: float) -> float:
+        es, sh, _ = self._coordinate_bounds(radius)
+        return float(np.linalg.norm(radius * es + sh))
 
     def to_config(self) -> dict:
         return {"kind": "autoregressive", "dim": self.dim,
@@ -429,8 +430,8 @@ class FlowBlock:
         X, single = as_batch(x, self.dim)
         total = np.zeros(X.shape[0])
         for layer in self.layers:
-            total += np.atleast_1d(layer.log_det(X))
-            X = layer.forward(X)
+            X, layer_log_det = layer.forward_and_log_det(X)
+            total += layer_log_det
         return unbatch(total, single)
 
     def forward_with_cache(self, X):

@@ -430,7 +430,10 @@ def _w2_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
                           sparse.kron(np.ones((1, n)), sparse.eye(m))])
     b_eq = np.concatenate([mu.weights, nu.weights])
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default 1e-7 feasibility tolerances leave ~1e-8 errors in W2.
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise InvalidArgumentError(f"transport LP failed: {res.message}")
     return float(np.sqrt(max(res.fun, 0.0)))

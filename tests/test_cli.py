@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from injflow.cli import main
-from injflow.expansive import random_linear_expansive
-from injflow.flows import make_coupling_block
+from injflow.expansive import random_injective_relu_network, random_linear_expansive
+from injflow.flows import identity_block, make_coupling_block
 from injflow.geometry import save_points_csv
 from injflow.network import InjectiveNetwork
 
@@ -230,6 +230,26 @@ class TestInputFailures:
                     "--latent", str(paths["--latent"])]
         argv += ["--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]
         self._expect_usage_error(argv, paths[flag], capsys)
+
+    @pytest.mark.parametrize("block", [
+        {"b": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "d": [1.0, 1.0]},
+        {"b": [[1.0, 0.0], [0.0, 1.0]], "d": [1.0]},
+    ], ids=["non-square-b", "short-d"])
+    def test_malformed_relu_network_checkpoint(self, tmp_path, capsys, block):
+        rng = np.random.default_rng(0)
+        net = InjectiveNetwork([identity_block(2),
+                                random_injective_relu_network(2, 1, rng),
+                                identity_block(4)])
+        cfg = net.to_config()
+        cfg["stages"][1]["layers"][0].update(block)
+        ckpt = tmp_path / "net.json"
+        ckpt.write_text(json.dumps(cfg))
+        ppath, lpath = tmp_path / "pairs.csv", tmp_path / "latent.csv"
+        save_points_csv(ppath, rng.uniform(-1, 1, size=(8, 5)))
+        save_points_csv(lpath, rng.uniform(-1, 1, size=(16, 2)))
+        self._expect_usage_error(["gap", "--pairs", str(ppath), "--latent", str(lpath),
+                                  "--checkpoint", str(ckpt),
+                                  "--out", str(tmp_path / "o")], ckpt, capsys)
 
 
 class TestErrors:

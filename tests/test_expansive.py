@@ -97,6 +97,14 @@ class TestInjectiveReluNetwork:
             [{"b": [[1.0]], "d": [1.0], "bias": [-1.0, 0.0]}], check=False)
         assert not validate_injectivity(bad).ok
 
+    @pytest.mark.parametrize("block", [
+        {"b": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "d": [1.0, 1.0]},
+        {"b": [[1.0, 0.0], [0.0, 1.0]], "d": [1.0]},
+    ], ids=["non-square-b", "short-d"])
+    def test_malformed_block_rejected(self, block):
+        with pytest.raises(InvalidLayerError):
+            InjectiveReluNetwork([block], check=False)
+
 
 def _sampled_injectivity(layer, rng, n_pairs=10_000, box=5.0):
     x = rng.uniform(-box, box, size=(n_pairs, layer.in_dim))

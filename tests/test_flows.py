@@ -33,6 +33,18 @@ class _Identity:
         return np.atleast_2d(b)
 
 
+class _Counting:
+    """Callable subnet that counts its calls."""
+
+    def __init__(self, net):
+        self.net = net
+        self.calls = 0
+
+    def __call__(self, b):
+        self.calls += 1
+        return self.net(b)
+
+
 def _coupling(dim=2, split=1, s=None, t=None, perm=None):
     s = s if s is not None else _Const(0.0, split)
     t = t if t is not None else _Const(0.0, split)
@@ -128,6 +140,34 @@ class TestLogDet:
         layer = AutoregressiveLayer(2, conditioners=[_Const(0.3, 2)],
                                     first_params=[0.2, 0.0])
         assert abs(log_det_jacobian(layer, [1.0, 1.0]) - 0.5) < 1e-14
+
+    def test_block_log_det_runs_each_subnet_once(self):
+        rng = np.random.default_rng(3)
+        coupling = make_coupling_block(3, 2, rng=rng, hidden=6, final_scale=0.5)
+        autoregressive = make_autoregressive_block(3, 2, rng=rng, hidden=6,
+                                                   final_scale=0.5)
+        counters = []
+        for layer in coupling.layers:
+            layer.s_net, layer.t_net = _Counting(layer.s_net), _Counting(layer.t_net)
+            counters += [layer.s_net, layer.t_net]
+        for layer in autoregressive.layers:
+            layer.conditioners = [_Counting(c) for c in layer.conditioners]
+            counters += layer.conditioners
+        x = rng.normal(size=(5, 3))
+        coupling.log_det(x)
+        autoregressive.log_det(x)
+        assert [c.calls for c in counters] == [1] * len(counters)
+
+    @pytest.mark.parametrize("make", [make_coupling_block, make_autoregressive_block])
+    def test_log_det_matches_finite_difference_jacobian(self, make):
+        rng = np.random.default_rng(4)
+        block = make(3, 3, rng=rng, hidden=8, final_scale=0.5)
+        h = 1e-5
+        steps = h * np.eye(3)
+        for x in rng.normal(size=(5, 3)):
+            jac = (block.forward(x + steps) - block.forward(x - steps)).T / (2 * h)
+            want = np.linalg.slogdet(jac)[1]  # log|det J|; reversal perms flip the sign
+            assert abs(block.log_det(x) - want) <= 1e-6
 
 
 class TestBijectivityProperty:

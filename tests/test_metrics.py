@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injflow.errors import (
     BudgetExceededError,
@@ -185,6 +187,22 @@ class TestSandwich:
             gap = estimate_embedding_gap(x, fx, g, w_samples)
             assert 0.0 <= gap.lower <= gap.upper
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(4, 20))
+    def test_lower_below_upper_property(self, seed, dim, n_points):
+        """Random polynomial curves t -> sum_k c_k t^k for target and range."""
+        rng = np.random.default_rng(seed)
+        f_coef, g_coef = rng.normal(size=(2, 4, dim))
+        x = np.sort(rng.uniform(-1, 1, size=n_points))[:, None]
+
+        def g(w):
+            return np.vander(np.atleast_2d(w)[:, 0], 4, increasing=True) @ g_coef
+
+        fx = np.vander(x[:, 0], 4, increasing=True) @ f_coef
+        w_samples = rng.uniform(-2, 2, size=(30, 1))
+        gap = estimate_embedding_gap(x, fx, g, w_samples, family="affine")
+        assert 0.0 <= gap.lower <= gap.upper
+
 
 class TestExactW2:
     def test_identical_measures(self):
@@ -257,6 +275,14 @@ class TestExactW2:
         want = np.sqrt(w2_1d_squared(mu.points[:, 0], mu.weights,
                                      nu.points[:, 0], nu.weights))
         assert abs(got - want) <= 1e-7
+
+    def test_lp_path_exact_on_unequal_uniform_supports(self):
+        rng = np.random.default_rng(7)
+        mu = EmpiricalMeasure.uniform(rng.uniform(size=(300, 1)))
+        nu = EmpiricalMeasure.uniform(rng.uniform(size=(200, 1)))
+        want = np.sqrt(w2_1d_squared(mu.points[:, 0], mu.weights,
+                                     nu.points[:, 0], nu.weights))
+        assert abs(wasserstein2_exact(mu, nu) - want) <= 1e-12
 
     def test_budget_exceeded(self):
         pts = np.zeros((300, 1))

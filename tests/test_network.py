@@ -160,6 +160,30 @@ class TestLipschitzProperties:
         assert lipschitz_estimate(net, samples) <= net.lipschitz_bound(radius)
 
 
+class TestOutputRadiusProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+           st.sampled_from(("coupling", "autoregressive") + _EXPANSIVE_KINDS),
+           st.floats(0.05, 1.0), st.floats(0.1, 3.0))
+    def test_image_of_ball_within_output_radius(self, seed, n, kind, final_scale,
+                                                radius):
+        rng = np.random.default_rng(seed)
+        if kind == "coupling":
+            n = max(n, 2)
+            stage = make_coupling_block(n, int(rng.integers(1, 3)), rng=rng,
+                                        hidden=6, final_scale=final_scale)
+        elif kind == "autoregressive":
+            stage = make_autoregressive_block(n, int(rng.integers(1, 3)), rng=rng,
+                                              hidden=6, final_scale=final_scale)
+        else:
+            stage = _random_expansive(kind, n, rng)
+        x = rng.normal(size=(200, n))
+        x *= radius / np.linalg.norm(x, axis=1, keepdims=True)
+        x[100:] *= rng.uniform(size=(100, 1))
+        out_norm = np.linalg.norm(stage(x), axis=1).max()
+        assert out_norm <= stage.output_radius(radius) * (1 + 1e-12)
+
+
 class TestComposition:
     def test_stagewise_equals_fused_pipeline(self):
         net = _random_network(31)
