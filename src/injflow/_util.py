@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError
 
@@ -49,12 +50,16 @@ def spectral_norm(mat: np.ndarray) -> float:
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a (N,d) and b (M,d).
 
-    Computed from explicit differences: the gram-matrix identity loses
-    absolute accuracy near zero, which matters for coincident points.
+    Computed from explicit differences, as cdist's "sqeuclidean" is: the
+    gram-matrix identity loses absolute accuracy near zero, which matters
+    for coincident points.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return cdist(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "sqeuclidean")
+
+
+def flatten(arrays) -> np.ndarray:
+    """One float64 vector of the arrays' entries in order (empty for none)."""
+    return np.concatenate([np.zeros(0), *(np.ravel(a) for a in arrays)])
 
 
 def write_csv(path, columns, rows) -> None:

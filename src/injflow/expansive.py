@@ -140,6 +140,9 @@ class LinearExpansive(ExpansiveLayer):
     def parameters(self):
         return [("weight", self.weight)]
 
+    def bind_parameters(self, take):
+        self.weight = take(self.weight)
+
     def lipschitz_bound(self, radius: float | None = None) -> float:
         return spectral_norm(self.weight)
 

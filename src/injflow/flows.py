@@ -86,6 +86,11 @@ class Mlp:
             out.append((f"b{k}", self.biases[k]))
         return out
 
+    def bind_parameters(self, take):
+        """Rebind every parameter array to take(array), a view of its values."""
+        self.weights = [take(w) for w in self.weights]
+        self.biases = [take(b) for b in self.biases]
+
     def lipschitz_bound(self) -> float:
         prod = 1.0
         for w in self.weights:
@@ -214,6 +219,10 @@ class CouplingLayer:
         out = [(f"s_net.{k}", v) for k, v in self.s_net.parameters()]
         out += [(f"t_net.{k}", v) for k, v in self.t_net.parameters()]
         return out
+
+    def bind_parameters(self, take):
+        self.s_net.bind_parameters(take)
+        self.t_net.bind_parameters(take)
 
     def _scale_range(self, radius: float) -> float:
         zero = np.zeros((1, self.dim - self.split))
@@ -348,10 +357,14 @@ class AutoregressiveLayer:
         return gx, grads
 
     def parameters(self):
-        out = [("first", self.first_params)]
-        for i, cond in enumerate(self.conditioners, start=1):
-            out += [(f"cond{i}.{k}", v) for k, v in cond.parameters()]
-        return out
+        return [("first", self.first_params)] + [
+            (f"cond{i}.{k}", v) for i, cond in enumerate(self.conditioners, start=1)
+            for k, v in cond.parameters()]
+
+    def bind_parameters(self, take):
+        self.first_params = take(self.first_params)
+        for cond in self.conditioners:
+            cond.bind_parameters(take)
 
     def _coordinate_bounds(self, radius: float):
         """Per-coordinate bounds on the ball ||x||_2 <= radius: the scale
@@ -450,10 +463,12 @@ class FlowBlock:
         return g, grads
 
     def parameters(self):
-        out = []
-        for idx, layer in enumerate(self.layers):
-            out += [(f"layer{idx}.{k}", v) for k, v in layer.parameters()]
-        return out
+        return [(f"layer{idx}.{k}", v) for idx, layer in enumerate(self.layers)
+                for k, v in layer.parameters()]
+
+    def bind_parameters(self, take):
+        for layer in self.layers:
+            layer.bind_parameters(take)
 
     def lipschitz_bound(self, radius: float) -> float:
         bound = 1.0

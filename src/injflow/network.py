@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from ._util import as_batch, unbatch
+from ._util import as_batch, flatten, unbatch
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
 from .expansive import ExpansiveLayer, expansive_from_config
 from .flows import FlowBlock
@@ -103,13 +104,22 @@ class InjectiveNetwork:
 
     def parameters(self, stage_indices=None):
         """[(stage_idx, name, array)] of trainable parameters."""
-        out = []
-        for idx, stage in enumerate(self.stages):
-            if stage_indices is not None and idx not in stage_indices:
-                continue
-            for name, arr in stage.parameters():
-                out.append((idx, name, arr))
-        return out
+        return [(idx, name, arr) for idx, stage in enumerate(self.stages)
+                if stage_indices is None or idx in stage_indices
+                for name, arr in stage.parameters()]
+
+    def parameter_store(self, stage_indices=None):
+        """Copy the parameters of the given stages into one contiguous vector
+        and rebind every parameter array to a view into it.  Returns (vector,
+        [(stage_idx, name)] in vector order, the order of parameters())."""
+        params = self.parameters(stage_indices)
+        vector = flatten(arr for _, _, arr in params)
+        ends = np.cumsum([arr.size for _, _, arr in params], dtype=int)
+        views = {id(arr): vector[end - arr.size:end].reshape(arr.shape)
+                 for (_, _, arr), end in zip(params, ends)}
+        for idx in {sidx for sidx, _, _ in params}:
+            self.stages[idx].bind_parameters(lambda arr: views[id(arr)])
+        return vector, [(sidx, name) for sidx, name, _ in params]
 
     def lipschitz_bound(self, radius: float = DEFAULT_DOMAIN_RADIUS) -> float:
         """Product of per-stage bounds, certified on ||x||_2 <= radius.
@@ -176,10 +186,8 @@ def lipschitz_estimate(net, samples, min_separation: float = 1e-9,
     usable = 0
     n = pts.shape[0]
     for start in range(0, n, chunk):
-        xs = pts[start:start + chunk]
-        ys = Y[start:start + chunk]
-        dx = np.linalg.norm(xs[:, None, :] - pts[None, :, :], axis=2)
-        dy = np.linalg.norm(ys[:, None, :] - Y[None, :, :], axis=2)
+        dx = cdist(pts[start:start + chunk], pts)
+        dy = cdist(Y[start:start + chunk], Y)
         mask = dx > min_separation
         usable += int(mask.sum())
         if mask.any():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from ._util import as_rng, pairwise_sq_dists, write_csv
+from ._util import as_rng, flatten, pairwise_sq_dists, write_csv
 from .errors import InvalidArgumentError, InvalidConfigError, NumericError
 from .expansive import LinearExpansive, random_orthonormal_columns
 from .flows import (
@@ -69,16 +69,17 @@ def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
         raise InvalidArgumentError("sliced loss needs equal-size batches")
     n, d = generated.shape
     k = directions.shape[1]
-    pg = generated @ directions
-    pt = target @ directions
-    order_g = np.argsort(pg, axis=0, kind="stable")
-    order_t = np.argsort(pt, axis=0, kind="stable")
-    diffs = np.take_along_axis(pg, order_g, axis=0) - np.take_along_axis(pt, order_t, axis=0)
-    value = float(d * np.mean(diffs ** 2))
-    gproj = np.zeros_like(pg)
-    np.put_along_axis(gproj, order_g, 2.0 * d * diffs / (n * k), axis=0)
-    grad = gproj @ directions.T
-    return value, grad
+    # One projection per row, so each sort runs along contiguous memory;
+    # mean and matmul sum in memory order, so they read C-ordered (n, k).
+    pg = (generated @ directions).T.copy()
+    pt = (target @ directions).T.copy()
+    pt.sort(axis=1)
+    order = np.argsort(pg, axis=1, kind="stable")
+    diffs = np.take_along_axis(pg, order, axis=1) - pt
+    value = float(d * np.mean((diffs ** 2).T.copy()))
+    gproj = np.empty_like(pg)
+    np.put_along_axis(gproj, order, 2.0 * d * diffs / (n * k), axis=1)
+    return value, gproj.T.copy() @ directions.T
 
 
 def draw_directions(dim: int, count: int, rng) -> np.ndarray:
@@ -151,43 +152,40 @@ def compute_gradients(net: InjectiveNetwork, loss: str, latent_batch,
     total, grad_gen = _weighted_loss(gen, T, _effective_weights(loss, loss_weights),
                                      directions)
     _, stage_grads = net.vjp(caches, grad_gen, trainable=trainable)
-    flat = {}
-    for sidx, grads in stage_grads.items():
-        for pname, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient at stage {sidx} "
-                                   f"parameter {pname}", stage_index=sidx)
-            flat[(sidx, pname)] = g
+    flat = {(sidx, pname): g for sidx, grads in stage_grads.items()
+            for pname, g in grads.items()}
+    if not np.isfinite(flatten(flat.values())).all():
+        sidx, pname = next(key for key, g in flat.items() if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient at stage {sidx} "
+                           f"parameter {pname}", stage_index=sidx)
     return float(total), flat
 
 
 class Adam:
-    """Adaptive moment estimation over a list of ((stage, name), array)."""
+    """Adaptive moment estimation on one flat parameter vector: store is
+    (vector, keys) from InjectiveNetwork.parameter_store, whose (stage, name)
+    keys give the order in which step gathers the gradients."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, store, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params = {key: arr for key, arr in params}
+        self.params, self.keys = store
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
         self.t = 0
 
     def step(self, grads: dict) -> None:
+        """grads maps every key of the store to its gradient array."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for key, g in grads.items():
-            if key not in self.params:
-                continue
-            m = self.m[key]
-            v = self.v[key]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (self.lr / b1c) * m / (np.sqrt(v / b2c) + self.eps)
-            self.params[key][...] -= update
+        g = flatten(grads[key] for key in self.keys)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.params -= (self.lr / b1c) * self.m / (np.sqrt(self.v / b2c) + self.eps)
 
 
 # --- configuration and traces ----------------------------------------------
@@ -307,11 +305,8 @@ class TrainingTrace:
 
 
 def _digest(net: InjectiveNetwork, stage_indices) -> str:
-    h = hashlib.sha256()
-    for sidx, name, arr in net.parameters(stage_indices=sorted(stage_indices)):
-        h.update(f"{sidx}:{name}".encode())
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
+    params = flatten(arr for _, _, arr in net.parameters(stage_indices))
+    return hashlib.sha256(params.tobytes()).hexdigest()
 
 
 @dataclass
@@ -360,7 +355,7 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
             metrics.EmpiricalMeasure.uniform(gen),
             metrics.EmpiricalMeasure.uniform(eval_target),
             n_projections=128, seed=diag_seed)
-        lip = lipschitz_estimate(net, eval_latent)
+        lip = lipschitz_estimate(lambda _: gen, eval_latent)  # reuses the images
         trace.append(TraceRecord(step=step, loss=loss_value,
                                  directed_supinf=supinf, sliced_w2=w2,
                                  lipschitz_estimate=lip))
@@ -370,10 +365,7 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
         frozen = sorted(set(range(len(net.stages))) - set(trainable))
         before = _digest(net, frozen) if frozen else ""
         weights = _effective_weights(phase.loss, phase.loss_weights)
-        optimizer = Adam(
-            [((sidx, name), arr)
-             for sidx, name, arr in net.parameters(stage_indices=trainable)],
-            lr=phase.learning_rate)
+        optimizer = Adam(net.parameter_store(trainable), lr=phase.learning_rate)
         for local_step in range(phase.steps):
             latent = latent_sampler(config.batch_size, rng)
             target = target_sampler(config.batch_size, rng)

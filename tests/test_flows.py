@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injflow.errors import InvalidLayerError, NumericError
 from injflow.flows import (
+    SCALE_CLAMP,
     AutoregressiveLayer,
     CouplingLayer,
     FlowBlock,
@@ -168,6 +171,86 @@ class TestLogDet:
             jac = (block.forward(x + steps) - block.forward(x - steps)).T / (2 * h)
             want = np.linalg.slogdet(jac)[1]  # log|det J|; reversal perms flip the sign
             assert abs(block.log_det(x) - want) <= 1e-6
+
+
+def _saturating_mlp(rng, in_dim, signs):
+    """Tanh Mlp whose output i stays above +SCALE_CLAMP (sign 1), below
+    -SCALE_CLAMP (sign -1) or well inside the clamp (sign 0) on every input.
+
+    The small output weights keep the subnet's Lipschitz constant low: an
+    inverse at scale exp(-SCALE_CLAMP) amplifies prefix errors by about
+    exp(SCALE_CLAMP) times that constant per autoregressive coordinate."""
+    signs = np.asarray(signs, dtype=float)
+    net = Mlp([in_dim, 6, signs.size], rng=rng, final_scale=0.1)
+    reach = np.abs(net.weights[-1]).sum(axis=1)  # |tanh| <= 1 per hidden unit
+    net.biases[-1][...] = signs * (SCALE_CLAMP + reach + rng.uniform(0.1, 2.0, signs.size))
+    return net
+
+
+def _recording(mlp, log):
+    """Make mlp.vjp append the output gradient it receives to log."""
+    vjp = mlp.vjp
+
+    def recording_vjp(cache, grad_out):
+        log.append(grad_out)
+        return vjp(cache, grad_out)
+
+    mlp.vjp = recording_vjp
+    return mlp
+
+
+_signs = st.lists(st.sampled_from((-1, 0, 1)), min_size=4, max_size=4)
+
+
+class TestClampSaturation:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), _signs)
+    def test_coupling(self, seed, dim, signs):
+        rng = np.random.default_rng(seed)
+        split = int(rng.integers(1, dim))
+        signs = np.array(signs[:split])
+        log = []
+        s_net = _recording(_saturating_mlp(rng, dim - split, signs), log)
+        t_net = Mlp([dim - split, 6, split], rng=rng, final_scale=0.5)
+        perm = rng.permutation(dim)
+        layer = CouplingLayer(dim, split, s_net, t_net, perm=perm)
+        x = rng.normal(size=(20, dim))
+        s_raw = s_net(x[:, perm][:, split:])
+        saturated = np.abs(s_raw) >= SCALE_CLAMP
+        assert (saturated == (signs != 0)[None, :]).all()
+
+        y, cache = layer.forward_with_cache(x)
+        _, grads = layer.vjp(cache, rng.normal(size=y.shape))
+        assert (log[0][saturated] == 0.0).all()
+        assert (grads["s_net.b1"][signs != 0] == 0.0).all()
+        assert np.abs(layer.inverse(y) - x).max() <= 1e-10
+        want = np.clip(s_raw, -SCALE_CLAMP, SCALE_CLAMP).sum(axis=1)
+        np.testing.assert_allclose(layer.log_det(x), want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), _signs)
+    def test_autoregressive(self, seed, dim, signs):
+        rng = np.random.default_rng(seed)
+        logs = [[] for _ in range(dim)]
+        conds = [_recording(_saturating_mlp(rng, i, [signs[i], 0]), logs[i])
+                 for i in range(1, dim)]
+        first = [signs[0] * (SCALE_CLAMP + rng.uniform(0.1, 2.0)), rng.normal()]
+        layer = AutoregressiveLayer(dim, conditioners=conds, first_params=first)
+        x = rng.normal(size=(20, dim))
+        ls_raw = np.column_stack(
+            [np.full(20, first[0])] + [c(x[:, :i])[:, 0] for i, c in enumerate(conds, 1)])
+        saturated = np.abs(ls_raw) >= SCALE_CLAMP
+        assert (saturated == (np.array(signs[:dim]) != 0)[None, :]).all()
+
+        y, cache = layer.forward_with_cache(x)
+        _, grads = layer.vjp(cache, rng.normal(size=y.shape))
+        for i in range(1, dim):
+            assert (logs[i][0][saturated[:, i], 0] == 0.0).all()
+        if saturated[0, 0]:
+            assert grads["first"][0] == 0.0
+        assert np.abs(layer.inverse(y) - x).max() <= 1e-10
+        want = np.clip(ls_raw, -SCALE_CLAMP, SCALE_CLAMP).sum(axis=1)
+        np.testing.assert_allclose(layer.log_det(x), want, rtol=0, atol=1e-12)
 
 
 class TestBijectivityProperty:

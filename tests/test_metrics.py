@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from injflow._util import pairwise_sq_dists
 from injflow.errors import (
     BudgetExceededError,
     InvalidArgumentError,
@@ -25,6 +26,22 @@ from injflow.metrics import (
     wasserstein2_sliced,
     wasserstein_bound_check,
 )
+
+
+class TestPairwiseSqDists:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 30),
+           st.integers(1, 5), st.floats(-6.0, 6.0))
+    def test_bitwise_equal_to_explicit_differences(self, seed, n, m, d, log_offset):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, d)) + 10.0 ** log_offset
+        b = rng.normal(size=(m, d)) + 10.0 ** log_offset
+        same = min(n, m) // 2
+        b[:same] = a[:same]
+        got = pairwise_sq_dists(a, b)
+        want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_array_equal(got, want)
+        assert (got[np.arange(same), np.arange(same)] == 0.0).all()
 
 
 class TestEmpiricalMeasure:

@@ -148,6 +148,21 @@ def _autoregressive_network(seed, n, kinds, final_scale):
     return InjectiveNetwork(stages)
 
 
+class TestLipschitzEstimateKernel:
+    def test_bitwise_equal_to_difference_norms_on_fixed_net(self):
+        # cdist computes the pair distances; the estimate must be the one
+        # from explicit difference-tensor norms, chunked or not.
+        net = _random_network(51)
+        samples = np.random.default_rng(52).normal(size=(300, net.latent_dim))
+        images = np.atleast_2d(net.forward(samples))
+        dx = np.linalg.norm(samples[:, None, :] - samples[None, :, :], axis=2)
+        dy = np.linalg.norm(images[:, None, :] - images[None, :, :], axis=2)
+        mask = dx > 1e-9
+        want = float((dy[mask] / dx[mask]).max())
+        assert lipschitz_estimate(net, samples) == want
+        assert lipschitz_estimate(net, samples, chunk=64) == want
+
+
 class TestLipschitzProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),

@@ -1,7 +1,12 @@
+import copy
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from injflow.errors import InvalidArgumentError, InvalidConfigError
+from injflow.errors import InvalidArgumentError, InvalidConfigError, NumericError
 from injflow.expansive import ZeroPad, random_injective_relu, random_linear_expansive
 from injflow.flows import (
     AutoregressiveLayer,
@@ -15,6 +20,7 @@ from injflow.metrics import directed_supinf
 from injflow.network import InjectiveNetwork
 from injflow.training import (
     Adam,
+    build_obstruction_network,
     PhaseConfig,
     TraceRecord,
     TrainingConfig,
@@ -73,6 +79,39 @@ class TestSlicedLoss:
         with pytest.raises(InvalidArgumentError):
             sliced_w2sq_loss_and_grad(np.zeros((3, 1)), np.zeros((4, 1)),
                                       draw_directions(1, 4, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 5),
+           st.integers(1, 20), st.sampled_from((None, 0, 1)))
+    def test_bitwise_equal_to_column_wise_reference(self, seed, n, d, k, decimals):
+        # Rounded inputs put ties into the projections; the stable argsort
+        # must resolve them as the column-wise reference does.
+        rng = np.random.default_rng(seed)
+        gen = rng.normal(size=(n, d))
+        tgt = rng.normal(size=(n, d))
+        dirs = draw_directions(d, k, rng)
+        if decimals is not None:
+            gen, tgt = gen.round(decimals), tgt.round(decimals)
+            dirs = np.where(rng.uniform(size=dirs.shape) < 0.3, 0.0, dirs.round(1))
+        value, grad = sliced_w2sq_loss_and_grad(gen, tgt, dirs)
+        ref_value, ref_grad = _column_wise_sliced_loss(gen, tgt, dirs)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+
+def _column_wise_sliced_loss(generated, target, directions):
+    """Reference sliced loss: one projection per column, argsort on both sides."""
+    n, d = generated.shape
+    k = directions.shape[1]
+    pg = generated @ directions
+    pt = target @ directions
+    order_g = np.argsort(pg, axis=0, kind="stable")
+    order_t = np.argsort(pt, axis=0, kind="stable")
+    diffs = (np.take_along_axis(pg, order_g, axis=0)
+             - np.take_along_axis(pt, order_t, axis=0))
+    gproj = np.zeros_like(pg)
+    np.put_along_axis(gproj, order_g, 2.0 * d * diffs / (n * k), axis=0)
+    return float(d * np.mean(diffs ** 2)), gproj @ directions.T
 
 
 def _loss_value(net, loss, latent, target, dirs, weights=None):
@@ -168,6 +207,26 @@ class TestGradients:
         want = 2.0 * 2.0 * (w0 @ x[0] - y[0])[:, None] * x[0][None, :]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    @pytest.mark.parametrize("stage, name", [(0, "layer1.t_net.b2"),
+                                             (2, "layer0.cond1.w0"),
+                                             (3, "weight")])
+    def test_non_finite_gradient_names_stage_and_parameter(self, stage, name):
+        net = _mixed_network(11)
+        vjp = net.stages[stage].vjp
+
+        def poisoned_vjp(cache, grad_out):
+            g, grads = vjp(cache, grad_out)
+            grads[name] = grads[name].copy()
+            grads[name].flat[-1] = np.nan
+            return g, grads
+
+        net.stages[stage].vjp = poisoned_vjp
+        rng = np.random.default_rng(12)
+        with pytest.raises(NumericError, match=re.escape(f"parameter {name}") + "$") as err:
+            compute_gradients(net, "manifold", rng.normal(size=(6, 2)),
+                              rng.normal(size=(6, 5)))
+        assert err.value.stage_index == stage
+
 
 class TestLosses:
     def test_manifold_loss_examples(self):
@@ -195,7 +254,7 @@ class TestLosses:
         base = rng.uniform(-1, 1, size=(256, 1))
         target_latent = 0.6 * base + 0.4
         target = np.column_stack([target_latent[:, 0], np.zeros(256)])
-        opt = Adam([((s, n), a) for s, n, a in net.parameters({0})], lr=5e-2)
+        opt = Adam(net.parameter_store({0}), lr=5e-2)
         value = np.inf
         for step in range(2000):
             dirs = draw_directions(2, 16, rng)
@@ -205,6 +264,93 @@ class TestLosses:
                 break
             opt.step(grads)
         assert value <= 1e-3
+
+
+def _per_array_adam(params, grads, state, t, lr=1e-3, beta1=0.9,
+                    beta2=0.999, eps=1e-8):
+    """Reference Adam step, one array at a time."""
+    b1c = 1.0 - beta1 ** t
+    b2c = 1.0 - beta2 ** t
+    for key, g in grads.items():
+        m, v = state.setdefault(key, (np.zeros_like(g), np.zeros_like(g)))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        params[key][...] -= (lr / b1c) * m / (np.sqrt(v / b2c) + eps)
+
+
+def _params(net):
+    return {(s, n): a for s, n, a in net.parameters()}
+
+
+class TestParameterStore:
+    def _train_both(self, net, trainable, latent_dim, ambient_dim, steps=5,
+                    lr=2e-3):
+        """Train two deep copies of net on the same batches: one through the
+        flat store, one through the per-array reference."""
+        flat_net, ref_net = copy.deepcopy(net), copy.deepcopy(net)
+        opt = Adam(flat_net.parameter_store(trainable), lr=lr)
+        ref_params, ref_state = _params(ref_net), {}
+        rng = np.random.default_rng(21)
+        weights = {"manifold": 1.0, "density": 0.5}
+        for t in range(1, steps + 1):
+            latent = rng.normal(size=(64, latent_dim))
+            target = rng.normal(size=(64, ambient_dim))
+            dirs = draw_directions(ambient_dim, 16, rng)
+            _, grads = compute_gradients(flat_net, "manifold", latent, target,
+                                         trainable=trainable, directions=dirs,
+                                         loss_weights=weights)
+            opt.step(grads)
+            _, ref_grads = compute_gradients(ref_net, "manifold", latent, target,
+                                             trainable=trainable, directions=dirs,
+                                             loss_weights=weights)
+            _per_array_adam(ref_params, ref_grads, ref_state, t, lr=lr)
+        return flat_net, ref_net
+
+    def test_obstruction_net_bitwise_equal_to_per_array_adam(self):
+        net = build_obstruction_network(seed=3)
+        flat_net, ref_net = self._train_both(net, {0, 1, 2}, 2, 3)
+        flat, ref, init = _params(flat_net), _params(ref_net), _params(net)
+        assert flat.keys() == ref.keys()
+        for key in flat:
+            np.testing.assert_array_equal(flat[key], ref[key], err_msg=str(key))
+        assert any(not np.array_equal(flat[key], init[key]) for key in flat)
+
+    def test_mixed_net_with_frozen_stage(self):
+        net = _mixed_network(13)
+        frozen_before = {k: a.copy() for k, a in _params(net).items() if k[0] == 0}
+        flat_net, ref_net = self._train_both(net, {1, 2, 3, 4}, 2, 5)
+        flat, ref = _params(flat_net), _params(ref_net)
+        for key in flat:
+            np.testing.assert_array_equal(flat[key], ref[key], err_msg=str(key))
+        for key, before in frozen_before.items():
+            np.testing.assert_array_equal(flat[key], before, err_msg=str(key))
+        kinds = {type(layer).__name__ for stage in net.stages
+                 for layer in getattr(stage, "layers", [stage])}
+        assert {"CouplingLayer", "AutoregressiveLayer", "LinearExpansive"} <= kinds
+
+    def test_arrays_are_views_in_parameters_order(self):
+        net = _mixed_network(14)
+        values = [(s, n, a.copy()) for s, n, a in net.parameters({1, 2, 3})]
+        vector, keys = net.parameter_store({1, 2, 3})
+        assert keys == [(s, n) for s, n, _ in values]
+        start = 0
+        for (s, n, before), (_, _, arr) in zip(values, net.parameters({1, 2, 3})):
+            np.testing.assert_array_equal(arr, before)
+            assert np.shares_memory(arr, vector[start:start + arr.size])
+            start += arr.size
+        assert start == vector.size
+        assert not any(np.shares_memory(a, vector) for _, _, a in net.parameters({0, 4}))
+
+    def test_zero_parameter_store(self):
+        net = InjectiveNetwork([identity_block(1), ZeroPad(1, 2),
+                                identity_block(2)])
+        vector, keys = net.parameter_store({0, 1, 2})
+        assert vector.shape == (0,) and keys == []
+        opt = Adam((vector, keys))
+        opt.step({})
+        assert opt.t == 1
 
 
 def _tiny_target():
