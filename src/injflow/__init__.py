@@ -25,7 +25,6 @@ from .flows import (
     FlowBlock,
     Mlp,
     identity_block,
-    log_det_jacobian,
     make_autoregressive_block,
     make_coupling_block,
 )

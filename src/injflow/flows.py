@@ -33,6 +33,11 @@ class Mlp:
         if weights is not None:
             self.weights = [np.asarray(w, dtype=float).copy() for w in weights]
             self.biases = [np.asarray(b, dtype=float).copy() for b in biases]
+            shapes = list(zip(self.sizes[1:], self.sizes[:-1]))
+            if ([w.shape for w in self.weights] != shapes
+                    or [b.shape for b in self.biases] != [(o,) for o, _ in shapes]):
+                raise InvalidLayerError(
+                    f"Mlp parameters do not match sizes {self.sizes}")
         else:
             rng = as_rng(rng)
             self.weights, self.biases = [], []
@@ -117,8 +122,12 @@ class Mlp:
         return cls(cfg["sizes"], weights=cfg["weights"], biases=cfg["biases"])
 
 
-def _clamp(s: np.ndarray, clamp: float) -> np.ndarray:
-    return np.clip(s, -clamp, clamp)
+def _clamped_log_scale(s_raw, clamp: float):
+    """Clamp raw log-scales to [-clamp, clamp]; a non-finite one, which the
+    clamp would hide, raises NumericError."""
+    if not np.isfinite(s_raw).all():
+        raise NumericError("non-finite log-scale")
+    return np.clip(s_raw, -clamp, clamp)
 
 
 def _block_norm_bound(diag_norm: float, cross_norm: float) -> float:
@@ -127,17 +136,41 @@ def _block_norm_bound(diag_norm: float, cross_norm: float) -> float:
     return spectral_norm(np.array([[diag_norm, cross_norm], [0.0, 1.0]]))
 
 
-class CouplingLayer:
+class _AffineFlowLayer:
+    """forward_with_cache is the one forward of a flow layer; its cache
+    carries the clamped log-scales under "log_scale"."""
+
+    def forward(self, x):
+        X, single = as_batch(x, self.dim)
+        return unbatch(self.forward_with_cache(X)[0], single)
+
+    def forward_and_log_det(self, X):
+        """(Y, log|det J|) for the rows of X: the clamped log-scales summed."""
+        Y, cache = self.forward_with_cache(X)
+        return Y, cache["log_scale"].sum(axis=1)
+
+    def log_det(self, x):
+        X, single = as_batch(x, self.dim)
+        return unbatch(self.forward_and_log_det(X)[1], single)
+
+
+class CouplingLayer(_AffineFlowLayer):
     """Affine coupling: permute, split at d, rescale-and-shift the head.
 
     y = [a * exp(s(b)) + t(b), b] with (a, b) the split of the permuted
-    input; exactly invertible for any subnets since exp(s) > 0.
+    input; exactly invertible for any subnets since exp(s) > 0.  Both
+    subnets are Mlps mapping dim - split coordinates to split.
     """
 
     def __init__(self, dim: int, split: int, s_net, t_net, perm=None,
                  scale_clamp: float = SCALE_CLAMP):
         if not (1 <= split < dim):
             raise InvalidLayerError(f"split must satisfy 1 <= d < n, got {split}/{dim}")
+        for net in (s_net, t_net):
+            if (net.in_dim, net.out_dim) != (dim - split, split):
+                raise InvalidLayerError(
+                    f"coupling subnet maps {net.in_dim} -> {net.out_dim}, "
+                    f"expected {dim - split} -> {split}")
         self.dim = int(dim)
         self.split = int(split)
         self.s_net = s_net
@@ -149,41 +182,11 @@ class CouplingLayer:
         if sorted(self.perm.tolist()) != list(range(dim)):
             raise InvalidLayerError("perm must be a permutation of 0..n-1")
 
-    def _subnet_out(self, net, b, what: str):
-        out = np.atleast_2d(np.asarray(net(b), dtype=float))
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite {what} subnet output")
-        if out.shape != (b.shape[0], self.split):
-            raise InvalidArgumentError(
-                f"{what} subnet returned shape {out.shape}, "
-                f"expected ({b.shape[0]}, {self.split})")
-        return out
-
-    def _scale_shift(self, b):
-        """Clamped log-scale and shift for the conditioning half b."""
-        s = _clamp(self._subnet_out(self.s_net, b, "scale"), self.scale_clamp)
-        return s, self._subnet_out(self.t_net, b, "shift")
-
-    def forward_and_log_det(self, X):
-        """(Y, log|det J|) for the rows of X, one pass through each subnet."""
-        xp = X[:, self.perm]
-        a, b = xp[:, :self.split], xp[:, self.split:]
-        s, t = self._scale_shift(b)
-        return np.concatenate([a * np.exp(s) + t, b], axis=1), s.sum(axis=1)
-
-    def forward(self, x):
-        X, single = as_batch(x, self.dim)
-        return unbatch(self.forward_and_log_det(X)[0], single)
-
-    def log_det(self, x):
-        X, single = as_batch(x, self.dim)
-        return unbatch(self.forward_and_log_det(X)[1], single)
-
     def inverse(self, y):
         Y, single = as_batch(y, self.dim)
         ya, b = Y[:, :self.split], Y[:, self.split:]
-        s, t = self._scale_shift(b)
-        a = (ya - t) * np.exp(-s)
+        s = _clamped_log_scale(self.s_net(b), self.scale_clamp)
+        a = (ya - self.t_net(b)) * np.exp(-s)
         out = np.empty_like(Y)
         out[:, self.perm] = np.concatenate([a, b], axis=1)
         return unbatch(out, single)
@@ -193,10 +196,10 @@ class CouplingLayer:
         a, b = xp[:, :self.split], xp[:, self.split:]
         s_raw, s_cache = self.s_net.forward_with_cache(b)
         t, t_cache = self.t_net.forward_with_cache(b)
-        s = _clamp(s_raw, self.scale_clamp)
+        s = _clamped_log_scale(s_raw, self.scale_clamp)
         es = np.exp(s)
         out = np.concatenate([a * es + t, b], axis=1)
-        return out, {"a": a, "es": es, "s_raw": s_raw,
+        return out, {"a": a, "log_scale": s, "es": es,
                      "s_cache": s_cache, "t_cache": t_cache}
 
     def vjp(self, cache, grad_out):
@@ -205,7 +208,7 @@ class CouplingLayer:
         es, a = cache["es"], cache["a"]
         ga = gya * es
         gs = gya * a * es
-        gs = gs * (np.abs(cache["s_raw"]) < self.scale_clamp)
+        gs = gs * (np.abs(cache["log_scale"]) < self.scale_clamp)
         gb_s, s_grads = self.s_net.vjp(cache["s_cache"], gs)
         gb_t, t_grads = self.t_net.vjp(cache["t_cache"], gya)
         gb += gb_s + gb_t
@@ -226,7 +229,7 @@ class CouplingLayer:
 
     def _scale_range(self, radius: float) -> float:
         zero = np.zeros((1, self.dim - self.split))
-        s0 = float(np.abs(np.asarray(self.s_net(zero))).max())
+        s0 = float(np.abs(self.s_net(zero)).max())
         return min(self.scale_clamp,
                    s0 + self.s_net.lipschitz_bound() * radius)
 
@@ -256,10 +259,11 @@ class CouplingLayer:
                    scale_clamp=cfg["scale_clamp"])
 
 
-class AutoregressiveLayer:
+class AutoregressiveLayer(_AffineFlowLayer):
     """Affine autoregressive map: y_i = x_i exp(ls_i) + sh_i where the
-    conditioner of coordinate i sees only x_{1..i-1}; the first coordinate's
-    conditioner is a learnable constant pair."""
+    conditioner of coordinate i sees only x_{1..i-1}, an Mlp mapping those
+    i - 1 inputs to (ls_i, sh_i); the first coordinate's conditioner is a
+    learnable constant pair."""
 
     def __init__(self, dim: int, conditioners=None, first_params=None,
                  rng=None, hidden=(DEFAULT_SUBNET_WIDTH,),
@@ -278,50 +282,21 @@ class AutoregressiveLayer:
                             for i in range(1, dim)]
         if len(conditioners) != dim - 1:
             raise InvalidLayerError("need one conditioner per coordinate past the first")
+        for i, cond in enumerate(conditioners, start=1):
+            if (cond.in_dim, cond.out_dim) != (i, 2):
+                raise InvalidLayerError(
+                    f"conditioner {i} maps {cond.in_dim} -> {cond.out_dim}, "
+                    f"expected {i} -> 2")
         self.conditioners = list(conditioners)
-
-    def _cond_out(self, i: int, prefix: np.ndarray) -> np.ndarray:
-        out = np.atleast_2d(np.asarray(self.conditioners[i - 1](prefix), dtype=float))
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite conditioner output at coordinate {i}")
-        if out.shape != (prefix.shape[0], 2):
-            raise InvalidArgumentError(
-                f"conditioner {i} returned shape {out.shape}, expected (N, 2)")
-        return out
-
-    def _scales_shifts(self, X: np.ndarray):
-        n_pts = X.shape[0]
-        ls = np.empty((n_pts, self.dim))
-        sh = np.empty((n_pts, self.dim))
-        ls[:, 0] = self.first_params[0]
-        sh[:, 0] = self.first_params[1]
-        for i in range(1, self.dim):
-            out = self._cond_out(i, X[:, :i])
-            ls[:, i] = out[:, 0]
-            sh[:, i] = out[:, 1]
-        return _clamp(ls, self.scale_clamp), sh
-
-    def forward_and_log_det(self, X):
-        """(Y, log|det J|) for the rows of X, one pass through each conditioner."""
-        ls, sh = self._scales_shifts(X)
-        return X * np.exp(ls) + sh, ls.sum(axis=1)
-
-    def forward(self, x):
-        X, single = as_batch(x, self.dim)
-        return unbatch(self.forward_and_log_det(X)[0], single)
-
-    def log_det(self, x):
-        X, single = as_batch(x, self.dim)
-        return unbatch(self.forward_and_log_det(X)[1], single)
 
     def inverse(self, y):
         Y, single = as_batch(y, self.dim)
         X = np.empty_like(Y)
-        ls0 = np.clip(self.first_params[0], -self.scale_clamp, self.scale_clamp)
+        ls0 = _clamped_log_scale(self.first_params[0], self.scale_clamp)
         X[:, 0] = (Y[:, 0] - self.first_params[1]) * np.exp(-ls0)
         for i in range(1, self.dim):
-            out = self._cond_out(i, X[:, :i])
-            ls = np.clip(out[:, 0], -self.scale_clamp, self.scale_clamp)
+            out = self.conditioners[i - 1](X[:, :i])
+            ls = _clamped_log_scale(out[:, 0], self.scale_clamp)
             X[:, i] = (Y[:, i] - out[:, 1]) * np.exp(-ls)
         return unbatch(X, single)
 
@@ -337,13 +312,13 @@ class AutoregressiveLayer:
             caches.append(c)
             ls_raw[:, i] = out[:, 0]
             sh[:, i] = out[:, 1]
-        ls = _clamp(ls_raw, self.scale_clamp)
+        ls = _clamped_log_scale(ls_raw, self.scale_clamp)
         els = np.exp(ls)
-        return X * els + sh, {"x": X, "els": els, "ls_raw": ls_raw, "caches": caches}
+        return X * els + sh, {"x": X, "log_scale": ls, "els": els, "caches": caches}
 
     def vjp(self, cache, grad_out):
         X, els = cache["x"], cache["els"]
-        mask = np.abs(cache["ls_raw"]) < self.scale_clamp
+        mask = np.abs(cache["log_scale"]) < self.scale_clamp
         gx = grad_out * els
         grads = {}
         g_ls = grad_out * X * els * mask
@@ -377,7 +352,7 @@ class AutoregressiveLayer:
         sh[0] = abs(float(self.first_params[1]))
         for i in range(1, self.dim):
             cond = self.conditioners[i - 1]
-            out0 = np.atleast_2d(np.asarray(cond(np.zeros((1, i))), dtype=float))
+            out0 = cond(np.zeros((1, i)))
             lip[i] = cond.lipschitz_bound()
             es[i] = np.exp(min(self.scale_clamp, abs(float(out0[0, 0])) + lip[i] * radius))
             sh[i] = abs(float(out0[0, 1])) + lip[i] * radius
@@ -499,11 +474,6 @@ class FlowBlock:
             else:
                 raise InvalidArgumentError(f"unknown flow layer kind {lc['kind']!r}")
         return cls(cfg["dim"], layers)
-
-
-def log_det_jacobian(layer_or_block, x):
-    """Log |det J| at x: sum of clamped log-scales, additive over stacks."""
-    return layer_or_block.log_det(x)
 
 
 def identity_block(dim: int) -> FlowBlock:

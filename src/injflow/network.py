@@ -82,8 +82,11 @@ class InjectiveNetwork:
 
     def forward_with_cache(self, X: np.ndarray):
         caches = []
-        for stage in self.stages:
-            X, c = stage.forward_with_cache(X)
+        for idx, stage in enumerate(self.stages):
+            try:
+                X, c = stage.forward_with_cache(X)
+            except NumericError as err:
+                raise NumericError(str(err), stage_index=idx) from err
             caches.append(c)
         return X, caches
 

@@ -7,7 +7,7 @@ import pytest
 
 from injflow.cli import main
 from injflow.expansive import random_injective_relu_network, random_linear_expansive
-from injflow.flows import identity_block, make_coupling_block
+from injflow.flows import Mlp, identity_block, make_coupling_block
 from injflow.geometry import save_points_csv
 from injflow.network import InjectiveNetwork
 
@@ -201,6 +201,7 @@ class TestInputFailures:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"]["type"] == "usage"
         assert str(bad_path) in record["error"]["message"]
+        return record
 
     @pytest.mark.parametrize("kind", ["missing", "malformed", "incomplete"])
     def test_bad_checkpoint(self, tmp_path, capsys, kind):
@@ -250,6 +251,23 @@ class TestInputFailures:
         self._expect_usage_error(["gap", "--pairs", str(ppath), "--latent", str(lpath),
                                   "--checkpoint", str(ckpt),
                                   "--out", str(tmp_path / "o")], ckpt, capsys)
+
+    @pytest.mark.parametrize("kind", ["dropped-column", "wide-s-net"])
+    def test_malformed_subnet_checkpoint(self, tmp_path, capsys, kind):
+        _, ckpt = _toy_checkpoint(tmp_path)
+        cfg = json.loads(ckpt.read_text())
+        layer = cfg["stages"][2]["layers"][0]  # dim 3, split 1: s_net maps 2 -> 1
+        if kind == "dropped-column":
+            layer["s_net"]["weights"][0] = [row[:-1] for row in layer["s_net"]["weights"][0]]
+        else:  # a self-consistent s_net with two outputs
+            layer["s_net"] = Mlp([2, 8, 2], rng=0).to_config()
+        ckpt.write_text(json.dumps(cfg))
+        qpath = tmp_path / "queries.csv"
+        save_points_csv(qpath, np.zeros((2, 3)))
+        record = self._expect_usage_error(["project", "--checkpoint", str(ckpt),
+                                           "--queries", str(qpath),
+                                           "--out", str(tmp_path / "o")], ckpt, capsys)
+        assert record["error"]["message"].startswith("cannot load checkpoint")
 
 
 class TestErrors:

@@ -13,44 +13,40 @@ from injflow.flows import (
     FlowBlock,
     Mlp,
     identity_block,
-    log_det_jacobian,
     make_autoregressive_block,
     make_coupling_block,
 )
 
 
-class _Const:
-    """Constant-output subnet for closed-form coupling checks."""
-
-    def __init__(self, value, width):
-        self.value = float(value)
-        self.width = width
-
-    def __call__(self, b):
-        b = np.atleast_2d(b)
-        return np.full((b.shape[0], self.width), self.value)
+def _const(value, width, in_dim=1):
+    """Constant-output Mlp (zero weight, bias value) for closed-form checks."""
+    return Mlp([in_dim, width], weights=[np.zeros((width, in_dim))],
+               biases=[np.full(width, float(value))])
 
 
-class _Identity:
-    def __call__(self, b):
-        return np.atleast_2d(b)
+def _linear(weight):
+    """Bias-free linear Mlp x -> weight @ x."""
+    weight = np.asarray(weight, dtype=float)
+    return Mlp([weight.shape[1], weight.shape[0]], weights=[weight],
+               biases=[np.zeros(weight.shape[0])])
 
 
-class _Counting:
-    """Callable subnet that counts its calls."""
+def _counting(mlp):
+    """Make mlp count its forward passes in mlp.calls."""
+    forward = mlp.forward_with_cache
+    mlp.calls = 0
 
-    def __init__(self, net):
-        self.net = net
-        self.calls = 0
+    def counting_forward(X):
+        mlp.calls += 1
+        return forward(X)
 
-    def __call__(self, b):
-        self.calls += 1
-        return self.net(b)
+    mlp.forward_with_cache = counting_forward
+    return mlp
 
 
 def _coupling(dim=2, split=1, s=None, t=None, perm=None):
-    s = s if s is not None else _Const(0.0, split)
-    t = t if t is not None else _Const(0.0, split)
+    s = s if s is not None else _const(0.0, split, dim - split)
+    t = t if t is not None else _const(0.0, split, dim - split)
     return CouplingLayer(dim, split, s, t, perm=perm)
 
 
@@ -61,15 +57,15 @@ class TestCouplingExamples:
         np.testing.assert_allclose(layer.forward(x), x, atol=1e-15)
 
     def test_shift_by_conditioner(self):
-        layer = _coupling(t=_Identity())
+        layer = _coupling(t=_linear([[1.0]]))
         np.testing.assert_allclose(layer.forward([1.0, 2.0]), [3.0, 2.0])
 
     def test_constant_log2_scale(self):
-        layer = _coupling(s=_Const(np.log(2.0), 1))
+        layer = _coupling(s=_const(np.log(2.0), 1))
         np.testing.assert_allclose(layer.forward([1.0, 5.0]), [2.0, 5.0])
 
     def test_inverse_of_shift_example(self):
-        layer = _coupling(t=_Identity())
+        layer = _coupling(t=_linear([[1.0]]))
         np.testing.assert_allclose(layer.inverse([3.0, 2.0]), [1.0, 2.0])
 
     def test_identity_inverse(self):
@@ -85,25 +81,20 @@ class TestCouplingExamples:
         assert err <= 1e-10
 
     def test_nonfinite_subnet_output_raises(self):
-        layer = _coupling(s=_Const(np.inf, 1))
+        layer = _coupling(s=_const(np.inf, 1))
         with pytest.raises(NumericError):
             layer.forward([1.0, 2.0])
 
 
 class TestAutoregressiveExamples:
     def test_identity_conditioners(self):
-        layer = AutoregressiveLayer(2, conditioners=[_Const(0.0, 2)])
+        layer = AutoregressiveLayer(2, conditioners=[_const(0.0, 2)])
         x = np.array([0.4, -0.9])
         np.testing.assert_allclose(layer.forward(x), x, atol=1e-15)
 
     def test_prefix_shift(self):
         # g_2(x1) = (log 1, x1): y2 = x2 * 1 + x1.
-        class Cond:
-            def __call__(self, prefix):
-                prefix = np.atleast_2d(prefix)
-                return np.column_stack([np.zeros(prefix.shape[0]), prefix[:, 0]])
-
-        layer = AutoregressiveLayer(2, conditioners=[Cond()])
+        layer = AutoregressiveLayer(2, conditioners=[_linear([[0.0], [1.0]])])
         np.testing.assert_allclose(layer.forward([1.0, 1.0]), [1.0, 2.0])
         np.testing.assert_allclose(layer.inverse([1.0, 2.0]), [1.0, 1.0])
 
@@ -128,21 +119,21 @@ class TestAutoregressiveExamples:
 
 class TestLogDet:
     def test_identity_layer_zero(self):
-        assert log_det_jacobian(_coupling(), [1.0, 2.0]) == 0.0
+        assert _coupling().log_det([1.0, 2.0]) == 0.0
 
     def test_constant_scale(self):
-        layer = _coupling(s=_Const(np.log(2.0), 1))
-        assert abs(log_det_jacobian(layer, [1.0, 5.0]) - np.log(2.0)) < 1e-15
+        layer = _coupling(s=_const(np.log(2.0), 1))
+        assert abs(layer.log_det([1.0, 5.0]) - np.log(2.0)) < 1e-15
 
     def test_additivity_over_stack(self):
-        layer = _coupling(s=_Const(np.log(2.0), 1))
-        block = FlowBlock(2, [layer, _coupling(s=_Const(np.log(2.0), 1))])
-        assert abs(log_det_jacobian(block, [1.0, 5.0]) - 2 * np.log(2.0)) < 1e-14
+        layer = _coupling(s=_const(np.log(2.0), 1))
+        block = FlowBlock(2, [layer, _coupling(s=_const(np.log(2.0), 1))])
+        assert abs(block.log_det([1.0, 5.0]) - 2 * np.log(2.0)) < 1e-14
 
     def test_autoregressive_log_det(self):
-        layer = AutoregressiveLayer(2, conditioners=[_Const(0.3, 2)],
+        layer = AutoregressiveLayer(2, conditioners=[_const(0.3, 2)],
                                     first_params=[0.2, 0.0])
-        assert abs(log_det_jacobian(layer, [1.0, 1.0]) - 0.5) < 1e-14
+        assert abs(layer.log_det([1.0, 1.0]) - 0.5) < 1e-14
 
     def test_block_log_det_runs_each_subnet_once(self):
         rng = np.random.default_rng(3)
@@ -151,11 +142,9 @@ class TestLogDet:
                                                    final_scale=0.5)
         counters = []
         for layer in coupling.layers:
-            layer.s_net, layer.t_net = _Counting(layer.s_net), _Counting(layer.t_net)
-            counters += [layer.s_net, layer.t_net]
+            counters += [_counting(layer.s_net), _counting(layer.t_net)]
         for layer in autoregressive.layers:
-            layer.conditioners = [_Counting(c) for c in layer.conditioners]
-            counters += layer.conditioners
+            counters += [_counting(c) for c in layer.conditioners]
         x = rng.normal(size=(5, 3))
         coupling.log_det(x)
         autoregressive.log_det(x)
@@ -329,6 +318,27 @@ def test_identity_block_is_identity():
 
 def test_bad_split_rejected():
     with pytest.raises(InvalidLayerError):
-        CouplingLayer(2, 2, _Const(0, 1), _Const(0, 1))
+        CouplingLayer(2, 2, _const(0, 1), _const(0, 1))
     with pytest.raises(InvalidLayerError):
-        CouplingLayer(2, 0, _Const(0, 1), _Const(0, 1))
+        CouplingLayer(2, 0, _const(0, 1), _const(0, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CouplingLayer(3, 1, _const(0, 2, 2), _const(0, 1, 2)),
+    lambda: CouplingLayer(3, 1, _const(0, 1, 2), _const(0, 1, 1)),
+    lambda: AutoregressiveLayer(2, conditioners=[_const(0, 3)]),
+    lambda: AutoregressiveLayer(3, conditioners=[_const(0, 2), _const(0, 2)]),
+], ids=["coupling-s-out", "coupling-t-in", "conditioner-out", "conditioner-in"])
+def test_subnet_shapes_checked_at_construction(make):
+    with pytest.raises(InvalidLayerError):
+        make()
+
+
+@pytest.mark.parametrize("weights, biases", [
+    ([np.zeros((4, 1)), np.zeros((1, 4))], [np.zeros(4), np.zeros(1)]),
+    ([np.zeros((4, 2)), np.zeros((1, 4))], [np.zeros(3), np.zeros(1)]),
+    ([np.zeros((4, 2))], [np.zeros(4)]),
+], ids=["dropped-column", "short-bias", "missing-layer"])
+def test_mlp_parameters_checked_against_sizes(weights, biases):
+    with pytest.raises(InvalidLayerError):
+        Mlp([2, 4, 1], weights=weights, biases=biases)

@@ -16,6 +16,7 @@ from injflow.expansive import (
 from injflow.flows import (
     CouplingLayer,
     FlowBlock,
+    Mlp,
     identity_block,
     make_autoregressive_block,
     make_coupling_block,
@@ -65,12 +66,10 @@ class TestForward:
         assert (gaps[distinct] > 0.0).all()
 
     def test_stage_indexed_numeric_error(self):
-        class Bad:
-            def __call__(self, b):
-                b = np.atleast_2d(b)
-                return np.full((b.shape[0], 1), np.inf)
+        def bad():
+            return Mlp([1, 1], weights=[np.zeros((1, 1))], biases=[[np.inf]])
 
-        bad_block = FlowBlock(2, [CouplingLayer(2, 1, Bad(), Bad())])
+        bad_block = FlowBlock(2, [CouplingLayer(2, 1, bad(), bad())])
         net = InjectiveNetwork([identity_block(1), ZeroPad(1, 2), bad_block])
         with pytest.raises(NumericError) as err:
             net.forward([1.0])

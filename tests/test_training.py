@@ -227,6 +227,15 @@ class TestGradients:
                               rng.normal(size=(6, 5)))
         assert err.value.stage_index == stage
 
+    def test_non_finite_log_scale_names_stage(self):
+        net = _mixed_network(13)
+        net.stages[4].layers[0].s_net.biases[-1][:] = np.inf
+        rng = np.random.default_rng(14)
+        with pytest.raises(NumericError, match="log-scale") as err:
+            compute_gradients(net, "manifold", rng.normal(size=(6, 2)),
+                              rng.normal(size=(6, 5)))
+        assert err.value.stage_index == 4
+
 
 class TestLosses:
     def test_manifold_loss_examples(self):

@@ -1,13 +1,18 @@
-"""Print one sha256 per output file of a fixed set of seeded `injflow run`
+"""Print one sha256 per output file of a fixed set of seeded `injflow`
 calls, so two versions of the package can be checked for byte-identical
 outputs:
 
     diff <(PYTHONPATH=<other checkout>/src python tools/output_digest.py) \
          <(PYTHONPATH=src python tools/output_digest.py)
 
-The runs go through the CLI only and write into a temporary directory.
-`summary.json` is hashed without its `wall_time` field, the one output
-that depends on the clock.  Takes about half a minute.
+The calls go through the CLI only and write into a temporary directory:
+`injflow run` on every digested preset, then `injflow project` on a seeded
+query stack and `injflow gap --family affine` against each layerwise-toy
+checkpoint, and `injflow project` against one seeded network with a
+dimension-4 autoregressive block (no preset builds one), so the flow
+inverses are covered too.  `summary.json` is hashed without its
+`wall_time` field, the one output that depends on the clock.  Takes about
+half a minute.
 """
 
 from __future__ import annotations
@@ -18,9 +23,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from injflow.cli import main
+from injflow.expansive import random_injective_relu, random_linear_expansive
+from injflow.flows import make_autoregressive_block, make_coupling_block
+from injflow.geometry import arc_target, save_points_csv
+from injflow.network import InjectiveNetwork
 
 SEEDS = (1, 2, 3)
+QUERIES = 200
+GAP_POINTS = 101
 
 
 def _runs():
@@ -35,6 +48,52 @@ def _runs():
     yield "gap-visualization", ["gap-visualization"], False
 
 
+def _project_argv(checkpoint: Path, inputs: Path, ambient_dim: int, seed: int):
+    queries = inputs / "queries.csv"
+    save_points_csv(queries, np.random.default_rng(seed).normal(size=(QUERIES, ambient_dim)))
+    return ["project", "--checkpoint", str(checkpoint), "--queries", str(queries)]
+
+
+def _gap_argv(checkpoint: Path, inputs: Path, seed: int):
+    """Helical-arc pairs and 1-D latent samples for a layerwise-toy checkpoint."""
+    t = np.linspace(-1.0, 1.0, GAP_POINTS)[:, None]
+    pairs, latent = inputs / "pairs.csv", inputs / "latent.csv"
+    save_points_csv(pairs, np.hstack([t, arc_target().map_points(t)]))
+    save_points_csv(latent, np.sort(np.random.default_rng(seed).uniform(
+        -0.55, 0.55, size=(GAP_POINTS, 1)), axis=0))
+    return ["gap", "--family", "affine", "--checkpoint", str(checkpoint),
+            "--pairs", str(pairs), "--latent", str(latent), "--seed", str(seed)]
+
+
+def _mixed_checkpoint(path: Path, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    InjectiveNetwork([
+        make_coupling_block(2, 2, rng=rng, hidden=8, final_scale=0.4),
+        random_injective_relu(2, 4, rng),
+        make_autoregressive_block(4, 2, rng=rng, hidden=8, final_scale=0.4),
+        random_linear_expansive(4, 5, rng),
+        make_coupling_block(5, 2, rng=rng, hidden=8, final_scale=0.4),
+    ]).save_checkpoint(path)
+
+
+def _calls(tmp: Path):
+    """(label, full argv) for every digested CLI call, in order; the inputs
+    of each call exist by the time the generator yields it."""
+    for label, argv, checkpoint in _runs():
+        ckpt = tmp / label / "checkpoint.json"
+        yield label, ["run", *argv, *(["--checkpoint", str(ckpt)] if checkpoint else [])]
+        if checkpoint:
+            seed = int(argv[argv.index("--seed") + 1])
+            inputs = tmp / f"{label}-inputs"
+            inputs.mkdir()
+            yield f"{label}-project", _project_argv(ckpt, inputs, 3, seed)
+            yield f"{label}-gap", _gap_argv(ckpt, inputs, seed)
+    inputs = tmp / "mixed-inputs"
+    inputs.mkdir()
+    _mixed_checkpoint(inputs / "net.json", SEEDS[0])
+    yield "mixed-project", _project_argv(inputs / "net.json", inputs, 5, SEEDS[0])
+
+
 def _file_digest(path: Path) -> str:
     data = path.read_bytes()
     if path.name == "summary.json":
@@ -46,10 +105,9 @@ def _file_digest(path: Path) -> str:
 
 def main_digest() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for label, argv, checkpoint in _runs():
+        for label, argv in _calls(Path(tmp)):
             out = Path(tmp) / label
-            extra = ["--checkpoint", str(out / "checkpoint.json")] if checkpoint else []
-            code = main(["run", *argv, "--out", str(out), *extra])
+            code = main([*argv, "--out", str(out)])
             if code != 0:
                 print(f"{label}: injflow exited {code}", file=sys.stderr)
                 return code
