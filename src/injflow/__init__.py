@@ -17,7 +17,6 @@ from .expansive import (
     InjectiveReluNetwork,
     LinearExpansive,
     ZeroPad,
-    validate_injectivity,
 )
 from .flows import (
     AutoregressiveLayer,

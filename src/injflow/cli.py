@@ -70,7 +70,7 @@ def _write_summary(out_dir: Path, preset: str, seed: int, wall_time: float,
 
 
 def _preset_gap_visualization(params: dict, out_dir: Path, fmt: str, seed: int) -> dict:
-    count = int(params.get("count", 201))
+    count = params.get("count", 201)
     kx = np.linspace(-1.0, 1.0, count)[:, None]
     amp = 0.8
 
@@ -110,8 +110,8 @@ def _preset_gap_visualization(params: dict, out_dir: Path, fmt: str, seed: int) 
 
 
 def _preset_layerwise_toy(params: dict, out_dir: Path, fmt: str, seed: int) -> dict:
-    phase1 = int(params.get("phase1_steps", 2400))
-    phase2 = int(params.get("phase2_steps", 600))
+    phase1 = params.get("phase1_steps", 2400)
+    phase2 = params.get("phase2_steps", 600)
     net, result = training.run_layerwise_toy(seed=seed, phase1_steps=phase1,
                                              phase2_steps=phase2)
     result.trace.to_csv(out_dir / "trace.csv")
@@ -135,10 +135,10 @@ def _preset_trefoil_obstruction(params: dict, out_dir: Path, fmt: str,
                                 seed: int) -> dict:
     result = training.run_obstruction_experiment(
         seed=seed,
-        steps_manifold=int(params.get("steps_manifold", 2500)),
-        steps_density=int(params.get("steps_density", 3500)),
-        batch_size=int(params.get("batch_size", 256)),
-        lipschitz_log_interval=int(params.get("lipschitz_log_interval", 50)),
+        steps_manifold=params.get("steps_manifold", 2500),
+        steps_density=params.get("steps_density", 3500),
+        batch_size=params.get("batch_size", 256),
+        lipschitz_log_interval=params.get("lipschitz_log_interval", 50),
     )
     result.treatment.to_csv(out_dir / "treatment_trace.csv")
     result.control.to_csv(out_dir / "control_trace.csv")
@@ -147,9 +147,8 @@ def _preset_trefoil_obstruction(params: dict, out_dir: Path, fmt: str,
 
 def _preset_projection_bench(params: dict, out_dir: Path, fmt: str,
                              seed: int) -> dict:
-    trials = int(params.get("trials", 500))
-    fixed_n = params.get("n")
-    dims = [int(fixed_n)] * 4 if fixed_n else [1, 2, 3, 5]
+    trials = params.get("trials", 500)
+    dims = [params["n"]] * 4 if "n" in params else [1, 2, 3, 5]
     rng = as_rng(seed)
     rows = []
     oracle_gap_max = -np.inf
@@ -212,6 +211,12 @@ class _UsageError(Exception):
         self.extra = extra or {}
 
 
+# Least value of each integer preset parameter, from a flag or the config.
+_INT_PARAMS = {"seed": 0, "count": 1, "trials": 1, "n": 1, "phase1_steps": 1,
+               "phase2_steps": 1, "steps_manifold": 1, "steps_density": 1,
+               "batch_size": 1, "lipschitz_log_interval": 1}
+
+
 def _cmd_run(args) -> int:
     if args.preset not in PRESETS:
         raise _UsageError(f"unknown preset {args.preset!r}; "
@@ -220,14 +225,19 @@ def _cmd_run(args) -> int:
     if args.config:
         params.update(_load_config(args.config))
     # Explicit flags override config-file values.
-    for key in ("trials", "n", "phase1_steps", "phase2_steps",
-                "steps_manifold", "steps_density"):
+    for key in (*_INT_PARAMS, "checkpoint"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    if args.checkpoint:
-        params["checkpoint"] = args.checkpoint
-    seed = args.seed if args.seed is not None else int(params.get("seed", 0))
+    for key, least in _INT_PARAMS.items():
+        value = params.get(key, least)
+        if type(value) is not int or value < least:  # not bools, not 2.0
+            raise _UsageError(f"{key} must be an integer >= {least}, got {value!r}",
+                              extra={"parameter": key})
+    if params.get("checkpoint") and args.preset != "layerwise-toy":
+        raise _UsageError(f"preset {args.preset!r} writes no checkpoint",
+                          extra={"parameter": "checkpoint"})
+    seed = params.get("seed", 0)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -275,12 +285,13 @@ def _cmd_gap(args) -> int:
     def g_map(ws):
         return np.atleast_2d(np.asarray(net.forward(ws), dtype=float))
 
-    gap = metrics.estimate_embedding_gap(x, fx, g_map, latent, family=args.family)
+    gap = metrics.estimate_embedding_gap(x, fx, g_map, latent, family=args.family,
+                                         seed=args.seed)
     check = metrics.wasserstein_bound_check(x, fx, g_map, latent, gap,
-                                            tolerance=args.tolerance)
+                                            tolerance=args.tolerance, seed=args.seed)
     w2, method = metrics.wasserstein2(metrics.EmpiricalMeasure.uniform(fx),
                                       metrics.EmpiricalMeasure.uniform(g_map(latent)),
-                                      seed=args.seed or 0)
+                                      seed=args.seed)
     payload = {
         "lower": gap.lower,
         "upper": gap.upper,
@@ -335,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--out", default="./out")
     gap.add_argument("--family", choices=("affine", "small-flow"), default="affine")
     gap.add_argument("--tolerance", type=float, default=0.01)
-    gap.add_argument("--seed", type=int, default=None)
+    gap.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -50,7 +50,7 @@ class ExpansiveLayer:
         raise NotImplementedError
 
     def vjp(self, cache, grad_out: np.ndarray):
-        """Returns (grad wrt input, dict of parameter gradients)."""
+        """(grad wrt input, parameter gradients in parameters() order)."""
         raise NotImplementedError
 
     def pseudo_inverse(self, Z: np.ndarray):
@@ -86,7 +86,7 @@ class ZeroPad(ExpansiveLayer):
         return out, None
 
     def vjp(self, cache, grad_out):
-        return grad_out[:, :self.in_dim], {}
+        return grad_out[:, :self.in_dim], []
 
     def pseudo_inverse(self, Z):
         return Z[:, :self.in_dim], np.zeros(Z.shape[0], dtype=bool)
@@ -126,8 +126,7 @@ class LinearExpansive(ExpansiveLayer):
         return X @ self.weight.T, X
 
     def vjp(self, cache, grad_out):
-        grads = {"weight": grad_out.T @ cache}
-        return grad_out @ self.weight, grads
+        return grad_out @ self.weight, [grad_out.T @ cache]
 
     def pseudo_inverse(self, Z):
         # Training updates the weight in place, so the rank is checked again.
@@ -224,7 +223,7 @@ class InjectiveRelu(ExpansiveLayer):
 
     def vjp(self, cache, grad_out):
         mask = (cache > 0.0).astype(float)
-        return (grad_out * mask) @ self.weight, {}
+        return (grad_out * mask) @ self.weight, []
 
     def pseudo_inverse(self, Z):
         """Least-squares preimages under x -> ReLU([B; -DB] x).
@@ -320,7 +319,7 @@ class InjectiveReluNetwork(ExpansiveLayer):
         g = grad_out
         for block, pre in zip(reversed(self.blocks), reversed(cache)):
             g, _ = block.vjp(pre, g)
-        return g, {}
+        return g, []
 
     def lipschitz_bound(self, radius: float | None = None) -> float:
         prod = 1.0
@@ -366,11 +365,6 @@ class InjectiveReluNetwork(ExpansiveLayer):
     @classmethod
     def from_config(cls, cfg: dict) -> "InjectiveReluNetwork":
         return cls(cfg["layers"])
-
-
-def validate_injectivity(layer: ExpansiveLayer) -> InjectivityReport:
-    """Kind-specific sufficient injectivity check, report-style."""
-    return layer.validate()
 
 
 # --- constructors ----------------------------------------------------------

@@ -73,14 +73,13 @@ class Mlp:
 
     def vjp(self, cache, grad_out):
         acts = cache
-        grads = {}
+        grads = []
         g = grad_out
         last = len(self.weights) - 1
         for k in range(last, -1, -1):
             if k != last:
                 g = g * (1.0 - acts[k + 1] ** 2)  # tanh'
-            grads[f"w{k}"] = g.T @ acts[k]
-            grads[f"b{k}"] = g.sum(axis=0)
+            grads = [g.T @ acts[k], g.sum(axis=0)] + grads
             g = g @ self.weights[k]
         return g, grads
 
@@ -214,9 +213,7 @@ class CouplingLayer(_AffineFlowLayer):
         gb += gb_s + gb_t
         gx = np.empty_like(grad_out)
         gx[:, self.perm] = np.concatenate([ga, gb], axis=1)
-        grads = {f"s_net.{k}": v for k, v in s_grads.items()}
-        grads.update({f"t_net.{k}": v for k, v in t_grads.items()})
-        return gx, grads
+        return gx, s_grads + t_grads
 
     def parameters(self):
         out = [(f"s_net.{k}", v) for k, v in self.s_net.parameters()]
@@ -320,16 +317,14 @@ class AutoregressiveLayer(_AffineFlowLayer):
         X, els = cache["x"], cache["els"]
         mask = np.abs(cache["log_scale"]) < self.scale_clamp
         gx = grad_out * els
-        grads = {}
+        grads = []
         g_ls = grad_out * X * els * mask
-        g_sh = grad_out
         for i in range(self.dim - 1, 0, -1):
-            gcond = np.stack([g_ls[:, i], g_sh[:, i]], axis=1)
+            gcond = np.stack([g_ls[:, i], grad_out[:, i]], axis=1)
             gprefix, cgrads = self.conditioners[i - 1].vjp(cache["caches"][i], gcond)
             gx[:, :i] += gprefix
-            grads.update({f"cond{i}.{k}": v for k, v in cgrads.items()})
-        grads["first"] = np.array([g_ls[:, 0].sum(), g_sh[:, 0].sum()])
-        return gx, grads
+            grads = cgrads + grads
+        return gx, [np.array([g_ls[:, 0].sum(), grad_out[:, 0].sum()])] + grads
 
     def parameters(self):
         return [("first", self.first_params)] + [
@@ -430,12 +425,11 @@ class FlowBlock:
         return X, caches
 
     def vjp(self, caches, grad_out):
-        grads = {}
-        g = grad_out
-        for idx in range(len(self.layers) - 1, -1, -1):
-            g, lgrads = self.layers[idx].vjp(caches[idx], g)
-            grads.update({f"layer{idx}.{k}": v for k, v in lgrads.items()})
-        return g, grads
+        grads = []
+        for layer, cache in zip(reversed(self.layers), reversed(caches)):
+            grad_out, lgrads = layer.vjp(cache, grad_out)
+            grads = lgrads + grads
+        return grad_out, grads
 
     def parameters(self):
         return [(f"layer{idx}.{k}", v) for idx, layer in enumerate(self.layers)

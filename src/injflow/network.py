@@ -91,38 +91,41 @@ class InjectiveNetwork:
         return X, caches
 
     def vjp(self, caches, grad_out, trainable=None):
-        """Backpropagate grad_out through all stages.
-
-        Returns (grad wrt latent batch, {stage_idx: {param_name: grad}});
-        parameter gradients are collected only for stages in `trainable`
-        (all stages when None).
-        """
-        grads: dict[int, dict] = {}
+        """Backpropagate grad_out through all stages: (grad wrt latent batch,
+        parameter gradient laid out like parameter_store(trainable)), where
+        trainable=None takes every stage."""
+        grads = []
         g = grad_out
         for idx in range(len(self.stages) - 1, -1, -1):
             g, sgrads = self.stages[idx].vjp(caches[idx], g)
-            if sgrads and (trainable is None or idx in trainable):
-                grads[idx] = sgrads
-        return g, grads
+            if trainable is None or idx in trainable:
+                grads = sgrads + grads
+        return g, flatten(grads)
 
     def parameters(self, stage_indices=None):
-        """[(stage_idx, name, array)] of trainable parameters."""
+        """[(stage_idx, name, array)], the layout of every flat vector."""
         return [(idx, name, arr) for idx, stage in enumerate(self.stages)
                 if stage_indices is None or idx in stage_indices
                 for name, arr in stage.parameters()]
 
+    def parameter_views(self, vector, stage_indices=None):
+        """[(stage_idx, name, view)]: vector cut into views shaped like the
+        arrays of parameters(stage_indices), in that order."""
+        params = self.parameters(stage_indices)
+        ends = np.cumsum([arr.size for _, _, arr in params], dtype=int)
+        return [(idx, name, vector[end - arr.size:end].reshape(arr.shape))
+                for (idx, name, arr), end in zip(params, ends)]
+
     def parameter_store(self, stage_indices=None):
-        """Copy the parameters of the given stages into one contiguous vector
-        and rebind every parameter array to a view into it.  Returns (vector,
-        [(stage_idx, name)] in vector order, the order of parameters())."""
+        """Copy the parameters of the given stages into one contiguous vector,
+        rebind every parameter array to its view into it and return it."""
         params = self.parameters(stage_indices)
         vector = flatten(arr for _, _, arr in params)
-        ends = np.cumsum([arr.size for _, _, arr in params], dtype=int)
-        views = {id(arr): vector[end - arr.size:end].reshape(arr.shape)
-                 for (_, _, arr), end in zip(params, ends)}
+        views = {id(arr): view for (_, _, arr), (_, _, view)
+                 in zip(params, self.parameter_views(vector, stage_indices))}
         for idx in {sidx for sidx, _, _ in params}:
             self.stages[idx].bind_parameters(lambda arr: views[id(arr)])
-        return vector, [(sidx, name) for sidx, name, _ in params]
+        return vector
 
     def lipschitz_bound(self, radius: float = DEFAULT_DOMAIN_RADIUS) -> float:
         """Product of per-stage bounds, certified on ||x||_2 <= radius.

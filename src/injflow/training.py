@@ -142,7 +142,7 @@ def compute_gradients(net: InjectiveNetwork, loss: str, latent_batch,
 
     loss is 'manifold' or 'density'; loss_weights optionally mixes both
     ({'manifold': w_m, 'density': w_d}), in which case `directions` must be
-    given for the density part.  Returns (value, {(stage, name): grad}).
+    given for the density part.  Returns (value, flat gradient of net.vjp).
     """
     X = np.atleast_2d(np.asarray(latent_batch, dtype=float))
     T = np.atleast_2d(np.asarray(target_batch, dtype=float))
@@ -151,36 +151,33 @@ def compute_gradients(net: InjectiveNetwork, loss: str, latent_batch,
     gen, caches = net.forward_with_cache(X)
     total, grad_gen = _weighted_loss(gen, T, _effective_weights(loss, loss_weights),
                                      directions)
-    _, stage_grads = net.vjp(caches, grad_gen, trainable=trainable)
-    flat = {(sidx, pname): g for sidx, grads in stage_grads.items()
-            for pname, g in grads.items()}
-    if not np.isfinite(flatten(flat.values())).all():
-        sidx, pname = next(key for key, g in flat.items() if not np.isfinite(g).all())
+    _, grads = net.vjp(caches, grad_gen, trainable=trainable)
+    if not np.isfinite(grads).all():
+        sidx, pname = next((s, n) for s, n, g in net.parameter_views(grads, trainable)
+                           if not np.isfinite(g).all())
         raise NumericError(f"non-finite gradient at stage {sidx} "
                            f"parameter {pname}", stage_index=sidx)
-    return float(total), flat
+    return float(total), grads
 
 
 class Adam:
-    """Adaptive moment estimation on one flat parameter vector: store is
-    (vector, keys) from InjectiveNetwork.parameter_store, whose (stage, name)
-    keys give the order in which step gathers the gradients."""
+    """Adaptive moment estimation on one flat parameter vector, updated in
+    place: the vector of InjectiveNetwork.parameter_store, whose layout
+    every gradient given to step shares."""
 
-    def __init__(self, store, lr: float = 1e-3, beta1: float = 0.9,
+    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.params, self.keys = store
+        self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.t = 0
 
-    def step(self, grads: dict) -> None:
-        """grads maps every key of the store to its gradient array."""
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        g = flatten(grads[key] for key in self.keys)
         self.m *= self.beta1
         self.m += (1.0 - self.beta1) * g
         self.v *= self.beta2

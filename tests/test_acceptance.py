@@ -146,8 +146,8 @@ def test_criterion_3_gradient_fidelity():
             _, grads = compute_gradients(net, loss, latent, target,
                                          directions=dirs)
             # Check every fourth coordinate of every parameter tensor.
-            for key, g in grads.items():
-                arr = params[key]
+            for s, n, g in net.parameter_views(grads):
+                arr = params[(s, n)]
                 flat = arr.reshape(-1)
                 gflat = g.reshape(-1)
                 for idx in range(0, flat.size, 4):

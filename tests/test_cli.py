@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from injflow import metrics
 from injflow.cli import main
 from injflow.expansive import random_injective_relu_network, random_linear_expansive
 from injflow.flows import Mlp, identity_block, make_coupling_block
@@ -153,22 +154,28 @@ class TestProjectSubcommand:
         assert record["error"]["row"] == 2
 
 
+def _gap_argv(tmp_path):
+    """`injflow gap` arguments (no --out) for target pairs that the toy
+    checkpoint's network generates itself."""
+    net, ckpt = _toy_checkpoint(tmp_path)
+    latent = np.random.default_rng(2).uniform(-1, 1, size=(64, 2))
+    params = latent[:16]
+    fx = np.atleast_2d(net.forward(params))
+    pairs = np.hstack([params, fx])
+    ppath = tmp_path / "pairs.csv"
+    header = ",".join([f"k{i}" for i in range(2)] + [f"f{i}" for i in range(3)])
+    np.savetxt(ppath, pairs, delimiter=",", header=header, comments="",
+               fmt="%.17g")
+    lpath = tmp_path / "latent.csv"
+    save_points_csv(lpath, latent)
+    return ["gap", "--pairs", str(ppath), "--latent", str(lpath),
+            "--checkpoint", str(ckpt)]
+
+
 class TestGapSubcommand:
     def test_gap_json_fields(self, tmp_path):
-        net, ckpt = _toy_checkpoint(tmp_path)
-        latent = np.random.default_rng(2).uniform(-1, 1, size=(64, 2))
-        params = latent[:16]
-        fx = np.atleast_2d(net.forward(params))
-        pairs = np.hstack([params, fx])
-        ppath = tmp_path / "pairs.csv"
-        header = ",".join([f"k{i}" for i in range(2)] + [f"f{i}" for i in range(3)])
-        np.savetxt(ppath, pairs, delimiter=",", header=header, comments="",
-                   fmt="%.17g")
-        lpath = tmp_path / "latent.csv"
-        save_points_csv(lpath, latent)
         out = tmp_path / "gap"
-        code = _run(["gap", "--pairs", str(ppath), "--latent", str(lpath),
-                     "--checkpoint", str(ckpt), "--out", str(out)])
+        code = _run([*_gap_argv(tmp_path), "--out", str(out)])
         assert code == 0
         with open(out / "gap.json") as fh:
             payload = json.load(fh)
@@ -178,6 +185,17 @@ class TestGapSubcommand:
         # Target pairs generated by the network itself: gap near zero.
         assert payload["upper"] <= 1e-6
         assert payload["bound_check"]["passed"]
+
+    def test_seed_reaches_gap_fit_and_bound_check(self, tmp_path, monkeypatch):
+        seen = {}
+        for name in ("estimate_embedding_gap", "wasserstein_bound_check"):
+            def recording(*args, _name=name, _fn=getattr(metrics, name), **kwargs):
+                seen[_name] = kwargs.get("seed")
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(metrics, name, recording)
+        argv = [*_gap_argv(tmp_path), "--seed", "7", "--out", str(tmp_path / "gap")]
+        assert _run(argv) == 0
+        assert seen == {"estimate_embedding_gap": 7, "wasserstein_bound_check": 7}
 
 
 def _write_bad_input(path, kind):
@@ -287,6 +305,37 @@ class TestErrors:
         assert record["error"]["type"] == "usage"
         assert record["error"]["line"] == 2
         assert record["error"]["column"] > 0
+
+    @pytest.mark.parametrize("preset, flags, config, parameter", [
+        ("trefoil-obstruction", [], {"steps_density": "abc"}, "steps_density"),
+        ("projection-bench", ["--trials", "0"], None, "trials"),
+        ("projection-bench", ["--trials", "2", "--n", "-1"], None, "n"),
+        ("projection-bench", ["--trials", "2", "--n", "0"], None, "n"),
+        ("projection-bench", ["--trials", "2", "--seed", "-1"], None, "seed"),
+        ("trefoil-obstruction", ["--steps-manifold", "1", "--steps-density", "1"],
+         {"batch_size": 2.5}, "batch_size"),
+        ("trefoil-obstruction", ["--steps-manifold", "1", "--steps-density", "1",
+                                 "--checkpoint"], None, "checkpoint"),
+        ("projection-bench", ["--trials", "2", "--checkpoint"], None, "checkpoint"),
+        ("gap-visualization", ["--checkpoint"], None, "checkpoint"),
+    ], ids=["text-steps", "zero-trials", "negative-n", "zero-n", "negative-seed",
+            "fractional-batch", "obstruction-checkpoint", "bench-checkpoint",
+            "gapviz-checkpoint"])
+    def test_bad_run_parameter_is_named(self, tmp_path, capsys, preset, flags,
+                                        config, parameter):
+        ckpt = tmp_path / "net.json"
+        argv = ["run", preset, "--out", str(tmp_path / "o"), *flags]
+        if argv[-1] == "--checkpoint":
+            argv.append(str(ckpt))
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert _run(argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "usage"
+        assert record["error"]["parameter"] == parameter
+        assert not ckpt.exists()
 
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,7 +13,6 @@ from injflow.expansive import (
     random_injective_relu,
     random_injective_relu_network,
     random_linear_expansive,
-    validate_injectivity,
 )
 
 
@@ -34,7 +33,7 @@ class TestZeroPad:
         assert (y[:, :3] == x).all()
 
     def test_always_validates(self):
-        assert validate_injectivity(ZeroPad(1, 2)).ok
+        assert ZeroPad(1, 2).validate().ok
 
 
 class TestLinear:
@@ -53,9 +52,9 @@ class TestLinear:
             LinearExpansive([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
 
     def test_validation_reports(self):
-        assert validate_injectivity(LinearExpansive([[1.0], [0.0]])).ok
+        assert LinearExpansive([[1.0], [0.0]]).validate().ok
         bad = LinearExpansive([[0.0], [0.0]], check=False)
-        assert not validate_injectivity(bad).ok
+        assert not bad.validate().ok
 
     def test_square_matrix_not_expansive(self):
         with pytest.raises(InvalidLayerError):
@@ -83,19 +82,19 @@ class TestInjectiveRelu:
 
     def test_nonpositive_diagonal_reported(self):
         bad = InjectiveRelu([[1.0]], [0.0], check=False)
-        assert not validate_injectivity(bad).ok
+        assert not bad.validate().ok
 
 
 class TestInjectiveReluNetwork:
     def test_width_doubling_validates(self):
         net = random_injective_relu_network(2, 2, np.random.default_rng(0))
         assert net.in_dim == 2 and net.out_dim == 8
-        assert validate_injectivity(net).ok
+        assert net.validate().ok
 
     def test_dead_zone_bias_rejected(self):
         bad = InjectiveReluNetwork(
             [{"b": [[1.0]], "d": [1.0], "bias": [-1.0, 0.0]}], check=False)
-        assert not validate_injectivity(bad).ok
+        assert not bad.validate().ok
 
     @pytest.mark.parametrize("block", [
         {"b": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "d": [1.0, 1.0]},
@@ -132,7 +131,7 @@ def _lipschitz_honored(layer, rng, n_pairs=2000, box=5.0):
 def test_sampled_injectivity_and_lipschitz(make):
     rng = np.random.default_rng(42)
     layer = make(rng)
-    assert validate_injectivity(layer).ok
+    assert layer.validate().ok
     assert _sampled_injectivity(layer, rng)
     assert _lipschitz_honored(layer, rng)
 

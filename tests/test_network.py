@@ -210,6 +210,22 @@ class TestComposition:
         assert np.abs(np.atleast_2d(net.forward(x)) - fused).max() <= 1e-12
 
 
+@pytest.mark.parametrize("make, dim", [
+    (lambda rng: ZeroPad(2, 3), 2),
+    (lambda rng: random_linear_expansive(2, 3, rng), 2),
+    (lambda rng: random_injective_relu(2, 5, rng), 2),
+    (lambda rng: random_injective_relu_network(2, 2, rng), 2),
+    (lambda rng: make_coupling_block(3, 2, rng=rng, hidden=6, final_scale=0.4), 3),
+    (lambda rng: make_autoregressive_block(4, 2, rng=rng, hidden=6, final_scale=0.4), 4),
+], ids=["zero_pad", "linear", "relu", "relu_network", "coupling", "autoregressive"])
+def test_vjp_gradients_come_in_parameters_order(make, dim):
+    rng = np.random.default_rng(17)
+    stage = make(rng)
+    y, cache = stage.forward_with_cache(rng.normal(size=(7, dim)))
+    _, grads = stage.vjp(cache, rng.normal(size=y.shape))
+    assert [g.shape for g in grads] == [a.shape for _, a in stage.parameters()]
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         net = _random_network(41)

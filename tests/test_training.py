@@ -133,8 +133,8 @@ def _grad_check(net, loss, latent, target, dirs, weights=None, h=1e-5,
                                      directions=dirs, loss_weights=weights)
     params = {(s, n): a for s, n, a in net.parameters()}
     worst = 0.0
-    for key, g in grads.items():
-        arr = params[key]
+    for s, n, g in net.parameter_views(grads):
+        arr = params[(s, n)]
         flat_idx = np.ndindex(arr.shape)
         for count, idx in enumerate(flat_idx):
             if count >= max_coords:
@@ -190,7 +190,8 @@ class TestGradients:
         target = np.atleast_2d(net.forward(latent))
         value, grads = compute_gradients(net, "manifold", latent, target)
         assert value <= 1e-12
-        assert all(np.abs(g).max() <= 1e-10 for g in grads.values())
+        assert grads.size == 0
+        assert all(np.abs(g).max() <= 1e-10 for _, _, g in net.parameter_views(grads))
 
     def test_linear_layer_matches_normal_equation_residual(self):
         # Single linear stage with one paired point: Chamfer reduces to
@@ -203,7 +204,7 @@ class TestGradients:
         x = np.array([[2.0]])
         y = np.array([[1.0, 3.0]])
         _, grads = compute_gradients(net, "manifold", x, y)
-        got = grads[(1, "weight")]
+        got = {(s, n): g for s, n, g in net.parameter_views(grads)}[(1, "weight")]
         want = 2.0 * 2.0 * (w0 @ x[0] - y[0])[:, None] * x[0][None, :]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -213,11 +214,12 @@ class TestGradients:
     def test_non_finite_gradient_names_stage_and_parameter(self, stage, name):
         net = _mixed_network(11)
         vjp = net.stages[stage].vjp
+        index = [n for n, _ in net.stages[stage].parameters()].index(name)
 
         def poisoned_vjp(cache, grad_out):
             g, grads = vjp(cache, grad_out)
-            grads[name] = grads[name].copy()
-            grads[name].flat[-1] = np.nan
+            grads[index] = grads[index].copy()
+            grads[index].flat[-1] = np.nan
             return g, grads
 
         net.stages[stage].vjp = poisoned_vjp
@@ -314,7 +316,8 @@ class TestParameterStore:
             _, ref_grads = compute_gradients(ref_net, "manifold", latent, target,
                                              trainable=trainable, directions=dirs,
                                              loss_weights=weights)
-            _per_array_adam(ref_params, ref_grads, ref_state, t, lr=lr)
+            named = {(s, n): g for s, n, g in ref_net.parameter_views(ref_grads, trainable)}
+            _per_array_adam(ref_params, named, ref_state, t, lr=lr)
         return flat_net, ref_net
 
     def test_obstruction_net_bitwise_equal_to_per_array_adam(self):
@@ -342,7 +345,8 @@ class TestParameterStore:
     def test_arrays_are_views_in_parameters_order(self):
         net = _mixed_network(14)
         values = [(s, n, a.copy()) for s, n, a in net.parameters({1, 2, 3})]
-        vector, keys = net.parameter_store({1, 2, 3})
+        vector = net.parameter_store({1, 2, 3})
+        keys = [(s, n) for s, n, _ in net.parameter_views(vector, {1, 2, 3})]
         assert keys == [(s, n) for s, n, _ in values]
         start = 0
         for (s, n, before), (_, _, arr) in zip(values, net.parameters({1, 2, 3})):
@@ -352,13 +356,25 @@ class TestParameterStore:
         assert start == vector.size
         assert not any(np.shares_memory(a, vector) for _, _, a in net.parameters({0, 4}))
 
+    def test_trainable_gradient_is_its_slice_of_the_full_gradient(self):
+        net = _mixed_network(15)
+        rng = np.random.default_rng(16)
+        latent, target = rng.normal(size=(9, 2)), rng.normal(size=(9, 5))
+        _, full = compute_gradients(net, "manifold", latent, target)
+        _, part = compute_gradients(net, "manifold", latent, target,
+                                    trainable={1, 2, 3})
+        start = sum(a.size for _, _, a in net.parameters({0}))
+        np.testing.assert_array_equal(part, full[start:start + part.size])
+        assert part.size == sum(a.size for _, _, a in net.parameters({1, 2, 3}))
+        assert part.size == net.parameter_store({1, 2, 3}).size
+
     def test_zero_parameter_store(self):
         net = InjectiveNetwork([identity_block(1), ZeroPad(1, 2),
                                 identity_block(2)])
-        vector, keys = net.parameter_store({0, 1, 2})
-        assert vector.shape == (0,) and keys == []
-        opt = Adam((vector, keys))
-        opt.step({})
+        vector = net.parameter_store({0, 1, 2})
+        assert vector.shape == (0,) and net.parameter_views(vector, {0, 1, 2}) == []
+        opt = Adam(vector)
+        opt.step(np.zeros(0))
         assert opt.t == 1
 
 
