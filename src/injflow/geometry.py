@@ -258,14 +258,6 @@ def trefoil_target(scale: float = 1.0) -> ManifoldTarget:
     return ManifoldTarget("trefoil", 1, 3, f, domain="interval[0, 2pi)")
 
 
-def ribbon_target(a: float = DEFAULT_RIBBON_HALF_WIDTH,
-                  scale: float = 1.0) -> ManifoldTarget:
-    def f(params):
-        return scale * knotted_ribbon(params[:, 0], params[:, 1], a=a)
-    return ManifoldTarget("knotted-ribbon", 2, 3, f,
-                          domain="annulus[1/2 <= r <= 3/2] x [0, 2pi)")
-
-
 def planar_circle_target(radius: float = 1.0, tilt: float = 0.0,
                          center=(0.0, 0.0, 0.0)) -> ManifoldTarget:
     """A round circle embedded in R^3, optionally tilted out of the xy plane.

@@ -480,21 +480,55 @@ def w2_1d_squared(x, wx, y, wy) -> float:
     return float(np.sum(masses * (x[xi] - y[yi]) ** 2))
 
 
+def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
+                              directions: np.ndarray):
+    """Dimension-scaled mean of squared 1-D W2 over the given unit directions,
+    differentiable through the sorting-based quantile coupling.
+
+    Batches must have equal size (uniform weights); directions is (d, K).
+    """
+    if generated.size == 0 or target.size == 0:
+        raise InvalidArgumentError("batches must be non-empty")
+    if generated.shape[0] != target.shape[0]:
+        raise InvalidArgumentError("sliced loss needs equal-size batches")
+    n, d = generated.shape
+    k = directions.shape[1]
+    # One projection per row, so each sort runs along contiguous memory;
+    # mean and matmul sum in memory order, so they read C-ordered (n, k).
+    pg = (generated @ directions).T.copy()
+    pt = (target @ directions).T.copy()
+    pt.sort(axis=1)
+    order = np.argsort(pg, axis=1, kind="stable")
+    diffs = np.take_along_axis(pg, order, axis=1) - pt
+    value = float(d * np.mean((diffs ** 2).T.copy()))
+    gproj = np.empty_like(pg)
+    np.put_along_axis(gproj, order, 2.0 * d * diffs / (n * k), axis=1)
+    return value, gproj.T.copy() @ directions.T
+
+
+def draw_directions(dim: int, count: int, rng) -> np.ndarray:
+    """(dim, count) unit directions, one per column, drawn from the seed."""
+    if count < 1:
+        raise InvalidArgumentError("the projection count must be >= 1")
+    dirs = as_rng(rng).normal(size=(dim, count))
+    return dirs / np.linalg.norm(dirs, axis=0, keepdims=True)
+
+
 def wasserstein2_sliced(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
                         n_projections: int = 128, seed: int = 0) -> float:
     """Sliced W2: root of the dimension-scaled mean of squared 1-D W2 values.
 
     Scaled by the ambient dimension so that a pure translation by v reports
-    ||v|| in expectation; deterministic under the seed.
+    ||v|| in expectation; deterministic under the seed.  Equal-size uniform
+    measures go through the training loss's sort-and-subtract kernel, other
+    weights through one quantile coupling per direction.
     """
-    if n_projections < 1:
-        raise InvalidArgumentError("n_projections must be >= 1")
     if mu.dim != nu.dim:
         raise InvalidArgumentError("measures must share an ambient dimension")
     d = mu.dim
-    rng = as_rng(seed)
-    dirs = rng.normal(size=(d, n_projections))
-    dirs /= np.linalg.norm(dirs, axis=0, keepdims=True)
+    dirs = draw_directions(d, n_projections, seed)
+    if len(mu) == len(nu) and mu.is_uniform() and nu.is_uniform():
+        return float(np.sqrt(sliced_w2sq_loss_and_grad(mu.points, nu.points, dirs)[0]))
     px = mu.points @ dirs
     py = nu.points @ dirs
     total = 0.0

@@ -31,6 +31,7 @@ from .geometry import (
     sample_circle,
     trefoil_target,
 )
+from .metrics import draw_directions, sliced_w2sq_loss_and_grad
 from .network import InjectiveNetwork, lipschitz_estimate
 
 LOSSES = ("manifold", "density")
@@ -54,37 +55,6 @@ def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
     grad = 2.0 * (generated - target[jmin]) / n_g
     np.add.at(grad, imin, 2.0 * (generated[imin] - target) / n_t)
     return value, grad
-
-
-def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
-                              directions: np.ndarray):
-    """Dimension-scaled mean of squared 1-D W2 over the given unit directions,
-    differentiable through the sorting-based quantile coupling.
-
-    Batches must have equal size (uniform weights); directions is (d, K).
-    """
-    if generated.size == 0 or target.size == 0:
-        raise InvalidArgumentError("batches must be non-empty")
-    if generated.shape[0] != target.shape[0]:
-        raise InvalidArgumentError("sliced loss needs equal-size batches")
-    n, d = generated.shape
-    k = directions.shape[1]
-    # One projection per row, so each sort runs along contiguous memory;
-    # mean and matmul sum in memory order, so they read C-ordered (n, k).
-    pg = (generated @ directions).T.copy()
-    pt = (target @ directions).T.copy()
-    pt.sort(axis=1)
-    order = np.argsort(pg, axis=1, kind="stable")
-    diffs = np.take_along_axis(pg, order, axis=1) - pt
-    value = float(d * np.mean((diffs ** 2).T.copy()))
-    gproj = np.empty_like(pg)
-    np.put_along_axis(gproj, order, 2.0 * d * diffs / (n * k), axis=1)
-    return value, gproj.T.copy() @ directions.T
-
-
-def draw_directions(dim: int, count: int, rng) -> np.ndarray:
-    dirs = as_rng(rng).normal(size=(dim, count))
-    return dirs / np.linalg.norm(dirs, axis=0, keepdims=True)
 
 
 # --- network losses ---------------------------------------------------------
@@ -219,6 +189,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidConfigError("batch_size must be >= 1")
+        if self.n_projections < 1:
+            raise InvalidConfigError("n_projections must be >= 1")
         if self.lipschitz_log_interval < 1:
             raise InvalidConfigError("lipschitz_log_interval must be >= 1")
         object.__setattr__(self, "phases", tuple(self.phases))

@@ -16,6 +16,7 @@ from injflow.metrics import (
     DomainBox,
     EmpiricalMeasure,
     directed_supinf,
+    draw_directions,
     embedding_gap_upper,
     estimate_embedding_gap,
     fit_candidate_alignment,
@@ -341,6 +342,26 @@ class TestSlicedW2:
         a = wasserstein2_sliced(mu, nu, 64, seed=11)
         b = wasserstein2_sliced(mu, nu, 64, seed=11)
         assert a == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 60),
+           st.integers(1, 40), st.sampled_from([None, 0, 1]))
+    def test_uniform_equal_matches_per_direction_reference(self, seed, d, n, k,
+                                                          decimals):
+        """The sort-and-subtract branch against one quantile coupling per
+        direction; rounding to a coarse grid makes projections tie."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        y = rng.normal(0.5, 1.5, size=(n, d))
+        if decimals is not None:
+            x, y = np.round(x, decimals), np.round(y, decimals)
+        mu, nu = EmpiricalMeasure.uniform(x), EmpiricalMeasure.uniform(y)
+        dirs = draw_directions(d, k, seed)
+        w = np.full(n, 1.0 / n)
+        reference = np.sqrt(d * np.mean([
+            w2_1d_squared(x @ dirs[:, j], w, y @ dirs[:, j], w) for j in range(k)]))
+        got = wasserstein2_sliced(mu, nu, n_projections=k, seed=seed)
+        assert abs(got - reference) <= 1e-12 * reference
 
     def test_needs_positive_projections(self):
         m = EmpiricalMeasure.uniform(np.zeros((2, 2)))

@@ -448,6 +448,8 @@ class TestRunLayerwise:
         with pytest.raises(InvalidConfigError):
             PhaseConfig(trainable_stages=(0,), loss="nope", steps=5,
                         learning_rate=1e-3)
+        with pytest.raises(InvalidConfigError, match="n_projections"):
+            TrainingConfig(phases=bad.phases, n_projections=0)
 
     def test_unknown_loss_weight_rejected(self):
         with pytest.raises(InvalidConfigError):

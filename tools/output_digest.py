@@ -1,6 +1,5 @@
-"""Print one sha256 per output file of a fixed set of seeded `injflow`
-calls, so two versions of the package can be checked for byte-identical
-outputs:
+"""Print one sha256 per output of a fixed set of seeded `injflow` calls,
+so two versions of the package can be checked for byte-identical outputs:
 
     diff <(PYTHONPATH=<other checkout>/src python tools/output_digest.py) \
          <(PYTHONPATH=src python tools/output_digest.py)
@@ -10,9 +9,11 @@ The calls go through the CLI only and write into a temporary directory:
 query stack and `injflow gap --family affine` against each layerwise-toy
 checkpoint, and `injflow project` against one seeded network with a
 dimension-4 autoregressive block (no preset builds one), so the flow
-inverses are covered too.  `summary.json` is hashed without its
-`wall_time` field, the one output that depends on the clock.  Takes about
-half a minute.
+inverses are covered too.  A CSV table gets one digest per column,
+labelled `label/file:column`, so the `diff` names exactly the columns a
+change touched; any other file gets one digest, and `summary.json` is hashed
+without its `wall_time` field, the one output that depends on the clock.
+Takes about half a minute.
 """
 
 from __future__ import annotations
@@ -94,13 +95,24 @@ def _calls(tmp: Path):
     yield "mixed-project", _project_argv(inputs / "net.json", inputs, 5, SEEDS[0])
 
 
-def _file_digest(path: Path) -> str:
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(path: Path):
+    """(name, sha256) per column of a CSV table, else one for the file."""
+    if path.suffix == ".csv":
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        cells = [row.split(",") for row in rows]
+        for j, column in enumerate(header.split(",")):
+            yield f"{path.name}:{column}", _sha256("\n".join(r[j] for r in cells).encode())
+        return
     data = path.read_bytes()
     if path.name == "summary.json":
         payload = json.loads(data)
         payload.pop("wall_time", None)
         data = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(data).hexdigest()
+    yield path.name, _sha256(data)
 
 
 def main_digest() -> int:
@@ -112,7 +124,8 @@ def main_digest() -> int:
                 print(f"{label}: injflow exited {code}", file=sys.stderr)
                 return code
             for path in sorted(out.iterdir()):
-                print(f"{_file_digest(path)}  {label}/{path.name}")
+                for name, digest in _digests(path):
+                    print(f"{digest}  {label}/{name}")
     return 0
 
 
