@@ -61,7 +61,7 @@ def _write_summary(out_dir: Path, preset: str, seed: int, wall_time: float,
     payload = {"preset": preset, "seed": seed, "wall_time": wall_time,
                "metrics": metrics_dict}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -243,10 +243,12 @@ def _cmd_run(args) -> int:
     start = time.perf_counter()
     summary = _PRESET_RUNNERS[args.preset](params, out_dir, args.format, seed)
     wall = time.perf_counter() - start
-    for value in summary.values():
-        if isinstance(value, float) and not np.isfinite(value):
-            summary = {**summary, "warning": "non-finite metric present"}
-            break
+    # JSON has no NaN or inf: such a metric is written as null, and flagged.
+    non_finite = [k for k, v in summary.items()
+                  if isinstance(v, float) and not np.isfinite(v)]
+    if non_finite:
+        summary = {**summary, **dict.fromkeys(non_finite),
+                   "warning": "non-finite metric present"}
     _write_summary(out_dir, args.preset, seed, wall, summary)
     return 0
 

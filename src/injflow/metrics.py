@@ -498,8 +498,14 @@ def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
     pg = (generated @ directions).T.copy()
     pt = (target @ directions).T.copy()
     pt.sort(axis=1)
-    order = np.argsort(pg, axis=1, kind="stable")
-    diffs = np.take_along_axis(pg, order, axis=1) - pt
+    # Without ties every sort gives the one stable order, so the faster
+    # default sort is re-done stably only when a row has equal neighbours.
+    order = np.argsort(pg, axis=1)
+    sorted_pg = np.take_along_axis(pg, order, axis=1)
+    if (sorted_pg[:, 1:] == sorted_pg[:, :-1]).any():
+        order = np.argsort(pg, axis=1, kind="stable")
+        sorted_pg = np.take_along_axis(pg, order, axis=1)
+    diffs = sorted_pg - pt
     value = float(d * np.mean((diffs ** 2).T.copy()))
     gproj = np.empty_like(pg)
     np.put_along_axis(gproj, order, 2.0 * d * diffs / (n * k), axis=1)

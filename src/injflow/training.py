@@ -500,6 +500,58 @@ class ObstructionResult:
     summary: dict
 
 
+def _obstruction_arm(arm: str, trefoil_scale: float, control_radius: float,
+                     seed: int, steps_manifold: int, steps_density: int,
+                     batch_size: int, lipschitz_log_interval: int,
+                     eval_count: int) -> TrainingTrace:
+    """Train one arm ("treatment" or "control") of the obstruction run.
+
+    Module-level and built from plain arguments, so a worker process can run
+    it: the targets hold closures that do not pickle.
+    """
+    if arm == "treatment":
+        target = trefoil_target(scale=trefoil_scale)
+    else:
+        target = planar_circle_target(radius=control_radius, tilt=0.35,
+                                      center=(0.1, 0.0, 0.1))
+    leg1 = max(1, steps_density // 2)
+    leg2 = max(1, (3 * steps_density) // 10)
+    leg3 = max(1, steps_density - leg1 - leg2)
+    density_mix = {"density": 1.0, "manifold": 0.1}
+    net = build_obstruction_network(seed=seed)
+    config = TrainingConfig(
+        phases=(
+            PhaseConfig(trainable_stages=(0, 1, 2), loss="manifold",
+                        steps=steps_manifold, learning_rate=5e-3,
+                        loss_weights={"manifold": 1.0, "density": 0.5}),
+            PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
+                        steps=leg1, learning_rate=2e-3,
+                        loss_weights=density_mix),
+            PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
+                        steps=leg2, learning_rate=7e-4,
+                        loss_weights=density_mix),
+            PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
+                        steps=leg3, learning_rate=2.5e-4,
+                        loss_weights=density_mix),
+        ),
+        batch_size=batch_size, seed=seed,
+        lipschitz_log_interval=lipschitz_log_interval,
+        n_projections=64)
+    arclen = _ArclengthSampler(target)
+
+    def latent_sampler(count, rng):
+        theta = as_rng(rng).uniform(0.0, 2.0 * np.pi, size=count)
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+
+    def target_sampler(count, rng):
+        return target.map_points(arclen.sample(count, rng))
+
+    eval_latent = sample_circle(eval_count, mode="grid").points
+    eval_target = target.map_points(arclen.grid(eval_count))
+    return _run_phases(net, config, latent_sampler, target_sampler,
+                       eval_latent, eval_target).trace
+
+
 def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
                                steps_density: int = 3500,
                                batch_size: int = 256,
@@ -514,54 +566,26 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     differs.  Target batches are uniform in arclength on the curve.  Traces
     record the Lipschitz estimate over a fixed fine latent grid so
     squeeze-induced stretching is visible.
+
+    The arms share no state, so they run at the same time: the control arm
+    in one forked worker process, the treatment arm in this one.  Each arm
+    computes exactly what it would alone, so the traces are bit-for-bit
+    those of running them one after the other.
     """
-    targets = {
-        "treatment": trefoil_target(scale=trefoil_scale),
-        "control": planar_circle_target(radius=control_radius, tilt=0.35,
-                                        center=(0.1, 0.0, 0.1)),
-    }
-    leg1 = max(1, steps_density // 2)
-    leg2 = max(1, (3 * steps_density) // 10)
-    leg3 = max(1, steps_density - leg1 - leg2)
-    density_mix = {"density": 1.0, "manifold": 0.1}
-    traces = {}
-    for arm, target in targets.items():
-        net = build_obstruction_network(seed=seed)
-        config = TrainingConfig(
-            phases=(
-                PhaseConfig(trainable_stages=(0, 1, 2), loss="manifold",
-                            steps=steps_manifold, learning_rate=5e-3,
-                            loss_weights={"manifold": 1.0, "density": 0.5}),
-                PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
-                            steps=leg1, learning_rate=2e-3,
-                            loss_weights=density_mix),
-                PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
-                            steps=leg2, learning_rate=7e-4,
-                            loss_weights=density_mix),
-                PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
-                            steps=leg3, learning_rate=2.5e-4,
-                            loss_weights=density_mix),
-            ),
-            batch_size=batch_size, seed=seed,
-            lipschitz_log_interval=lipschitz_log_interval,
-            n_projections=64)
-        arclen = _ArclengthSampler(target)
+    # Imported here so that `import injflow` stays as light as it was.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        def latent_sampler(count, rng):
-            theta = as_rng(rng).uniform(0.0, 2.0 * np.pi, size=count)
-            return np.column_stack([np.cos(theta), np.sin(theta)])
+    args = (trefoil_scale, control_radius, seed, steps_manifold, steps_density,
+            batch_size, lipschitz_log_interval, eval_count)
+    # fork, not spawn: a spawned worker would import numpy and scipy again
+    # (about 0.5 s).  The package starts no threads, so the fork is safe.
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        future = pool.submit(_obstruction_arm, "control", *args)
+        treatment = _obstruction_arm("treatment", *args)
+        control = future.result()
 
-        def target_sampler(count, rng, _t=target, _s=arclen):
-            return _t.map_points(_s.sample(count, rng))
-
-        eval_latent = sample_circle(eval_count, mode="grid").points
-        eval_target = target.map_points(arclen.grid(eval_count))
-        result = _run_phases(net, config, latent_sampler, target_sampler,
-                             eval_latent, eval_target)
-        traces[arm] = result.trace
-
-    control = traces["control"]
-    treatment = traces["treatment"]
     control_final_lip = control.final.lipschitz_estimate
     control_final_w2 = control.final.sliced_w2
     tight = [r for r in treatment.records if r.sliced_w2 < 0.1]

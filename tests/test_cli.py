@@ -89,6 +89,21 @@ class TestDeterminism:
         sb.pop("wall_time")
         assert sa == sb
 
+    def test_obstruction_summary_is_strict_json(self, tmp_path):
+        # At 1+1 steps the treatment never gets tight, so two metrics have no
+        # value; they must be written as null, not as a bare NaN token.
+        out = tmp_path / "o"
+        assert _run(["run", "trefoil-obstruction", "--steps-manifold", "1",
+                     "--steps-density", "1", "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        metrics_ = summary["metrics"]
+        assert metrics_["treatment_min_lipschitz_when_tight"] is None
+        assert metrics_["lipschitz_ratio"] is None
+        assert metrics_["warning"] == "non-finite metric present"
+
     def test_summary_has_required_fields(self, tmp_path):
         out = tmp_path / "s"
         assert _run(["run", "projection-bench", "--trials", "4", "--seed", "3",
@@ -336,6 +351,34 @@ class TestErrors:
         assert record["error"]["type"] == "usage"
         assert record["error"]["parameter"] == parameter
         assert not ckpt.exists()
+
+    def test_numeric_error_in_forked_control_arm_exits_1(self, tmp_path, capsys,
+                                                          monkeypatch):
+        from injflow import training
+        from injflow.geometry import ManifoldTarget
+
+        # A control target that is NaN on training batches (the only calls
+        # with `batch` points) makes a non-finite gradient there.  Patched
+        # before the fork, so the control arm's worker process inherits it.
+        batch = 7
+        circle = training.planar_circle_target
+
+        def nan_circle(**kwargs):
+            good = circle(**kwargs).map_points
+            return ManifoldTarget(
+                "nan-circle", 1, 3,
+                lambda t: np.full((batch, 3), np.nan) if len(t) == batch else good(t),
+                domain="interval[0, 2pi)")
+        monkeypatch.setattr(training, "planar_circle_target", nan_circle)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": batch}))
+        code = _run(["run", "trefoil-obstruction", "--steps-manifold", "1",
+                     "--steps-density", "1", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "numeric"
+        assert "stage" in record["error"]
 
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

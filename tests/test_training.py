@@ -484,6 +484,17 @@ class TestObstructionSmoke:
                 "treatment_min_sliced_w2",
                 "lipschitz_ratio"} <= set(result.summary)
 
+    def test_forked_control_arm_equals_in_process_arm(self):
+        from injflow.training import _obstruction_arm, run_obstruction_experiment
+        forked = run_obstruction_experiment(seed=1, steps_manifold=6,
+                                            steps_density=6).control
+        local = _obstruction_arm("control", trefoil_scale=1.0, control_radius=2.0,
+                                 seed=1, steps_manifold=6, steps_density=6,
+                                 batch_size=256, lipschitz_log_interval=50,
+                                 eval_count=512)
+        assert len(forked) > 0
+        assert forked.records == local.records
+
 
 class TestTrace:
     def test_monotone_steps_enforced(self):

@@ -6,14 +6,14 @@ so two versions of the package can be checked for byte-identical outputs:
 
 The calls go through the CLI only and write into a temporary directory:
 `injflow run` on every digested preset, then `injflow project` on a seeded
-query stack and `injflow gap --family affine` against each layerwise-toy
-checkpoint, and `injflow project` against one seeded network with a
-dimension-4 autoregressive block (no preset builds one), so the flow
-inverses are covered too.  A CSV table gets one digest per column,
-labelled `label/file:column`, so the `diff` names exactly the columns a
-change touched; any other file gets one digest, and `summary.json` is hashed
-without its `wall_time` field, the one output that depends on the clock.
-Takes about half a minute.
+query stack and `injflow gap --family affine` at each of `GAP_SIZES`
+against each layerwise-toy checkpoint, and `injflow project` against one
+seeded network with a dimension-4 autoregressive block (no preset builds
+one), so the flow inverses are covered too.  A CSV table gets one digest
+per column, labelled `label/file:column`, so the `diff` names exactly the
+columns a change touched; any other file gets one digest, and
+`summary.json` is hashed without its `wall_time` field, the one output that
+depends on the clock.  Takes about half a minute.
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ from injflow.network import InjectiveNetwork
 
 SEEDS = (1, 2, 3)
 QUERIES = 200
-GAP_POINTS = 101
+# (pairs, latents) per `injflow gap` call.  101 + 101 points keep W2 on the
+# exact assignment; 300 + 300 take sliced W2's sort kernel, and 300 + 250
+# its per-direction `w2_1d_squared` loop (the bound check's pushforwards
+# stay 300 + 300).
+GAP_SIZES = ((101, 101), (300, 300), (300, 250))
 
 
 def _runs():
@@ -55,13 +59,14 @@ def _project_argv(checkpoint: Path, inputs: Path, ambient_dim: int, seed: int):
     return ["project", "--checkpoint", str(checkpoint), "--queries", str(queries)]
 
 
-def _gap_argv(checkpoint: Path, inputs: Path, seed: int):
+def _gap_argv(checkpoint: Path, inputs: Path, seed: int, n_pairs: int, n_latent: int):
     """Helical-arc pairs and 1-D latent samples for a layerwise-toy checkpoint."""
-    t = np.linspace(-1.0, 1.0, GAP_POINTS)[:, None]
-    pairs, latent = inputs / "pairs.csv", inputs / "latent.csv"
+    t = np.linspace(-1.0, 1.0, n_pairs)[:, None]
+    pairs = inputs / f"pairs-{n_pairs}.csv"
+    latent = inputs / f"latent-{n_pairs}-{n_latent}.csv"
     save_points_csv(pairs, np.hstack([t, arc_target().map_points(t)]))
     save_points_csv(latent, np.sort(np.random.default_rng(seed).uniform(
-        -0.55, 0.55, size=(GAP_POINTS, 1)), axis=0))
+        -0.55, 0.55, size=(n_latent, 1)), axis=0))
     return ["gap", "--family", "affine", "--checkpoint", str(checkpoint),
             "--pairs", str(pairs), "--latent", str(latent), "--seed", str(seed)]
 
@@ -88,7 +93,9 @@ def _calls(tmp: Path):
             inputs = tmp / f"{label}-inputs"
             inputs.mkdir()
             yield f"{label}-project", _project_argv(ckpt, inputs, 3, seed)
-            yield f"{label}-gap", _gap_argv(ckpt, inputs, seed)
+            for n_pairs, n_latent in GAP_SIZES:
+                yield (f"{label}-gap{n_pairs}x{n_latent}",
+                       _gap_argv(ckpt, inputs, seed, n_pairs, n_latent))
     inputs = tmp / "mixed-inputs"
     inputs.mkdir()
     _mixed_checkpoint(inputs / "net.json", SEEDS[0])
