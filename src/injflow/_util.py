@@ -62,6 +62,22 @@ def flatten(arrays) -> np.ndarray:
     return np.concatenate([np.zeros(0), *(np.ravel(a) for a in arrays)])
 
 
+def flat_views(vector, arrays) -> list:
+    """Views of vector shaped like the arrays, laid end to end in order."""
+    ends = np.cumsum([a.size for a in arrays], dtype=int)
+    return [vector[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
+def flat_store(arrays):
+    """(vector, take): the arrays' entries copied into one vector, and take,
+    which maps each of the arrays to its view into that vector (the argument
+    a `bind_parameters` method takes)."""
+    arrays = list(arrays)
+    vector = flatten(arrays)
+    views = {id(a): v for a, v in zip(arrays, flat_views(vector, arrays))}
+    return vector, lambda arr: views[id(arr)]
+
+
 def write_csv(path, columns, rows) -> None:
     """Header line of column names, then one line per row of numbers."""
     line = ",".join([CSV_FLOAT_FORMAT] * len(columns)) + "\n"

@@ -211,6 +211,11 @@ class _UsageError(Exception):
         self.extra = extra or {}
 
 
+def _bad_parameter(key: str, rule: str, value) -> _UsageError:
+    return _UsageError(f"{key} must be {rule}, got {value!r}",
+                       extra={"parameter": key})
+
+
 # Least value of each integer preset parameter, from a flag or the config.
 _INT_PARAMS = {"seed": 0, "count": 1, "trials": 1, "n": 1, "phase1_steps": 1,
                "phase2_steps": 1, "steps_manifold": 1, "steps_density": 1,
@@ -232,8 +237,7 @@ def _cmd_run(args) -> int:
     for key, least in _INT_PARAMS.items():
         value = params.get(key, least)
         if type(value) is not int or value < least:  # not bools, not 2.0
-            raise _UsageError(f"{key} must be an integer >= {least}, got {value!r}",
-                              extra={"parameter": key})
+            raise _bad_parameter(key, f"an integer >= {least}", value)
     if params.get("checkpoint") and args.preset != "layerwise-toy":
         raise _UsageError(f"preset {args.preset!r} writes no checkpoint",
                           extra={"parameter": "checkpoint"})
@@ -270,6 +274,10 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise _bad_parameter("tolerance", "a finite number >= 0", args.tolerance)
+    if args.seed < 0:
+        raise _bad_parameter("seed", "an integer >= 0", args.seed)
     pairs = load_points_csv(args.pairs)
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
     latent = CompactSampleSet.from_csv(args.latent).points
@@ -305,7 +313,7 @@ def _cmd_gap(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "gap.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
     return 0
 

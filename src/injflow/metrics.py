@@ -18,16 +18,19 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from ._util import as_rng, pairwise_sq_dists
+from ._util import as_rng, flat_store, flatten, pairwise_sq_dists
 from .errors import (
     BudgetExceededError,
     InvalidArgumentError,
     InvalidCandidateError,
 )
+from .flows import Mlp
 
 EXACT_W2_MAX_POINTS = 512
 WEIGHT_SUM_TOLERANCE = 1e-12
 DOMAIN_TOLERANCE = 1e-9
+# Passes of match-then-regress in the affine candidate fit.
+ICP_PASSES = 6
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ class CandidateMap:
 
     kind: str
     func: Callable[[np.ndarray], np.ndarray]
-    description: str
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.func(x)
@@ -97,8 +99,6 @@ class EmbeddingGapEstimate:
     lower: float
     upper: float
     candidate: CandidateMap
-    n_target_samples: int = 0
-    n_candidate_samples: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper):
@@ -193,41 +193,32 @@ def _fit_affine(X: np.ndarray, targets: np.ndarray):
     return sol[:-1].T, sol[-1]
 
 
-class _SmallFlowMap:
-    """Affine map plus a scaled tanh perturbation, kept injective by bounding
-    the perturbation's Lipschitz constant below the affine part's smallest gain."""
-
-    def __init__(self, a, c, w1, b1, w2, b2, scale):
-        self.a, self.c = a, c
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.scale = scale
-
-    def pack(self):
-        return np.concatenate([p.ravel() for p in
-                               (self.w1, self.b1, self.w2, self.b2)])
-
-    def unpack(self, vec):
-        out = []
-        idx = 0
-        for p in (self.w1, self.b1, self.w2, self.b2):
-            out.append(vec[idx:idx + p.size].reshape(p.shape))
-            idx += p.size
-        self.w1, self.b1, self.w2, self.b2 = out
-
-    def perturbation_lipschitz(self) -> float:
-        return float(np.linalg.norm(self.w2, 2) * np.linalg.norm(self.w1, 2))
-
-    def __call__(self, x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        base = X @ self.a.T + self.c[None, :]
-        hid = np.tanh(X @ self.w1.T + self.b1[None, :])
-        return base + self.scale * (hid @ self.w2.T + self.b2[None, :])
+def _small_flow_descent_point(pert: Mlp, scale: float, base: np.ndarray,
+                              X: np.ndarray, FX: np.ndarray, g,
+                              g_domain: DomainBox):
+    """Surrogate mean_i ||g(H_i) - f(x_i)||^2 at H = base + scale * pert(X)
+    and its gradient in pert.parameters() order; (inf, 0.0) when H leaves
+    the box.  One g call on [H; H + fd e_j; H - fd e_j], j < o, gives g(H)
+    and g's Jacobian by central differences; pert.vjp carries the rest."""
+    out, cache = pert.forward_with_cache(X)
+    H = base + scale * out
+    if not g_domain.contains(H, tol=0.0):
+        return np.inf, 0.0
+    rows, o = H.shape
+    fd = 1e-5
+    shifts = fd * np.eye(o)
+    G = np.atleast_2d(np.asarray(
+        g(np.vstack([H, *(H + e for e in shifts), *(H - e for e in shifts)])),
+        dtype=float)).reshape(2 * o + 1, rows, -1)
+    resid = G[0] - FX
+    jac = (G[1:o + 1] - G[o + 1:]) / (2 * fd)  # (o, rows, m)
+    grad_h = (2.0 / rows) * np.einsum("jrm,rm->rj", jac, resid)
+    value = float(np.mean(np.sum(resid ** 2, axis=1)))
+    return value, flatten(pert.vjp(cache, scale * grad_h)[1])
 
 
 def fit_candidate_alignment(f_params, f_points, g, w_samples,
                             family: str = "affine",
-                            g_domain: DomainBox | None = None,
-                            icp_iters: int = 6,
                             flow_steps: int = 150,
                             seed: int = 0) -> tuple[CandidateMap, float]:
     """Fit the candidate map h minimizing the empirical gap upper bound.
@@ -235,9 +226,10 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
     The affine family generalizes the canonical witness g o A o f^{-1}: match
     each target sample to its nearest g(W) sample, regress an affine map onto
     the matched parameters, and iterate.  The small-flow family refines the
-    affine incumbent with a tanh perturbation trained by gradient descent on
-    numerical gradients.  Returns the candidate together with its upper bound;
-    the incumbent never worsens.
+    affine incumbent with a scaled tanh perturbation, an Mlp trained by
+    gradient descent through its forward and VJP on the mean squared
+    deviation, with g's Jacobian taken by central differences.  Returns the
+    candidate together with its upper bound; the incumbent never worsens.
     """
     X = np.asarray(f_params, dtype=float)
     FX = np.asarray(f_points, dtype=float)
@@ -249,8 +241,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
     if family not in ("affine", "small-flow"):
         raise InvalidArgumentError(f"unknown candidate family {family!r}")
     n, o = X.shape[1], W.shape[1]
-    if g_domain is None:
-        g_domain = DomainBox.from_points(W, margin=1e-9)
+    g_domain = DomainBox.from_points(W, margin=1e-9)
     GW = np.atleast_2d(np.asarray(g(W), dtype=float))
 
     def upper_of(func) -> float:
@@ -262,8 +253,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
     if X.shape[0] == 1:
         # Degenerate single-point reduction: the best constant map into W.
         j = int(np.argmin(np.linalg.norm(GW - FX[0][None, :], axis=1)))
-        cand = CandidateMap("constant", _constant_func(W[j].copy()),
-                            f"constant candidate at W sample {j}")
+        cand = CandidateMap("constant", _constant_func(W[j].copy()))
         return cand, upper_of(cand.func)
 
     # Identity-style embedding of the parameters into R^o as the incumbent.
@@ -274,8 +264,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
             out[:, :_n] = Xb
             return out
         if g_domain.contains(identity_pad(X)):
-            cand = CandidateMap("identity", identity_pad,
-                                "zero-padded identity embedding of K into W")
+            cand = CandidateMap("identity", identity_pad)
             candidates.append((upper_of(cand.func), cand))
 
     # Nearest-neighbor matched affine fit, ICP-style refinement.  A
@@ -285,7 +274,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
     d_gw = d2_gw.min(axis=1)
     matched = W[nearest_w]
     prev_upper = np.inf
-    for it in range(max(1, icp_iters)):
+    for _ in range(ICP_PASSES):
         a, c = _fit_affine(X, matched)
         func = _affine_func(a, c)
         if not g_domain.contains(func(X)):
@@ -299,7 +288,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
                     break
             else:
                 break
-        cand = CandidateMap("affine", func, f"affine alignment (icp pass {it})")
+        cand = CandidateMap("affine", func)
         up = upper_of(cand.func)
         candidates.append((up, cand))
         if best_affine is None or up <= min(u for u, cc in candidates
@@ -329,69 +318,52 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
         a, c = best_affine if best_affine is not None else (np.eye(o, n), np.zeros(o))
         rng = as_rng(seed)
         hidden = 8
-        flow = _SmallFlowMap(
-            a, c,
-            w1=rng.normal(0, 0.5, size=(hidden, n)),
-            b1=np.zeros(hidden),
-            w2=rng.normal(0, 0.5, size=(o, hidden)),
-            b2=np.zeros(o),
-            scale=1.0,
-        )
+        w1 = rng.normal(0, 0.5, size=(hidden, n))
+        w2 = rng.normal(0, 0.5, size=(o, hidden))
+        pert = Mlp([n, hidden, o], weights=[w1, w2],
+                   biases=[np.zeros(hidden), np.zeros(o)])
+        vec, take = flat_store(arr for _, arr in pert.parameters())
+        pert.bind_parameters(take)
         # Injectivity guard: perturbation Lipschitz below the affine gain.
         sigma_min = np.linalg.svd(a, compute_uv=False).min() if a.size else 0.0
-        lip = flow.perturbation_lipschitz()
-        flow.scale = 0.0 if sigma_min <= 0 else min(1.0, 0.5 * sigma_min / max(lip, 1e-12))
-
-        def surrogate(vec) -> float:
-            flow.unpack(vec)
-            H = flow(X)
-            if not g_domain.contains(H, tol=0.0):
-                return np.inf
-            GH = np.atleast_2d(np.asarray(g(H), dtype=float))
-            return float(np.mean(np.sum((GH - FX) ** 2, axis=1)))
-
-        vec = flow.pack()
+        scale = (0.0 if sigma_min <= 0 else
+                 min(1.0, 0.5 * sigma_min / max(pert.lipschitz_bound(), 1e-12)))
+        affine = _affine_func(a, c)
+        base = affine(X)
+        value, grad = _small_flow_descent_point(pert, scale, base, X, FX, g, g_domain)
         step = 0.05
-        fd = 1e-5
-        value = surrogate(vec)
         for _ in range(max(0, flow_steps)):
-            grad = np.zeros_like(vec)
-            for i in range(vec.size):
-                probe = vec.copy()
-                probe[i] += fd
-                up = surrogate(probe)
-                probe[i] -= 2 * fd
-                dn = surrogate(probe)
-                grad[i] = (up - dn) / (2 * fd) if np.isfinite(up - dn) else 0.0
-            trial = vec - step * grad
-            tv = surrogate(trial)
-            if tv < value:
-                vec, value = trial, tv
+            kept = vec.copy()
+            vec -= step * grad
+            trial = _small_flow_descent_point(pert, scale, base, X, FX, g, g_domain)
+            if trial[0] < value:
+                value, grad = trial
             else:
+                vec[:] = kept
                 step *= 0.5
                 if step < 1e-6:
                     break
-        flow.unpack(vec)
         # Re-certify injectivity: training may have grown the perturbation
         # weights past the scale chosen at initialization.
-        lip = flow.perturbation_lipschitz()
-        if sigma_min > 0 and flow.scale * lip > 0.9 * sigma_min:
-            flow.scale = 0.9 * sigma_min / max(lip, 1e-12)
+        lip = pert.lipschitz_bound()
+        if sigma_min > 0 and scale * lip > 0.9 * sigma_min:
+            scale = 0.9 * sigma_min / max(lip, 1e-12)
+
+        def flow(x):
+            return affine(x) + scale * pert(x)
         try:
             flow_upper = upper_of(flow)
         except InvalidCandidateError:
             flow_upper = np.inf
         if flow_upper < best_upper:
             best_upper = flow_upper
-            best = CandidateMap("small-flow", flow,
-                                "affine alignment with tanh refinement")
+            best = CandidateMap("small-flow", flow)
 
     return best, float(best_upper)
 
 
 def estimate_embedding_gap(f_params, f_points, g, w_samples,
                            family: str = "affine",
-                           g_domain: DomainBox | None = None,
                            seed: int = 0) -> EmbeddingGapEstimate:
     """Certified [lower, upper] interval for the gap on the given samples.
 
@@ -402,16 +374,14 @@ def estimate_embedding_gap(f_params, f_points, g, w_samples,
     FX = np.asarray(f_points, dtype=float)
     W = np.asarray(w_samples, dtype=float)
     candidate, upper = fit_candidate_alignment(
-        X, FX, g, W, family=family, g_domain=g_domain, seed=seed)
+        X, FX, g, W, family=family, seed=seed)
     GW = np.atleast_2d(np.asarray(g(W), dtype=float))
     GH = np.atleast_2d(np.asarray(g(np.atleast_2d(candidate(X))), dtype=float))
     lower = directed_supinf(FX, np.vstack([GW, GH]))
     # g(h(x)) sits in the candidate set, so lower <= upper holds exactly;
     # the min guards the one-ulp case where reductions round differently.
     lower = min(lower, upper)
-    return EmbeddingGapEstimate(
-        lower=lower, upper=upper, candidate=candidate,
-        n_target_samples=FX.shape[0], n_candidate_samples=W.shape[0])
+    return EmbeddingGapEstimate(lower=lower, upper=upper, candidate=candidate)
 
 
 # --- Wasserstein-2 -------------------------------------------------------

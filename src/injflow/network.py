@@ -12,7 +12,7 @@ import json
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._util import as_batch, flatten, unbatch
+from ._util import as_batch, flat_store, flat_views, flatten, unbatch
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
 from .expansive import ExpansiveLayer, expansive_from_config
 from .flows import FlowBlock
@@ -112,19 +112,16 @@ class InjectiveNetwork:
         """[(stage_idx, name, view)]: vector cut into views shaped like the
         arrays of parameters(stage_indices), in that order."""
         params = self.parameters(stage_indices)
-        ends = np.cumsum([arr.size for _, _, arr in params], dtype=int)
-        return [(idx, name, vector[end - arr.size:end].reshape(arr.shape))
-                for (idx, name, arr), end in zip(params, ends)]
+        return [(idx, name, view) for (idx, name, _), view
+                in zip(params, flat_views(vector, [arr for _, _, arr in params]))]
 
     def parameter_store(self, stage_indices=None):
         """Copy the parameters of the given stages into one contiguous vector,
         rebind every parameter array to its view into it and return it."""
         params = self.parameters(stage_indices)
-        vector = flatten(arr for _, _, arr in params)
-        views = {id(arr): view for (_, _, arr), (_, _, view)
-                 in zip(params, self.parameter_views(vector, stage_indices))}
+        vector, take = flat_store(arr for _, _, arr in params)
         for idx in {sidx for sidx, _, _ in params}:
-            self.stages[idx].bind_parameters(lambda arr: views[id(arr)])
+            self.stages[idx].bind_parameters(take)
         return vector
 
     def lipschitz_bound(self, radius: float = DEFAULT_DOMAIN_RADIUS) -> float:

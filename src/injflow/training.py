@@ -17,7 +17,12 @@ import numpy as np
 
 from . import metrics
 from ._util import as_rng, flatten, pairwise_sq_dists, write_csv
-from .errors import InvalidArgumentError, InvalidConfigError, NumericError
+from .errors import (
+    InjectiveFlowError,
+    InvalidArgumentError,
+    InvalidConfigError,
+    NumericError,
+)
 from .expansive import LinearExpansive, random_orthonormal_columns
 from .flows import (
     AutoregressiveLayer,
@@ -552,6 +557,16 @@ def _obstruction_arm(arm: str, trefoil_scale: float, control_radius: float,
                        eval_latent, eval_target).trace
 
 
+def _control_arm_into(conn, *args) -> None:
+    """Worker-process body: send the control arm's trace, or the error it
+    raised, through conn to the calling process."""
+    try:
+        result = _obstruction_arm("control", *args)
+    except Exception as err:  # re-raised in the calling process
+        result = err
+    conn.send(result)
+
+
 def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
                                steps_density: int = 3500,
                                batch_size: int = 256,
@@ -574,17 +589,29 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     """
     # Imported here so that `import injflow` stays as light as it was.
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
     args = (trefoil_scale, control_radius, seed, steps_manifold, steps_density,
             batch_size, lipschitz_log_interval, eval_count)
     # fork, not spawn: a spawned worker would import numpy and scipy again
     # (about 0.5 s).  The package starts no threads, so the fork is safe.
-    with ProcessPoolExecutor(max_workers=1,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        future = pool.submit(_obstruction_arm, "control", *args)
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_control_arm_into, args=(send, *args))
+    worker.start()
+    send.close()  # the worker holds the only write end: its death is EOF
+    try:
         treatment = _obstruction_arm("treatment", *args)
-        control = future.result()
+        control = receive.recv()
+    except EOFError:
+        raise InjectiveFlowError(
+            "the control arm's worker process died before sending its trace") from None
+    finally:
+        # Stops a worker still training when the treatment arm has raised.
+        worker.kill()
+        worker.join()
+        receive.close()
+    if isinstance(control, Exception):
+        raise control
 
     control_final_lip = control.final.lipschitz_estimate
     control_final_w2 = control.final.sliced_w2

@@ -212,6 +212,20 @@ class TestGapSubcommand:
         assert _run(argv) == 0
         assert seen == {"estimate_embedding_gap": 7, "wasserstein_bound_check": 7}
 
+    @pytest.mark.parametrize("flags, parameter", [
+        (["--tolerance", "nan"], "tolerance"),
+        (["--tolerance", "inf"], "tolerance"),
+        (["--tolerance", "-5"], "tolerance"),
+        (["--seed", "-1", "--family", "small-flow"], "seed"),
+    ], ids=["nan-tolerance", "inf-tolerance", "negative-tolerance", "negative-seed"])
+    def test_bad_gap_parameter_is_named(self, tmp_path, capsys, flags, parameter):
+        out = tmp_path / "gap"
+        assert _run([*_gap_argv(tmp_path), *flags, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "usage"
+        assert record["error"]["parameter"] == parameter
+        assert not out.exists()
+
 
 def _write_bad_input(path, kind):
     """A missing, malformed, incomplete or non-numeric input file at path."""

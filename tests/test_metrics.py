@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injflow._util import pairwise_sq_dists
+from injflow._util import flat_store, pairwise_sq_dists
 from injflow.errors import (
     BudgetExceededError,
     InvalidArgumentError,
     InvalidCandidateError,
 )
+from injflow.flows import Mlp
 from injflow.metrics import (
     DomainBox,
     EmpiricalMeasure,
@@ -26,6 +27,7 @@ from injflow.metrics import (
     wasserstein2_exact,
     wasserstein2_sliced,
     wasserstein_bound_check,
+    _small_flow_descent_point,
 )
 
 
@@ -188,6 +190,56 @@ class TestCandidateFit:
                                                 family="small-flow",
                                                 flow_steps=100, seed=0)
         assert upper_flow <= upper_affine + 1e-12
+
+    @pytest.mark.parametrize("o", [1, 2])
+    def test_small_flow_gradient_matches_central_differences(self, o):
+        rng = np.random.default_rng(11)
+        x = np.linspace(-1, 1, 30)[:, None]
+
+        def g(w):
+            w = np.atleast_2d(w)
+            return np.column_stack([np.sin(2 * w.sum(axis=1)),
+                                    w[:, 0] * np.cos(w[:, -1]),
+                                    np.tanh(w ** 2).sum(axis=1)])
+
+        fx = g(0.8 * x + 0.1) + rng.normal(0, 0.05, size=(30, 3))
+        pert = Mlp([1, 8, o], weights=[rng.normal(0, 0.5, size=(8, 1)),
+                                        rng.normal(0, 0.5, size=(o, 8))],
+                   biases=[rng.normal(0, 0.1, size=8), rng.normal(0, 0.1, size=o)])
+        vec, take = flat_store(arr for _, arr in pert.parameters())
+        pert.bind_parameters(take)
+        base = x @ rng.normal(size=(o, 1)).T + 0.2
+        scale = 0.3
+        box = DomainBox(np.full(o, -10.0), np.full(o, 10.0))
+
+        def surrogate():
+            resid = g(base + scale * pert(x)) - fx
+            return float(np.mean(np.sum(resid ** 2, axis=1)))
+
+        value, grad = _small_flow_descent_point(pert, scale, base, x, fx, g, box)
+        assert value == pytest.approx(surrogate(), rel=1e-12)
+        ref = np.empty_like(vec)
+        for i in range(vec.size):
+            vec[i] += 1e-6
+            up = surrogate()
+            vec[i] -= 2e-6
+            dn = surrogate()
+            vec[i] += 1e-6
+            ref[i] = (up - dn) / 2e-6
+        assert np.linalg.norm(grad - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_small_flow_fit_calls_g_about_once_per_step(self):
+        x = np.linspace(-1, 1, 50)[:, None]
+        fx = (x[:, 0] + 0.1 * np.sin(np.pi * x[:, 0]))[:, None]
+        calls = []
+
+        def g(w):
+            calls.append(len(w))
+            return np.atleast_2d(w)
+
+        fit_candidate_alignment(x, fx, g, np.linspace(-1.5, 1.5, 100)[:, None],
+                                family="small-flow", flow_steps=100, seed=0)
+        assert len(calls) <= 2 * 100 + 10
 
 
 class TestSandwich:

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from injflow.errors import InvalidArgumentError, InvalidConfigError, NumericError
+from injflow.errors import (
+    InjectiveFlowError,
+    InvalidArgumentError,
+    InvalidConfigError,
+    NumericError,
+)
 from injflow.expansive import ZeroPad, random_injective_relu, random_linear_expansive
 from injflow.flows import (
     AutoregressiveLayer,
@@ -494,6 +499,54 @@ class TestObstructionSmoke:
                                  eval_count=512)
         assert len(forked) > 0
         assert forked.records == local.records
+
+    def test_treatment_error_does_not_wait_for_control_arm(self, monkeypatch):
+        import time
+
+        from injflow import training
+
+        budget = dict(trefoil_scale=1.0, control_radius=2.0, seed=1,
+                      steps_manifold=300, steps_density=300, batch_size=7,
+                      lipschitz_log_interval=50, eval_count=512)
+        start = time.perf_counter()
+        training._obstruction_arm("control", **budget)
+        control_s = time.perf_counter() - start
+
+        # A trefoil that is NaN on training batches (the only calls with
+        # `batch_size` points) makes the treatment arm raise at its first step.
+        trefoil = training.trefoil_target
+
+        def nan_trefoil(**kwargs):
+            good = trefoil(**kwargs).map_points
+            return ManifoldTarget(
+                "nan-trefoil", 1, 3,
+                lambda t: np.full((7, 3), np.nan) if len(t) == 7 else good(t),
+                domain="interval[0, 2pi)")
+        monkeypatch.setattr(training, "trefoil_target", nan_trefoil)
+        start = time.perf_counter()
+        with pytest.raises(NumericError):
+            training.run_obstruction_experiment(**budget)
+        assert time.perf_counter() - start < 0.5 * control_s
+
+    def test_killed_control_worker_raises(self, monkeypatch):
+        import os
+        import signal
+
+        from injflow import training
+
+        arm = training._obstruction_arm
+
+        # Patched before the fork: only the worker runs the control arm.
+        def killed_control(which, *args):
+            if which == "control":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return arm(which, *args)
+        monkeypatch.setattr(training, "_obstruction_arm", killed_control)
+        with pytest.raises(InjectiveFlowError, match="worker process died"):
+            training.run_obstruction_experiment(seed=1, steps_manifold=6,
+                                                steps_density=6, batch_size=32,
+                                                lipschitz_log_interval=3,
+                                                eval_count=128)
 
 
 class TestTrace:

@@ -6,8 +6,9 @@ so two versions of the package can be checked for byte-identical outputs:
 
 The calls go through the CLI only and write into a temporary directory:
 `injflow run` on every digested preset, then `injflow project` on a seeded
-query stack and `injflow gap --family affine` at each of `GAP_SIZES`
-against each layerwise-toy checkpoint, and `injflow project` against one
+query stack, `injflow gap --family affine` at each of `GAP_SIZES` and
+`injflow gap --family small-flow` at `SMALL_FLOW_SIZE` against each
+layerwise-toy checkpoint, and `injflow project` against one
 seeded network with a dimension-4 autoregressive block (no preset builds
 one), so the flow inverses are covered too.  A CSV table gets one digest
 per column, labelled `label/file:column`, so the `diff` names exactly the
@@ -39,6 +40,9 @@ QUERIES = 200
 # its per-direction `w2_1d_squared` loop (the bound check's pushforwards
 # stay 300 + 300).
 GAP_SIZES = ((101, 101), (300, 300), (300, 250))
+# (pairs, latents) of the small-flow candidate fit, which is trained, so
+# one exact-W2 size covers it.
+SMALL_FLOW_SIZE = (101, 101)
 
 
 def _runs():
@@ -59,7 +63,8 @@ def _project_argv(checkpoint: Path, inputs: Path, ambient_dim: int, seed: int):
     return ["project", "--checkpoint", str(checkpoint), "--queries", str(queries)]
 
 
-def _gap_argv(checkpoint: Path, inputs: Path, seed: int, n_pairs: int, n_latent: int):
+def _gap_argv(checkpoint: Path, inputs: Path, seed: int, n_pairs: int, n_latent: int,
+              family: str = "affine"):
     """Helical-arc pairs and 1-D latent samples for a layerwise-toy checkpoint."""
     t = np.linspace(-1.0, 1.0, n_pairs)[:, None]
     pairs = inputs / f"pairs-{n_pairs}.csv"
@@ -67,7 +72,7 @@ def _gap_argv(checkpoint: Path, inputs: Path, seed: int, n_pairs: int, n_latent:
     save_points_csv(pairs, np.hstack([t, arc_target().map_points(t)]))
     save_points_csv(latent, np.sort(np.random.default_rng(seed).uniform(
         -0.55, 0.55, size=(n_latent, 1)), axis=0))
-    return ["gap", "--family", "affine", "--checkpoint", str(checkpoint),
+    return ["gap", "--family", family, "--checkpoint", str(checkpoint),
             "--pairs", str(pairs), "--latent", str(latent), "--seed", str(seed)]
 
 
@@ -96,6 +101,9 @@ def _calls(tmp: Path):
             for n_pairs, n_latent in GAP_SIZES:
                 yield (f"{label}-gap{n_pairs}x{n_latent}",
                        _gap_argv(ckpt, inputs, seed, n_pairs, n_latent))
+            n_pairs, n_latent = SMALL_FLOW_SIZE
+            yield (f"{label}-gap-small-flow{n_pairs}x{n_latent}",
+                   _gap_argv(ckpt, inputs, seed, n_pairs, n_latent, "small-flow"))
     inputs = tmp / "mixed-inputs"
     inputs.mkdir()
     _mixed_checkpoint(inputs / "net.json", SEEDS[0])
