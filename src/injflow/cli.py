@@ -28,8 +28,18 @@ from .expansive import random_well_conditioned
 from .geometry import CompactSampleSet, load_points_csv
 from .network import InjectiveNetwork
 
-PRESETS = ("gap-visualization", "layerwise-toy", "trefoil-obstruction",
-           "projection-bench")
+# The parameters each preset accepts, from a flag or the config: the least
+# value of each integer, or `str` for a path.  Any other key is a usage
+# error.  A parameter left out takes its default from the preset below or,
+# for the two training presets, from the `training` function it calls.
+PRESET_PARAMS = {
+    "gap-visualization": {"seed": 0, "count": 1},
+    "layerwise-toy": {"seed": 0, "phase1_steps": 1, "phase2_steps": 1,
+                      "checkpoint": str},
+    "trefoil-obstruction": {"seed": 0, "steps_manifold": 1, "steps_density": 1,
+                            "batch_size": 1, "lipschitz_log_interval": 1},
+    "projection-bench": {"seed": 0, "trials": 1, "n": 1},
+}
 
 
 def _write_table(out_dir: Path, name: str, columns, rows, fmt: str) -> Path:
@@ -110,18 +120,15 @@ def _preset_gap_visualization(params: dict, out_dir: Path, fmt: str, seed: int) 
 
 
 def _preset_layerwise_toy(params: dict, out_dir: Path, fmt: str, seed: int) -> dict:
-    phase1 = params.get("phase1_steps", 2400)
-    phase2 = params.get("phase2_steps", 600)
-    net, result = training.run_layerwise_toy(seed=seed, phase1_steps=phase1,
-                                             phase2_steps=phase2)
+    steps = {k: v for k, v in params.items() if k.endswith("_steps")}
+    net, result = training.run_layerwise_toy(seed=seed, **steps)
     result.trace.to_csv(out_dir / "trace.csv")
     target = training.arc_target()
     t_grid = np.linspace(-1.0, 1.0, 512)[:, None]
     _write_points(out_dir, "target_samples", target.map_points(t_grid), fmt)
     _write_points(out_dir, "generated_samples", net.forward(t_grid), fmt)
-    checkpoint = params.get("checkpoint")
-    if checkpoint:
-        net.save_checkpoint(Path(checkpoint))
+    if "checkpoint" in params:
+        net.save_checkpoint(Path(params["checkpoint"]))
     final = result.trace.final
     return {
         "phase1_directed_supinf": result.record_at_phase_end("manifold").directed_supinf,
@@ -133,13 +140,7 @@ def _preset_layerwise_toy(params: dict, out_dir: Path, fmt: str, seed: int) -> d
 
 def _preset_trefoil_obstruction(params: dict, out_dir: Path, fmt: str,
                                 seed: int) -> dict:
-    result = training.run_obstruction_experiment(
-        seed=seed,
-        steps_manifold=params.get("steps_manifold", 2500),
-        steps_density=params.get("steps_density", 3500),
-        batch_size=params.get("batch_size", 256),
-        lipschitz_log_interval=params.get("lipschitz_log_interval", 50),
-    )
+    result = training.run_obstruction_experiment(**{**params, "seed": seed})
     result.treatment.to_csv(out_dir / "treatment_trace.csv")
     result.control.to_csv(out_dir / "control_trace.csv")
     return result.summary
@@ -216,34 +217,33 @@ def _bad_parameter(key: str, rule: str, value) -> _UsageError:
                        extra={"parameter": key})
 
 
-# Least value of each integer preset parameter, from a flag or the config.
-_INT_PARAMS = {"seed": 0, "count": 1, "trials": 1, "n": 1, "phase1_steps": 1,
-               "phase2_steps": 1, "steps_manifold": 1, "steps_density": 1,
-               "batch_size": 1, "lipschitz_log_interval": 1}
+def _make_dirs(*dirs: Path) -> None:
+    """Create the output directories; called before any work is done."""
+    for path in dirs:
+        path.mkdir(parents=True, exist_ok=True)
 
 
 def _cmd_run(args) -> int:
-    if args.preset not in PRESETS:
-        raise _UsageError(f"unknown preset {args.preset!r}; "
-                          f"choose from {', '.join(PRESETS)}")
-    params = {}
-    if args.config:
-        params.update(_load_config(args.config))
+    table = PRESET_PARAMS[args.preset]
+    params = _load_config(args.config) if args.config else {}
     # Explicit flags override config-file values.
-    for key in (*_INT_PARAMS, "checkpoint"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    for key, least in _INT_PARAMS.items():
-        value = params.get(key, least)
-        if type(value) is not int or value < least:  # not bools, not 2.0
+    for key in sorted(set().union(*PRESET_PARAMS.values())):
+        if getattr(args, key, None) is not None:
+            params[key] = getattr(args, key)
+    for key, value in params.items():
+        least = table.get(key)
+        if least is None:
+            raise _UsageError(f"preset {args.preset!r} takes no parameter {key!r}",
+                              extra={"parameter": key})
+        if least is str:
+            if not (isinstance(value, str) and value):
+                raise _bad_parameter(key, "a file path", value)
+        elif type(value) is not int or value < least:  # not bools, not 2.0
             raise _bad_parameter(key, f"an integer >= {least}", value)
-    if params.get("checkpoint") and args.preset != "layerwise-toy":
-        raise _UsageError(f"preset {args.preset!r} writes no checkpoint",
-                          extra={"parameter": "checkpoint"})
-    seed = params.get("seed", 0)
+    seed = params.pop("seed", 0)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dirs(out_dir, *([Path(params["checkpoint"]).parent]
+                          if "checkpoint" in params else []))
     start = time.perf_counter()
     summary = _PRESET_RUNNERS[args.preset](params, out_dir, args.format, seed)
     wall = time.perf_counter() - start
@@ -258,11 +258,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    out_dir = Path(args.out)
+    _make_dirs(out_dir)
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
     queries = CompactSampleSet.from_csv(args.queries).points
     res = projection.project_to_range(net, queries)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     m, n = net.ambient_dim, net.latent_dim
     columns = ([f"query{i}" for i in range(m)]
                + [f"preimage{i}" for i in range(n)]
@@ -278,6 +278,8 @@ def _cmd_gap(args) -> int:
         raise _bad_parameter("tolerance", "a finite number >= 0", args.tolerance)
     if args.seed < 0:
         raise _bad_parameter("seed", "an integer >= 0", args.seed)
+    out_dir = Path(args.out)
+    _make_dirs(out_dir)
     pairs = load_points_csv(args.pairs)
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
     latent = CompactSampleSet.from_csv(args.latent).points
@@ -310,23 +312,31 @@ def _cmd_gap(args) -> int:
                         "tolerance": check.tolerance,
                         "passed": check.passed, "method": check.method},
     }
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "gap.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, allow_nan=False)
         fh.write("\n")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns argparse's usage failures into a `_UsageError`, so they print
+    the same JSON record as every other usage error; subparsers inherit it."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="injflow",
         description="Injective flow experiments: presets, range projection, "
                     "embedding-gap diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment preset")
-    run.add_argument("preset", help=f"one of: {', '.join(PRESETS)}")
+    run.add_argument("preset", choices=PRESET_PARAMS,
+                     help="accepted parameters: " + "; ".join(
+                         f"{p}: {', '.join(t)}" for p, t in PRESET_PARAMS.items()))
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default="./out")
     run.add_argument("--config", default=None, help="JSON config file")
@@ -368,21 +378,18 @@ def _error_record(kind: str, message: str, extra: dict | None = None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "project":
-            return _cmd_project(args)
-        if args.command == "gap":
-            return _cmd_gap(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        commands = {"run": _cmd_run, "project": _cmd_project, "gap": _cmd_gap}
+        return commands[args.command](args)
     except _UsageError as err:
         _error_record("usage", str(err), err.extra)
         return 2
     except (InvalidArgumentError, InvalidConfigError) as err:
         _error_record("usage", str(err))
+        return 2
+    except OSError as err:  # reading inputs is an InvalidArgumentError
+        _error_record("usage", f"cannot write output: {err}")
         return 2
     except NumericError as err:
         _error_record("numeric", str(err),

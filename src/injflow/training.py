@@ -210,34 +210,6 @@ class TrainingConfig:
                 raise InvalidConfigError(
                     f"phase {pidx}: stage index out of range 0..{n_stages - 1}")
 
-    def to_dict(self) -> dict:
-        return {
-            "phases": [{"trainable_stages": list(p.trainable_stages),
-                        "loss": p.loss, "steps": p.steps,
-                        "learning_rate": p.learning_rate,
-                        **({"loss_weights": p.loss_weights}
-                           if p.loss_weights else {})}
-                       for p in self.phases],
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "lipschitz_log_interval": self.lipschitz_log_interval,
-            "n_projections": self.n_projections,
-        }
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "TrainingConfig":
-        phases = tuple(
-            PhaseConfig(trainable_stages=tuple(p["trainable_stages"]),
-                        loss=p["loss"], steps=int(p["steps"]),
-                        learning_rate=float(p["learning_rate"]),
-                        loss_weights=p.get("loss_weights"))
-            for p in cfg.get("phases", ()))
-        return cls(phases=phases,
-                   batch_size=int(cfg.get("batch_size", 256)),
-                   seed=int(cfg.get("seed", 0)),
-                   lipschitz_log_interval=int(cfg.get("lipschitz_log_interval", 50)),
-                   n_projections=int(cfg.get("n_projections", 64)))
-
 
 @dataclass(frozen=True)
 class TraceRecord:

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from injflow import metrics
-from injflow.cli import main
+from injflow import metrics, training
+from injflow.cli import PRESET_PARAMS, main
 from injflow.expansive import random_injective_relu_network, random_linear_expansive
 from injflow.flows import Mlp, identity_block, make_coupling_block
 from injflow.geometry import save_points_csv
@@ -347,9 +353,14 @@ class TestErrors:
                                  "--checkpoint"], None, "checkpoint"),
         ("projection-bench", ["--trials", "2", "--checkpoint"], None, "checkpoint"),
         ("gap-visualization", ["--checkpoint"], None, "checkpoint"),
+        ("projection-bench", [], {"bogus": 1}, "bogus"),
+        ("layerwise-toy", [], {"phase1_step": 3}, "phase1_step"),
+        ("gap-visualization", ["--trials", "3"], None, "trials"),
+        ("projection-bench", [], {"batch_size": 4}, "batch_size"),
     ], ids=["text-steps", "zero-trials", "negative-n", "zero-n", "negative-seed",
             "fractional-batch", "obstruction-checkpoint", "bench-checkpoint",
-            "gapviz-checkpoint"])
+            "gapviz-checkpoint", "unknown-config-key", "config-typo", "foreign-flag",
+            "foreign-config-key"])
     def test_bad_run_parameter_is_named(self, tmp_path, capsys, preset, flags,
                                         config, parameter):
         ckpt = tmp_path / "net.json"
@@ -365,6 +376,49 @@ class TestErrors:
         assert record["error"]["type"] == "usage"
         assert record["error"]["parameter"] == parameter
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "projection-bench", "--seed", "abc"],
+        ["run", "projection-bench", "--format", "xml"],
+        ["project", "--queries", "q.csv"],
+    ], ids=["text-seed", "unknown-format", "missing-checkpoint"])
+    def test_argparse_failure_prints_one_record(self, capsys, argv):
+        assert _run(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "usage"
+
+    @pytest.mark.parametrize("command", ["run", "project", "gap"])
+    def test_out_under_a_file_is_usage_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        if command == "run":
+            argv = ["run", "projection-bench", "--trials", "2"]
+        elif command == "project":
+            _, ckpt = _toy_checkpoint(tmp_path)
+            qpath = tmp_path / "queries.csv"
+            save_points_csv(qpath, np.zeros((2, 3)))
+            argv = ["project", "--checkpoint", str(ckpt), "--queries", str(qpath)]
+        else:
+            argv = _gap_argv(tmp_path)
+        assert _run([*argv, "--out", str(blocker / "out")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "usage"
+        assert str(blocker) in record["error"]["message"]
+
+    def test_unwritable_checkpoint_fails_before_training(self, tmp_path, capsys,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "run_layerwise_toy",
+                            lambda **kwargs: calls.append(kwargs))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert _run(["run", "layerwise-toy", "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(blocker / "net.json")]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "usage"
+        assert str(blocker) in record["error"]["message"]
+        assert calls == []
 
     def test_numeric_error_in_forked_control_arm_exits_1(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -403,6 +457,80 @@ class TestErrors:
         rows = np.loadtxt(out / "bench.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows.shape[0] == 6  # flag wins
         assert (rows[:, 0] == 2).all()  # config n honored
+
+
+# Keys with an `injflow run` flag; the others can only come from the config.
+_FLAG_KEYS = {"seed", "trials", "n", "phase1_steps", "phase2_steps", "steps_manifold",
+              "steps_density", "checkpoint"}
+# The keys that set how much work a preset does; every generated run sets
+# them, to at most 3, so that no run falls back to a full-size default.
+_BUDGET_KEYS = {"gap-visualization": {"count"}, "projection-bench": {"trials"},
+                "layerwise-toy": {"phase1_steps", "phase2_steps"},
+                "trefoil-obstruction": {"steps_manifold", "steps_density"}}
+_MUTATIONS = ("none", "unknown-key", "foreign-key", "bad-value", "unwritable-out",
+              "unwritable-checkpoint")
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_contract(data):
+    """`injflow run` on generated flags and configs, valid or with one
+    mutation, never raises: a valid run exits 0 with a strict-JSON
+    summary, a mutated one exits 2 with exactly one usage record."""
+    preset = data.draw(st.sampled_from(sorted(PRESET_PARAMS)), label="preset")
+    table = PRESET_PARAMS[preset]
+    mutation = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        blocker = tmp / "file"
+        blocker.write_text("")
+        out = tmp / "out"
+        params = {key: data.draw(st.integers(least, 3), label=key)
+                  for key, least in table.items()
+                  if key in _BUDGET_KEYS[preset]
+                  or (least is not str and data.draw(st.booleans()))}
+        if "checkpoint" in table and data.draw(st.booleans()):
+            params["checkpoint"] = str(tmp / "ckpt" / "net.json")
+        bad_key = None
+        if mutation == "unknown-key":
+            params["bogus"] = 1
+        elif mutation == "foreign-key":
+            foreign = sorted(set().union(*PRESET_PARAMS.values()) - set(table))
+            params[data.draw(st.sampled_from(foreign), label="foreign")] = 1
+        elif mutation == "bad-value":
+            bad_key = data.draw(st.sampled_from(sorted(params)), label="bad_key")
+            params[bad_key] = data.draw(st.sampled_from(
+                (5, True, "", None) if bad_key == "checkpoint"
+                else ("abc", float("nan"), True, 2.0, -1, None, [1])), label="bad")
+        elif mutation == "unwritable-out":
+            out = blocker / "out"
+        elif mutation == "unwritable-checkpoint":
+            params["checkpoint"] = str(blocker / "net.json")
+        argv, config = ["run", preset, "--out", str(out)], {}
+        for key, value in params.items():
+            if key in _FLAG_KEYS and key != bad_key and data.draw(st.booleans()):
+                argv += ["--" + key.replace("_", "-"), str(value)]
+            else:
+                config[key] = value
+        if config:
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp / "cfg.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        if mutation == "none":
+            assert code == 0, err.getvalue()
+            json.loads((out / "summary.json").read_text(),
+                       parse_constant=_refuse_constant)
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["type"] == "usage"
+            assert code == 2
 
 
 def test_console_entry_point_runs():

@@ -569,8 +569,3 @@ class TestTrace:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,loss,directed_supinf,sliced_w2,lipschitz_estimate"
         assert lines[1].startswith("0,1,0.5,0.25,2")
-
-    def test_config_dict_roundtrip(self):
-        cfg = _tiny_config(seed=5)
-        clone = TrainingConfig.from_dict(cfg.to_dict())
-        assert clone == cfg

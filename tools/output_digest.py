@@ -5,10 +5,12 @@ so two versions of the package can be checked for byte-identical outputs:
          <(PYTHONPATH=src python tools/output_digest.py)
 
 The calls go through the CLI only and write into a temporary directory:
-`injflow run` on every digested preset, then `injflow project` on a seeded
-query stack, `injflow gap --family affine` at each of `GAP_SIZES` and
-`injflow gap --family small-flow` at `SMALL_FLOW_SIZE` against each
-layerwise-toy checkpoint, and `injflow project` against one
+`injflow run` on every digested preset (one `trefoil-obstruction` run takes
+all its parameters, the config-only `batch_size` and
+`lipschitz_log_interval` too, from a `--config` file), then `injflow
+project` on a seeded query stack, `injflow gap --family affine` at each of
+`GAP_SIZES` and `injflow gap --family small-flow` at `SMALL_FLOW_SIZE`
+against each layerwise-toy checkpoint, and `injflow project` against one
 seeded network with a dimension-4 autoregressive block (no preset builds
 one), so the flow inverses are covered too.  A CSV table gets one digest
 per column, labelled `label/file:column`, so the `diff` names exactly the
@@ -40,12 +42,16 @@ QUERIES = 200
 # its per-direction `w2_1d_squared` loop (the bound check's pushforwards
 # stay 300 + 300).
 GAP_SIZES = ((101, 101), (300, 300), (300, 250))
+# A config-driven obstruction run: the config-only keys set away from their
+# defaults.
+OBSTRUCTION_CONFIG = {"steps_manifold": 20, "steps_density": 20, "batch_size": 64,
+                      "lipschitz_log_interval": 10}
 # (pairs, latents) of the small-flow candidate fit, which is trained, so
 # one exact-W2 size covers it.
 SMALL_FLOW_SIZE = (101, 101)
 
 
-def _runs():
+def _runs(tmp: Path):
     """(label, argv after `run`, writes a checkpoint) for every digested run."""
     for seed in SEEDS:
         yield (f"trefoil-obstruction-seed{seed}",
@@ -55,6 +61,12 @@ def _runs():
                ["layerwise-toy", "--seed", str(seed),
                 "--phase1-steps", "300", "--phase2-steps", "100"], True)
     yield "gap-visualization", ["gap-visualization"], False
+    yield ("projection-bench-n2",
+           ["projection-bench", "--n", "2", "--trials", "40"], False)
+    config = tmp / "obstruction-config.json"
+    config.write_text(json.dumps(OBSTRUCTION_CONFIG))
+    yield ("trefoil-obstruction-config",
+           ["trefoil-obstruction", "--config", str(config)], False)
 
 
 def _project_argv(checkpoint: Path, inputs: Path, ambient_dim: int, seed: int):
@@ -90,7 +102,7 @@ def _mixed_checkpoint(path: Path, seed: int) -> None:
 def _calls(tmp: Path):
     """(label, full argv) for every digested CLI call, in order; the inputs
     of each call exist by the time the generator yields it."""
-    for label, argv, checkpoint in _runs():
+    for label, argv, checkpoint in _runs(tmp):
         ckpt = tmp / label / "checkpoint.json"
         yield label, ["run", *argv, *(["--checkpoint", str(ckpt)] if checkpoint else [])]
         if checkpoint:
