@@ -236,7 +236,7 @@ def _cmd_run(args) -> int:
             raise _UsageError(f"preset {args.preset!r} takes no parameter {key!r}",
                               extra={"parameter": key})
         if least is str:
-            if not (isinstance(value, str) and value):
+            if not (isinstance(value, str) and value) or Path(value).is_dir():
                 raise _bad_parameter(key, "a file path", value)
         elif type(value) is not int or value < least:  # not bools, not 2.0
             raise _bad_parameter(key, f"an integer >= {least}", value)

@@ -49,8 +49,9 @@ class ExpansiveLayer:
         """(output rows, cache that vjp reads) for the rows of X."""
         raise NotImplementedError
 
-    def vjp(self, cache, grad_out: np.ndarray):
-        """(grad wrt input, parameter gradients in parameters() order)."""
+    def vjp(self, cache, grad_out: np.ndarray, params: bool = True):
+        """(grad wrt input, parameter gradients in parameters() order, or []
+        when params is false)."""
         raise NotImplementedError
 
     def pseudo_inverse(self, Z: np.ndarray):
@@ -85,7 +86,7 @@ class ZeroPad(ExpansiveLayer):
         out[:, :self.in_dim] = X
         return out, None
 
-    def vjp(self, cache, grad_out):
+    def vjp(self, cache, grad_out, params=True):
         return grad_out[:, :self.in_dim], []
 
     def pseudo_inverse(self, Z):
@@ -122,11 +123,12 @@ class LinearExpansive(ExpansiveLayer):
                 raise InvalidLayerError(report.detail)
 
     def forward_with_cache(self, X):
-        # The input batch is the cache: the weight gradient needs it.
-        return X @ self.weight.T, X
+        # The input batch is the cache: the weight gradient needs it.  np.dot,
+        # not @: numpy's matmul is ~3x slower on a 1-wide inner dimension.
+        return np.dot(X, self.weight.T), X
 
-    def vjp(self, cache, grad_out):
-        return grad_out @ self.weight, [grad_out.T @ cache]
+    def vjp(self, cache, grad_out, params=True):
+        return np.dot(grad_out, self.weight), [np.dot(grad_out.T, cache)] if params else []
 
     def pseudo_inverse(self, Z):
         # Training updates the weight in place, so the rank is checked again.
@@ -221,7 +223,7 @@ class InjectiveRelu(ExpansiveLayer):
         pre = X @ self.weight.T
         return np.maximum(pre, 0.0), pre
 
-    def vjp(self, cache, grad_out):
+    def vjp(self, cache, grad_out, params=True):
         mask = (cache > 0.0).astype(float)
         return (grad_out * mask) @ self.weight, []
 
@@ -315,10 +317,10 @@ class InjectiveReluNetwork(ExpansiveLayer):
             h = np.maximum(pre, 0.0)
         return h, pres
 
-    def vjp(self, cache, grad_out):
+    def vjp(self, cache, grad_out, params=True):
         g = grad_out
         for block, pre in zip(reversed(self.blocks), reversed(cache)):
-            g, _ = block.vjp(pre, g)
+            g, _ = block.vjp(pre, g, params)
         return g, []
 
     def lipschitz_bound(self, radius: float | None = None) -> float:

@@ -93,13 +93,14 @@ class InjectiveNetwork:
     def vjp(self, caches, grad_out, trainable=None):
         """Backpropagate grad_out through all stages: (grad wrt latent batch,
         parameter gradient laid out like parameter_store(trainable)), where
-        trainable=None takes every stage."""
+        trainable=None takes every stage; frozen stages compute no parameter
+        gradients."""
         grads = []
         g = grad_out
         for idx in range(len(self.stages) - 1, -1, -1):
-            g, sgrads = self.stages[idx].vjp(caches[idx], g)
-            if trainable is None or idx in trainable:
-                grads = sgrads + grads
+            g, sgrads = self.stages[idx].vjp(caches[idx], g,
+                                             trainable is None or idx in trainable)
+            grads = sgrads + grads
         return g, flatten(grads)
 
     def parameters(self, stage_indices=None):
@@ -186,15 +187,17 @@ def lipschitz_estimate(net, samples, min_separation: float = 1e-9,
     fwd = net.forward if hasattr(net, "forward") else net
     Y = np.atleast_2d(np.asarray(fwd(pts), dtype=float))
     best = 0.0
-    usable = 0
+    usable = False
     n = pts.shape[0]
+    # cdist is bitwise symmetric, so a row block meets only the columns from
+    # its own start on; that still covers every unordered pair.
     for start in range(0, n, chunk):
-        dx = cdist(pts[start:start + chunk], pts)
-        dy = cdist(Y[start:start + chunk], Y)
+        dx = cdist(pts[start:start + chunk], pts[start:])
+        dy = cdist(Y[start:start + chunk], Y[start:])
         mask = dx > min_separation
-        usable += int(mask.sum())
         if mask.any():
+            usable = True
             best = max(best, float((dy[mask] / dx[mask]).max()))
-    if usable < 2:
+    if not usable:
         raise InvalidArgumentError("fewer than 2 usable sample pairs")
     return best

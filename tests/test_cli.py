@@ -559,3 +559,19 @@ def test_layerwise_checkpoint_flag(tmp_path):
     assert net.latent_dim == 1 and net.ambient_dim == 3
     trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
     assert trace.shape[1] == 5
+
+
+def test_checkpoint_directory_refused_before_training(tmp_path, capsys, monkeypatch):
+    """An existing directory as the checkpoint path exits 2 naming the
+    parameter, before any training step."""
+    def refuse(**kwargs):
+        raise AssertionError("trained before the checkpoint path was checked")
+
+    monkeypatch.setattr(training, "run_layerwise_toy", refuse)
+    ckpt = tmp_path / "ckpt"
+    ckpt.mkdir()
+    assert _run(["run", "layerwise-toy", "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(ckpt)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["type"] == "usage"
+    assert record["error"]["parameter"] == "checkpoint"

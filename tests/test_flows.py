@@ -180,9 +180,9 @@ def _recording(mlp, log):
     """Make mlp.vjp append the output gradient it receives to log."""
     vjp = mlp.vjp
 
-    def recording_vjp(cache, grad_out):
+    def recording_vjp(cache, grad_out, *args):
         log.append(grad_out)
-        return vjp(cache, grad_out)
+        return vjp(cache, grad_out, *args)
 
     mlp.vjp = recording_vjp
     return mlp
@@ -344,3 +344,60 @@ def test_subnet_shapes_checked_at_construction(make):
 def test_mlp_parameters_checked_against_sizes(weights, biases):
     with pytest.raises(InvalidLayerError):
         Mlp([2, 4, 1], weights=weights, biases=biases)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _matmul_forward(mlp, X):
+    """Mlp.forward_with_cache written with @."""
+    acts, h = [X], X
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        h = h @ w.T + b[None, :]
+        if k != len(mlp.weights) - 1:
+            h = np.tanh(h)
+        acts.append(h)
+    return h, acts
+
+
+def _matmul_vjp(mlp, acts, g):
+    """Mlp.vjp written with @."""
+    grads = []
+    for k in range(len(mlp.weights) - 1, -1, -1):
+        if k != len(mlp.weights) - 1:
+            g = g * (1.0 - acts[k + 1] ** 2)
+        grads = [g.T @ acts[k], g.sum(axis=0)] + grads
+        g = g @ mlp.weights[k]
+    return g, grads
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256])
+def test_one_wide_mlp_matches_matmul_bitwise(rows):
+    # The 1-wide products take np.dot instead of numpy's slow matmul path;
+    # the bits, signs of zeros included, must be those of @.
+    rng = np.random.default_rng(rows)
+    mlp = Mlp([1, 40, 40, 1], rng=rng, final_scale=0.5)
+    X = rng.normal(size=(rows, 1))
+    X[0] = -0.0
+    out, acts = mlp.forward_with_cache(X)
+    want_out, want_acts = _matmul_forward(mlp, X)
+    assert _same_bits(out, want_out)
+    assert all(_same_bits(a, b) for a, b in zip(acts, want_acts))
+    g = rng.normal(size=out.shape)
+    g[-1] = -0.0
+    gx, grads = mlp.vjp(acts, g)
+    want_gx, want_grads = _matmul_vjp(mlp, acts, g)
+    assert _same_bits(gx, want_gx)
+    assert len(grads) == len(want_grads)
+    assert all(_same_bits(a, b) for a, b in zip(grads, want_grads))
+
+
+def test_mlp_vjp_without_params_returns_no_gradients():
+    rng = np.random.default_rng(5)
+    mlp = Mlp([2, 6, 1], rng=rng, final_scale=0.5)
+    out, acts = mlp.forward_with_cache(rng.normal(size=(9, 2)))
+    g = rng.normal(size=out.shape)
+    gx, grads = mlp.vjp(acts, g, params=False)
+    assert grads == []
+    assert _same_bits(gx, mlp.vjp(acts, g)[0])

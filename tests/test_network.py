@@ -162,6 +162,24 @@ class TestLipschitzEstimateKernel:
         assert lipschitz_estimate(net, samples, chunk=64) == want
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 16, 1000])
+def test_estimate_covers_every_pair_whatever_the_chunk(chunk):
+    # Each row block meets only the columns from its own start on; the
+    # max over those must be the max over all pairs, whatever the chunk.
+    rng = np.random.default_rng(53)
+    samples = rng.normal(size=(40, 2))
+    images = samples * rng.uniform(0.5, 2.0, size=(40, 1))
+    dx = np.linalg.norm(samples[:, None, :] - samples[None, :, :], axis=2)
+    dy = np.linalg.norm(images[:, None, :] - images[None, :, :], axis=2)
+    mask = dx > 1e-9
+    want = float((dy[mask] / dx[mask]).max())
+    assert lipschitz_estimate(lambda _: images, samples, chunk=chunk) == want
+    two = lipschitz_estimate(lambda x: 3.0 * x, [[0.0], [1.0]], chunk=chunk)
+    assert two == 3.0
+    with pytest.raises(InvalidArgumentError, match="usable"):
+        lipschitz_estimate(lambda x: x, [[1.0], [1.0]], chunk=chunk)
+
+
 class TestLipschitzProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
@@ -224,6 +242,37 @@ def test_vjp_gradients_come_in_parameters_order(make, dim):
     y, cache = stage.forward_with_cache(rng.normal(size=(7, dim)))
     _, grads = stage.vjp(cache, rng.normal(size=y.shape))
     assert [g.shape for g in grads] == [a.shape for _, a in stage.parameters()]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestFrozenStageVjp:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(1, 3),
+           st.lists(st.sampled_from(_EXPANSIVE_KINDS), min_size=1, max_size=2),
+           st.data())
+    def test_matches_full_vjp_bitwise(self, seed, autoregressive, n, kinds, data):
+        # Frozen stages skip their parameter gradients; what is computed
+        # must be the full VJP's bits, read through the same views.
+        net = (_autoregressive_network(seed, n, kinds, 0.5) if autoregressive
+               else _random_network(seed))
+        trainable = data.draw(st.sets(st.integers(0, len(net.stages) - 1)),
+                              label="trainable")
+        rng = np.random.default_rng(seed + 1)
+        y, caches = net.forward_with_cache(rng.normal(size=(16, net.latent_dim)))
+        g = rng.normal(size=y.shape)
+        gx_full, full = net.vjp(caches, g)
+        gx, part = net.vjp(caches, g, trainable=trainable)
+        assert _same_bits(gx, gx_full)
+        assert part.size == sum(a.size for _, _, a in net.parameters(trainable))
+        want = [(idx, name, view) for idx, name, view in net.parameter_views(full)
+                if idx in trainable]
+        got = net.parameter_views(part, trainable)
+        assert [(idx, name) for idx, name, _ in got] == [
+            (idx, name) for idx, name, _ in want]
+        assert all(_same_bits(a, b) for (_, _, a), (_, _, b) in zip(got, want))
 
 
 class TestCheckpoint:

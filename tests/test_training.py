@@ -221,8 +221,8 @@ class TestGradients:
         vjp = net.stages[stage].vjp
         index = [n for n, _ in net.stages[stage].parameters()].index(name)
 
-        def poisoned_vjp(cache, grad_out):
-            g, grads = vjp(cache, grad_out)
+        def poisoned_vjp(cache, grad_out, *args):
+            g, grads = vjp(cache, grad_out, *args)
             grads[index] = grads[index].copy()
             grads[index].flat[-1] = np.nan
             return g, grads
