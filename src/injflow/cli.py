@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, projection, training
-from ._util import CSV_FLOAT_FORMAT, as_rng, write_csv
+from ._util import as_rng, write_csv
 from .errors import (
     InjectiveFlowError,
     InvalidArgumentError,
@@ -49,8 +49,7 @@ def _write_table(out_dir: Path, name: str, columns, rows, fmt: str) -> Path:
         write_csv(path, columns, rows)
     elif fmt == "json":
         path = out_dir / f"{name}.json"
-        payload = {"columns": list(columns),
-                   "rows": [[float(CSV_FLOAT_FORMAT % v) for v in row] for row in rows]}
+        payload = {"columns": list(columns), "rows": rows.tolist()}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")

@@ -9,6 +9,7 @@ under a seed and immutable after construction.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,11 +69,18 @@ def save_points_csv(path, points: np.ndarray) -> None:
 
 def load_points_csv(path) -> np.ndarray:
     """Numeric rows after one header line; an unreadable or non-numeric
-    file raises InvalidArgumentError naming the path."""
+    file, or one without data rows, raises InvalidArgumentError naming the
+    path."""
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt warns on a file without data; that file is refused below.
+            warnings.simplefilter("ignore", UserWarning)
+            points = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as err:
         raise InvalidArgumentError(f"cannot load points CSV {path}: {err}") from err
+    if points.size == 0:
+        raise InvalidArgumentError(f"points CSV {path} holds no data rows")
+    return points
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,18 +67,34 @@ class TestGapVisualization:
             assert (out / f"{name}.csv").exists()
 
     def test_cross_format_equality(self, tmp_path):
-        out_csv = tmp_path / "c"
-        out_json = tmp_path / "j"
-        assert _run(["run", "gap-visualization", "--seed", "0",
-                     "--out", str(out_csv), "--format", "csv"]) == 0
-        assert _run(["run", "gap-visualization", "--seed", "0",
-                     "--out", str(out_json), "--format", "json"]) == 0
-        csv_rows = np.loadtxt(out_csv / "gap_intervals.csv", delimiter=",",
-                              skiprows=1, ndmin=2)
-        with open(out_json / "gap_intervals.json") as fh:
-            payload = json.load(fh)
-        json_rows = np.asarray(payload["rows"])
-        np.testing.assert_array_equal(csv_rows, json_rows)
+        # Every JSON table holds bitwise the float64 values of its CSV twin.
+        _, ckpt = _toy_checkpoint(tmp_path)
+        queries = np.random.default_rng(3).normal(size=(40, 3))
+        queries[:4] = [[-0.0, 0.0, 5e-324], [1e16, -1e17, 0.1],
+                       [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]]
+        qpath = tmp_path / "queries.csv"
+        save_points_csv(qpath, queries)
+        outs = {}
+        for fmt in ("csv", "json"):
+            outs[fmt] = tmp_path / fmt
+            assert _run(["run", "gap-visualization", "--seed", "0",
+                         "--out", str(outs[fmt]), "--format", fmt]) == 0
+            assert _run(["project", "--checkpoint", str(ckpt), "--queries", str(qpath),
+                         "--out", str(outs[fmt]), "--format", fmt]) == 0
+        tables = sorted(p.stem for p in outs["csv"].glob("*.csv"))
+        assert tables == sorted(p.stem for p in outs["json"].glob("*.json")
+                                if p.name != "summary.json")
+        assert {"gap_intervals", "projections", "f_samples"} <= set(tables)
+        for name in tables:
+            csv_path = outs["csv"] / f"{name}.csv"
+            header = csv_path.read_text().splitlines()[0].split(",")
+            csv_rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+            with open(outs["json"] / f"{name}.json") as fh:
+                payload = json.load(fh)
+            json_rows = np.asarray(payload["rows"], dtype=float)
+            assert payload["columns"] == header
+            assert json_rows.shape == csv_rows.shape
+            assert json_rows.tobytes() == csv_rows.tobytes(), name
 
 
 class TestDeterminism:
@@ -234,7 +251,8 @@ class TestGapSubcommand:
 
 
 def _write_bad_input(path, kind):
-    """A missing, malformed, incomplete or non-numeric input file at path."""
+    """A missing, malformed, incomplete, non-numeric, header-only or empty
+    input file at path."""
     if kind == "malformed":
         path.write_text('{"format": "injflow-checkpoint-v1", "stages": [\n')
     elif kind == "incomplete":
@@ -242,6 +260,10 @@ def _write_bad_input(path, kind):
                         '"stages": [{"kind": "flow_block", "dim": 2}]}')
     elif kind == "non-numeric":
         path.write_text("x0,x1\n0.5,abc\n")
+    elif kind == "header-only":
+        path.write_text("x0,x1\n")
+    elif kind == "empty":
+        path.write_text("")
     return path
 
 
@@ -265,9 +287,10 @@ class TestInputFailures:
                                   "--queries", str(qpath),
                                   "--out", str(tmp_path / "o")], ckpt, capsys)
 
-    @pytest.mark.parametrize("flag", ["--queries", "--pairs", "--latent"])
-    @pytest.mark.parametrize("kind", ["missing", "non-numeric"])
-    def test_bad_points_csv(self, tmp_path, capsys, flag, kind):
+    @staticmethod
+    def _points_csv_argv(tmp_path, flag, kind):
+        """(argv, bad path): a `project` or `gap` call whose `flag` file is
+        a bad input of `kind` and whose other inputs are valid."""
         _, ckpt = _toy_checkpoint(tmp_path)
         files = {"--queries": np.zeros((2, 3)), "--pairs": np.zeros((4, 5)),
                  "--latent": np.zeros((4, 2))}
@@ -283,7 +306,23 @@ class TestInputFailures:
             argv = ["gap", "--pairs", str(paths["--pairs"]),
                     "--latent", str(paths["--latent"])]
         argv += ["--checkpoint", str(ckpt), "--out", str(tmp_path / "o")]
-        self._expect_usage_error(argv, paths[flag], capsys)
+        return argv, paths[flag]
+
+    @pytest.mark.parametrize("flag", ["--queries", "--pairs", "--latent"])
+    @pytest.mark.parametrize("kind", ["missing", "non-numeric"])
+    def test_bad_points_csv(self, tmp_path, capsys, flag, kind):
+        self._expect_usage_error(*self._points_csv_argv(tmp_path, flag, kind), capsys)
+
+    @pytest.mark.parametrize("flag", ["--queries", "--pairs", "--latent"])
+    @pytest.mark.parametrize("kind", ["header-only", "empty"])
+    def test_points_csv_without_rows(self, tmp_path, capsys, flag, kind):
+        # One record on stderr and nothing else: no loader warning either.
+        argv, bad_path = self._points_csv_argv(tmp_path, flag, kind)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = self._expect_usage_error(argv, bad_path, capsys)
+        assert [str(w.message) for w in caught] == []
+        assert "no data rows" in record["error"]["message"]
 
     @pytest.mark.parametrize("block", [
         {"b": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "d": [1.0, 1.0]},

@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from injflow._util import CSV_BLOCK_ROWS, write_csv
 from injflow.errors import InvalidArgumentError
 from injflow.geometry import (
     CompactSampleSet,
@@ -136,7 +142,49 @@ class TestPushforward:
             pushforward_samples(circle_target(), base)
 
 
+# Cells whose formatting is easy to get wrong: signed zero, the least
+# subnormal, the non-finite values, and the neighbours of 1e16 and 1e17,
+# where 17 significant digits switch from positional to exponent notation.
+_CSV_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan] + [
+    float(v) for x in (1e16, 1e17, -1e17)
+    for v in (np.nextafter(x, 0.0), x, np.nextafter(x, 2.0 * x))]
+
+
+def _reference_csv(columns, rows) -> bytes:
+    """The bytes of a table written one `"%.17g" % tuple(row)` per row."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    return (",".join(columns) + "\n"
+            + "".join(line % tuple(row) for row in rows)).encode()
+
+
 class TestCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_write_csv_matches_per_row_reference(self, data):
+        # Rows as traces pass them: an int step, float cells, a bool flag.
+        width = data.draw(st.integers(1, 4))
+        cells = st.lists(st.one_of(st.floats(), st.sampled_from(_CSV_EDGE_VALUES)),
+                         min_size=width, max_size=width)
+        drawn = data.draw(st.lists(st.tuples(st.integers(0, 10**6), cells, st.booleans()),
+                                   min_size=1, max_size=20))
+        rows = [[step, *values, tie] for step, values, tie in drawn]
+        columns = ["step", *(f"v{i}" for i in range(width)), "tie_flag"]
+        table = np.array(rows, dtype=float) if data.draw(st.booleans()) else rows
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_csv(path, columns, table)
+            assert path.read_bytes() == _reference_csv(columns, rows)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                        CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3])
+    def test_write_csv_block_edges(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        table = (rng.normal(size=(n_rows, 3))
+                 * 10.0 ** rng.integers(-320, 300, size=(n_rows, 3)))
+        path = tmp_path / "table.csv"
+        write_csv(path, ["a", "b", "c"], table)
+        assert path.read_bytes() == _reference_csv(["a", "b", "c"], table)
+
     def test_roundtrip_and_header(self, tmp_path):
         s = sample_annulus(12, seed=1)
         path = tmp_path / "pts.csv"

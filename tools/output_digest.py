@@ -7,16 +7,19 @@ so two versions of the package can be checked for byte-identical outputs:
 The calls go through the CLI only and write into a temporary directory:
 `injflow run` on every digested preset (one `trefoil-obstruction` run takes
 all its parameters, the config-only `batch_size` and
-`lipschitz_log_interval` too, from a `--config` file), then `injflow
+`lipschitz_log_interval` too, from a `--config` file, and
+`gap-visualization` runs once more with `--format json`), then `injflow
 project` on a seeded query stack, `injflow gap --family affine` at each of
 `GAP_SIZES` and `injflow gap --family small-flow` at `SMALL_FLOW_SIZE`
 against each layerwise-toy checkpoint, and `injflow project` against one
 seeded network with a dimension-4 autoregressive block (no preset builds
-one), so the flow inverses are covered too.  A CSV table gets one digest
-per column, labelled `label/file:column`, so the `diff` names exactly the
-columns a change touched; any other file gets one digest, and
-`summary.json` is hashed without its `wall_time` field, the one output that
-depends on the clock.  Takes about half a minute.
+one), so the flow inverses are covered too.  Every `injflow project` call
+runs twice, with `--format csv` and `--format json`, so the JSON table
+writer is covered as well.  A CSV table gets one digest per column,
+labelled `label/file:column`, so the `diff` names exactly the columns a
+change touched; any other file gets one digest, and `summary.json` is
+hashed without its `wall_time` field, the one output that depends on the
+clock.  Takes about half a minute.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ def _runs(tmp: Path):
                ["layerwise-toy", "--seed", str(seed),
                 "--phase1-steps", "300", "--phase2-steps", "100"], True)
     yield "gap-visualization", ["gap-visualization"], False
+    yield "gap-visualization-json", ["gap-visualization", "--format", "json"], False
     yield ("projection-bench-n2",
            ["projection-bench", "--n", "2", "--trials", "40"], False)
     config = tmp / "obstruction-config.json"
@@ -109,7 +113,9 @@ def _calls(tmp: Path):
             seed = int(argv[argv.index("--seed") + 1])
             inputs = tmp / f"{label}-inputs"
             inputs.mkdir()
-            yield f"{label}-project", _project_argv(ckpt, inputs, 3, seed)
+            project = _project_argv(ckpt, inputs, 3, seed)
+            yield f"{label}-project", project
+            yield f"{label}-project-json", [*project, "--format", "json"]
             for n_pairs, n_latent in GAP_SIZES:
                 yield (f"{label}-gap{n_pairs}x{n_latent}",
                        _gap_argv(ckpt, inputs, seed, n_pairs, n_latent))
@@ -119,7 +125,9 @@ def _calls(tmp: Path):
     inputs = tmp / "mixed-inputs"
     inputs.mkdir()
     _mixed_checkpoint(inputs / "net.json", SEEDS[0])
-    yield "mixed-project", _project_argv(inputs / "net.json", inputs, 5, SEEDS[0])
+    project = _project_argv(inputs / "net.json", inputs, 5, SEEDS[0])
+    yield "mixed-project", project
+    yield "mixed-project-json", [*project, "--format", "json"]
 
 
 def _sha256(data: bytes) -> str:
