@@ -23,6 +23,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidConfigError,
     NumericError,
+    UnsupportedLayerError,
 )
 from .expansive import random_well_conditioned
 from .geometry import CompactSampleSet, load_points_csv
@@ -256,11 +257,21 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _read_points(path, columns: int, what: str) -> np.ndarray:
+    """The rows of a points CSV whose width the checkpoint fixes; a file of
+    another width is a usage error naming it."""
+    points = CompactSampleSet.from_csv(path).points
+    if points.shape[1] != columns:
+        raise InvalidArgumentError(
+            f"{what} CSV {path} has {points.shape[1]} columns, expected {columns}")
+    return points
+
+
 def _cmd_project(args) -> int:
     out_dir = Path(args.out)
     _make_dirs(out_dir)
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
-    queries = CompactSampleSet.from_csv(args.queries).points
+    queries = _read_points(args.queries, net.ambient_dim, "queries")
     res = projection.project_to_range(net, queries)
     m, n = net.ambient_dim, net.latent_dim
     columns = ([f"query{i}" for i in range(m)]
@@ -281,17 +292,14 @@ def _cmd_gap(args) -> int:
     _make_dirs(out_dir)
     pairs = load_points_csv(args.pairs)
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
-    latent = CompactSampleSet.from_csv(args.latent).points
-    o, m = net.latent_dim, net.ambient_dim
+    latent = _read_points(args.latent, net.latent_dim, "latent")
+    m = net.ambient_dim
     if pairs.shape[1] <= m:
         raise InvalidArgumentError(
-            "pairs CSV must hold parameter columns followed by "
-            f"{m} target coordinates")
+            f"pairs CSV {args.pairs} must hold parameter columns followed by "
+            f"{m} target coordinates, got {pairs.shape[1]} columns")
     n = pairs.shape[1] - m
     x, fx = pairs[:, :n], pairs[:, n:]
-    if latent.shape[1] != o:
-        raise InvalidArgumentError(
-            f"latent samples have dimension {latent.shape[1]}, expected {o}")
 
     def g_map(ws):
         return np.atleast_2d(np.asarray(net.forward(ws), dtype=float))
@@ -384,7 +392,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         _error_record("usage", str(err), err.extra)
         return 2
-    except (InvalidArgumentError, InvalidConfigError) as err:
+    except (InvalidArgumentError, InvalidConfigError, UnsupportedLayerError) as err:
         _error_record("usage", str(err))
         return 2
     except OSError as err:  # reading inputs is an InvalidArgumentError

@@ -29,7 +29,7 @@ class InjectivityReport:
 
 class ExpansiveLayer:
     """Base class: an injective Lipschitz map R^n -> R^m with m > n.  Its
-    Lipschitz bound is global, so lipschitz_bound ignores the radius."""
+    Lipschitz bound is global, so ball_bound(radius) derives from it."""
 
     kind = "abstract"
 
@@ -63,11 +63,13 @@ class ExpansiveLayer:
     def parameters(self):
         return []
 
-    def lipschitz_bound(self, radius: float | None = None) -> float:
+    def lipschitz_bound(self) -> float:
         raise NotImplementedError
 
-    def output_radius(self, radius: float) -> float:
-        return self.lipschitz_bound() * radius
+    def ball_bound(self, radius: float):
+        """(Lipschitz bound, output radius) on the ball ||x||_2 <= radius."""
+        lip = self.lipschitz_bound()
+        return lip, lip * radius
 
     def validate(self) -> InjectivityReport:
         raise NotImplementedError
@@ -92,7 +94,7 @@ class ZeroPad(ExpansiveLayer):
     def pseudo_inverse(self, Z):
         return Z[:, :self.in_dim], np.zeros(Z.shape[0], dtype=bool)
 
-    def lipschitz_bound(self, radius: float | None = None) -> float:
+    def lipschitz_bound(self) -> float:
         return 1.0
 
     def validate(self) -> InjectivityReport:
@@ -144,7 +146,7 @@ class LinearExpansive(ExpansiveLayer):
     def bind_parameters(self, take):
         self.weight = take(self.weight)
 
-    def lipschitz_bound(self, radius: float | None = None) -> float:
+    def lipschitz_bound(self) -> float:
         return spectral_norm(self.weight)
 
     def validate(self) -> InjectivityReport:
@@ -251,7 +253,7 @@ class InjectiveRelu(ExpansiveLayer):
                          np.maximum(Z[:, :n], 0.0))
         return np.linalg.solve(self.b_mat, alpha.T).T, ties.any(axis=1)
 
-    def lipschitz_bound(self, radius: float | None = None) -> float:
+    def lipschitz_bound(self) -> float:
         # ReLU is 1-Lipschitz, so the assembled weight's norm dominates.
         return spectral_norm(self.weight)
 
@@ -323,17 +325,18 @@ class InjectiveReluNetwork(ExpansiveLayer):
             g, _ = block.vjp(pre, g, params)
         return g, []
 
-    def lipschitz_bound(self, radius: float | None = None) -> float:
-        prod = 1.0
-        for block in self.blocks:
-            prod *= block.lipschitz_bound()
-        return prod
+    def lipschitz_bound(self) -> float:
+        return self.ball_bound(0.0)[0]
 
-    def output_radius(self, radius: float) -> float:
-        r = radius
+    def ball_bound(self, radius: float):
+        """The blocks' bounds multiply; each bias moves the ball's centre by
+        its norm, which grows the radius but not the Lipschitz bound."""
+        lip, r = 1.0, radius
         for block, bias in zip(self.blocks, self.biases):
-            r = block.lipschitz_bound() * r + float(np.linalg.norm(bias))
-        return r
+            block_lip, r = block.ball_bound(r)
+            lip *= block_lip
+            r += float(np.linalg.norm(bias))
+        return lip, r
 
     def validate(self) -> InjectivityReport:
         prev_width = self.in_dim

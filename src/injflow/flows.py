@@ -134,10 +134,16 @@ def _clamped_log_scale(s_raw, clamp: float):
     return np.clip(s_raw, -clamp, clamp)
 
 
-def _block_norm_bound(diag_norm: float, cross_norm: float) -> float:
-    """sigma_max of [[diag_norm, cross_norm], [0, 1]]: upper bound for the
-    operator norm of a 2x2 block-triangular Jacobian with those block norms."""
-    return spectral_norm(np.array([[diag_norm, cross_norm], [0.0, 1.0]]))
+def compose_ball_bounds(parts, radius: float):
+    """(Lipschitz bound, output radius) of the parts applied in order,
+    certified on ||x||_2 <= radius: each part's ball_bound is taken at the
+    radius the parts before it carry the ball to."""
+    bound = 1.0
+    r = radius
+    for part in parts:
+        lip, r = part.ball_bound(r)
+        bound *= lip
+    return bound, r
 
 
 class _AffineFlowLayer:
@@ -229,25 +235,20 @@ class CouplingLayer(_AffineFlowLayer):
         self.s_net.bind_parameters(take)
         self.t_net.bind_parameters(take)
 
-    def _scale_range(self, radius: float) -> float:
-        zero = np.zeros((1, self.dim - self.split))
-        s0 = float(np.abs(self.s_net(zero)).max())
-        return min(self.scale_clamp,
-                   s0 + self.s_net.lipschitz_bound() * radius)
+    def ball_bound(self, radius: float):
+        """(Lipschitz bound, output radius) on the ball ||x||_2 <= radius.
 
-    def lipschitz_bound(self, radius: float) -> float:
-        """Valid on the ball ||x||_2 <= radius (the head a enters the
-        cross-derivative scaled by its magnitude, so no global bound exists)."""
-        s_max = self._scale_range(radius)
-        es = float(np.exp(s_max))
-        cross = radius * es * self.s_net.lipschitz_bound() + self.t_net.lipschitz_bound()
-        return _block_norm_bound(es, cross)
-
-    def output_radius(self, radius: float) -> float:
-        s_max = self._scale_range(radius)
-        t_bound = self.t_net.output_bound(radius)
-        head = radius * float(np.exp(s_max)) + t_bound
-        return float(np.sqrt(head ** 2 + radius ** 2))
+        The head a enters the cross-derivative scaled by its magnitude, so no
+        global bound exists.  The Lipschitz bound is sigma_max of [[e^s,
+        cross], [0, 1]], which dominates the operator norm of the 2x2
+        block-triangular Jacobian with those block norms."""
+        s_lip = self.s_net.lipschitz_bound()
+        s0 = float(np.abs(self.s_net(np.zeros((1, self.dim - self.split)))).max())
+        es = float(np.exp(min(self.scale_clamp, s0 + s_lip * radius)))
+        cross = radius * es * s_lip + self.t_net.lipschitz_bound()
+        head = radius * es + self.t_net.output_bound(radius)
+        return (spectral_norm(np.array([[es, cross], [0.0, 1.0]])),
+                float(np.sqrt(head ** 2 + radius ** 2)))
 
     def to_config(self) -> dict:
         return {"kind": "coupling", "dim": self.dim, "split": self.split,
@@ -344,10 +345,13 @@ class AutoregressiveLayer(_AffineFlowLayer):
         for cond in self.conditioners:
             cond.bind_parameters(take)
 
-    def _coordinate_bounds(self, radius: float):
-        """Per-coordinate bounds on the ball ||x||_2 <= radius: the scale
-        factor exp(ls_i), |sh_i| and the Lipschitz constant of coordinate
-        i's conditioner (0 for the constant first pair)."""
+    def ball_bound(self, radius: float):
+        """(Lipschitz bound, output radius) on the ball ||x||_2 <= radius,
+        from per-coordinate bounds: the scale factor exp(ls_i), |sh_i| and
+        the Lipschitz constant of coordinate i's conditioner (0 for the
+        constant first pair).  The Lipschitz bound is the operator norm of
+        the entrywise coefficient-bound matrix of the (lower-triangular)
+        Jacobian."""
         es = np.empty(self.dim)
         sh = np.empty(self.dim)
         lip = np.zeros(self.dim)
@@ -359,20 +363,10 @@ class AutoregressiveLayer(_AffineFlowLayer):
             lip[i] = cond.lipschitz_bound()
             es[i] = np.exp(min(self.scale_clamp, abs(float(out0[0, 0])) + lip[i] * radius))
             sh[i] = abs(float(out0[0, 1])) + lip[i] * radius
-        return es, sh, lip
-
-    def lipschitz_bound(self, radius: float) -> float:
-        """Ball-certified bound via the operator norm of the entrywise
-        coefficient-bound matrix of the (lower-triangular) Jacobian."""
-        es, _, lip = self._coordinate_bounds(radius)
         cross = radius * es * lip + lip
         g = np.tril(np.broadcast_to(cross[:, None], (self.dim, self.dim)), -1)
         np.fill_diagonal(g, es)
-        return spectral_norm(g)
-
-    def output_radius(self, radius: float) -> float:
-        es, sh, _ = self._coordinate_bounds(radius)
-        return float(np.linalg.norm(radius * es + sh))
+        return spectral_norm(g), float(np.linalg.norm(radius * es + sh))
 
     def to_config(self) -> dict:
         return {"kind": "autoregressive", "dim": self.dim,
@@ -447,19 +441,8 @@ class FlowBlock:
         for layer in self.layers:
             layer.bind_parameters(take)
 
-    def lipschitz_bound(self, radius: float) -> float:
-        bound = 1.0
-        r = radius
-        for layer in self.layers:
-            bound *= layer.lipschitz_bound(r)
-            r = layer.output_radius(r)
-        return bound
-
-    def output_radius(self, radius: float) -> float:
-        r = radius
-        for layer in self.layers:
-            r = layer.output_radius(r)
-        return r
+    def ball_bound(self, radius: float):
+        return compose_ball_bounds(self.layers, radius)
 
     def to_config(self) -> dict:
         return {"kind": "flow_block", "dim": self.dim,

@@ -69,8 +69,8 @@ def save_points_csv(path, points: np.ndarray) -> None:
 
 def load_points_csv(path) -> np.ndarray:
     """Numeric rows after one header line; an unreadable or non-numeric
-    file, or one without data rows, raises InvalidArgumentError naming the
-    path."""
+    file, one without data rows or one with a non-finite cell raises
+    InvalidArgumentError naming the path."""
     try:
         with warnings.catch_warnings():
             # loadtxt warns on a file without data; that file is refused below.
@@ -80,6 +80,10 @@ def load_points_csv(path) -> np.ndarray:
         raise InvalidArgumentError(f"cannot load points CSV {path}: {err}") from err
     if points.size == 0:
         raise InvalidArgumentError(f"points CSV {path} holds no data rows")
+    bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]
+    if bad.size:
+        raise InvalidArgumentError(
+            f"points CSV {path} has a non-finite value in data row {bad[0] + 1}")
     return points
 
 

@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 from ._util import as_batch, flat_store, flat_views, flatten, unbatch
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
 from .expansive import ExpansiveLayer, expansive_from_config
-from .flows import FlowBlock
+from .flows import FlowBlock, compose_ball_bounds
 
 DEFAULT_DOMAIN_RADIUS = 10.0
 CHECKPOINT_FORMAT = "injflow-checkpoint-v1"
@@ -131,12 +131,7 @@ class InjectiveNetwork:
         Latent-dependent coupling scales make a global constant unattainable;
         the per-stage input radii are propagated through the composition.
         """
-        bound = 1.0
-        r = radius
-        for stage in self.stages:
-            bound *= stage.lipschitz_bound(r)
-            r = stage.output_radius(r)
-        return bound
+        return compose_ball_bounds(self.stages, radius)[0]
 
     def to_config(self) -> dict:
         return {"format": CHECKPOINT_FORMAT,

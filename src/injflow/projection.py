@@ -15,27 +15,15 @@ import numpy as np
 from scipy.optimize import lsq_linear
 
 from ._util import as_batch
-from .errors import InvalidArgumentError, InvalidLayerError, NumericError
+from .errors import (
+    InvalidArgumentError,
+    InvalidLayerError,
+    NumericError,
+    UnsupportedLayerError,
+)
 from .expansive import InjectiveRelu, LinearExpansive, relu_sign_pattern
 from .flows import identity_block
 from .network import InjectiveNetwork
-
-
-@dataclass(frozen=True)
-class ReluProjectionWorkspace:
-    """Sign-pattern bookkeeping for one query y in R^{2n}.
-
-    Delta_ii = 1 iff y_{i+n} > y_i: the selection M_y = [(I - Delta), Delta]
-    picks, per coordinate, which of the paired rows carries the preimage
-    information.  tie_indices lists the coordinates where both rows do.
-    """
-
-    delta: np.ndarray
-    tie_indices: tuple[int, ...]
-
-    @property
-    def pattern(self) -> str:
-        return "".join("1" if b else "0" for b in self.delta.astype(int))
 
 
 @dataclass(frozen=True)
@@ -47,16 +35,6 @@ class ProjectionResult:
     y_hat: np.ndarray
     residual: float | np.ndarray
     tie_flag: bool | np.ndarray
-
-
-def relu_workspace(y) -> ReluProjectionWorkspace:
-    yv = np.asarray(y, dtype=float).ravel()
-    if yv.size % 2 != 0 or yv.size == 0:
-        raise InvalidArgumentError("query must live in R^{2n}")
-    delta, ties = relu_sign_pattern(yv[None, :])
-    return ReluProjectionWorkspace(
-        delta=delta[0].astype(float),
-        tie_indices=tuple(int(i) for i in np.nonzero(ties[0])[0]))
 
 
 def relu_pseudo_inverse(b_mat, d_diag, y) -> ProjectionResult:
@@ -90,7 +68,9 @@ def project_to_range(net: InjectiveNetwork, y) -> ProjectionResult:
     """Project y, one query or an (N, m) stack, onto the network's range by
     stage-wise pseudo-inversion, back to front.  Idempotent but in general
     not orthogonal.  A non-finite stage inverse or residual raises
-    NumericError naming the stage (if any) and the first offending row.
+    NumericError naming the stage (if any) and the first offending row; a
+    stage kind without a pseudo-inverse raises UnsupportedLayerError naming
+    the stage.
     """
     Y, single = as_batch(y, net.ambient_dim, "query")
     Z = Y
@@ -98,6 +78,8 @@ def project_to_range(net: InjectiveNetwork, y) -> ProjectionResult:
     for idx in range(len(net.stages) - 1, -1, -1):
         try:
             Z, stage_ties = net.stages[idx].pseudo_inverse(Z)
+        except UnsupportedLayerError as err:
+            raise UnsupportedLayerError(f"stage {idx}: {err}") from err
         except (InvalidLayerError, NumericError) as err:
             raise NumericError(f"stage {idx} inversion failed: {err}",
                                stage_index=idx) from err

@@ -11,6 +11,7 @@ knotted-target experiment.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +182,12 @@ class PhaseConfig:
         unknown = sorted(set(self.loss_weights or ()) - set(LOSSES))
         if unknown:
             raise InvalidConfigError(f"unknown loss weights {unknown}")
+        for key, weight in (self.loss_weights or {}).items():
+            if not (isinstance(weight, numbers.Real) and np.isfinite(weight)
+                    and weight >= 0):
+                raise InvalidConfigError(
+                    f"loss weight {key!r} must be a finite number >= 0, "
+                    f"got {weight!r}")
 
 
 @dataclass(frozen=True)

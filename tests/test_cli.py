@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from injflow import metrics, training
 from injflow.cli import PRESET_PARAMS, main
-from injflow.expansive import random_injective_relu_network, random_linear_expansive
+from injflow.expansive import (
+    ZeroPad,
+    random_injective_relu,
+    random_injective_relu_network,
+    random_linear_expansive,
+)
 from injflow.flows import Mlp, identity_block, make_coupling_block
 from injflow.geometry import save_points_csv
 from injflow.network import InjectiveNetwork
@@ -570,6 +575,104 @@ def test_run_contract(data):
             assert len(lines) == 1
             assert json.loads(lines[0])["error"]["type"] == "usage"
             assert code == 2
+
+
+# One broken input of an `injflow project` or `injflow gap` call.  The file
+# mutations break a CSV or the checkpoint; the stage kinds that projection
+# does not support break `project` only, since `gap` runs no inverse.
+_CSV_MUTATIONS = ("nan-cell", "inf-cell", "header-only", "wrong-width", "ragged-row")
+_STAGE_MUTATIONS = ("relu-m-rows", "relu-network")
+
+
+def _contract_network(rng, n, kind):
+    """Flow blocks (coupling from dimension 2 on) around one expansive stage
+    of the given kind: supported by projection unless a stage mutation."""
+    if kind == "relu-m-rows":
+        r1 = random_injective_relu(n, 2 * n + 1, rng)
+    elif kind == "relu-network":
+        r1 = random_injective_relu_network(n, 1, rng)
+    elif kind == "zero-pad":
+        r1 = ZeroPad(n, n + 1)
+    elif kind == "linear":
+        r1 = random_linear_expansive(n, n + 1, rng)
+    else:
+        r1 = random_injective_relu(n, 2 * n, rng)
+
+    def flow(dim):
+        return (make_coupling_block(dim, 1, rng=rng, hidden=4, final_scale=0.4)
+                if dim >= 2 else identity_block(dim))
+    return InjectiveNetwork([flow(n), r1, flow(r1.out_dim)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_input_file_contract(data):
+    """`injflow project` and `injflow gap --family affine` on a seeded
+    checkpoint and CSVs, valid or with one mutation, never raise: a valid
+    call exits 0, a mutated one exits 2 with exactly one usage record that
+    names the broken file or stage."""
+    command = data.draw(st.sampled_from(("project", "gap")), label="command")
+    roles = ("queries",) if command == "project" else ("pairs", "latent")
+    mutation = data.draw(st.sampled_from(
+        ("none", "truncated-checkpoint") + _CSV_MUTATIONS
+        + (_STAGE_MUTATIONS if command == "project" else ())), label="mutation")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    n = int(rng.integers(1, 3))
+    net = _contract_network(rng, n, mutation if mutation in _STAGE_MUTATIONS
+                            else ("zero-pad", "linear", "relu")[rng.integers(0, 3)])
+    m = net.ambient_dim
+    widths = {"queries": m, "pairs": 1 + m, "latent": n}
+    role = None  # the CSV the mutation breaks, if any
+    if mutation in _CSV_MUTATIONS:
+        role = data.draw(st.sampled_from(roles), label="file")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ckpt = tmp / "net.json"
+        net.save_checkpoint(ckpt)
+        if mutation == "truncated-checkpoint":
+            text = ckpt.read_text()
+            ckpt.write_text(text[:len(text) // 2])
+        paths = {}
+        for name in roles:
+            width = widths[name]
+            if name == role and mutation == "wrong-width":
+                width = data.draw(st.sampled_from(
+                    [w for w in range(1, widths[name] + 2)
+                     if w != widths[name] and (name != "pairs" or w <= m)]),
+                    label="width")
+            points = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 61)), width))
+            if name == role and mutation in ("nan-cell", "inf-cell"):
+                cell = tuple(rng.integers(0, points.shape))
+                points[cell] = np.nan if mutation == "nan-cell" else -np.inf
+            paths[name] = tmp / f"{name}.csv"
+            save_points_csv(paths[name], points)
+            if name == role and mutation == "header-only":
+                save_points_csv(paths[name], np.zeros((0, width)))
+            elif name == role and mutation == "ragged-row":
+                with open(paths[name], "a", encoding="utf-8") as fh:
+                    fh.write(",".join(["0.5"] * (width + 1)) + "\n")
+        out = tmp / "out"
+        argv = [command, "--checkpoint", str(ckpt), "--out", str(out)]
+        for name in roles:
+            argv += ["--" + name, str(paths[name])]
+        if command == "gap":
+            argv += ["--family", "affine"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        if mutation == "none":
+            assert code == 0, err.getvalue()
+            assert (out / ("projections.csv" if command == "project"
+                           else "gap.json")).exists()
+            return
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        record = json.loads(lines[0])["error"]
+        assert record["type"] == "usage"
+        assert code == 2
+        named = ("stage 1" if mutation in _STAGE_MUTATIONS
+                 else str(ckpt) if role is None else str(paths[role]))
+        assert named in record["message"]
 
 
 def test_console_entry_point_runs():

@@ -273,7 +273,7 @@ class TestLipschitzBound:
         dx = np.linalg.norm(x[:, None] - x[None, :], axis=2)
         dy = np.linalg.norm(y[:, None] - y[None, :], axis=2)
         keep = dx > 1e-9
-        assert (dy[keep] / dx[keep]).max() <= block.lipschitz_bound(radius)
+        assert (dy[keep] / dx[keep]).max() <= block.ball_bound(radius)[0]
 
     def test_autoregressive_bound_dominates_samples(self):
         rng = np.random.default_rng(14)
@@ -284,7 +284,7 @@ class TestLipschitzBound:
         dx = np.linalg.norm(x[:, None] - x[None, :], axis=2)
         dy = np.linalg.norm(y[:, None] - y[None, :], axis=2)
         keep = dx > 1e-9
-        assert (dy[keep] / dx[keep]).max() <= block.lipschitz_bound(radius)
+        assert (dy[keep] / dx[keep]).max() <= block.ball_bound(radius)[0]
 
     def test_monotone_in_clamp(self):
         rng = np.random.default_rng(4)
@@ -294,7 +294,7 @@ class TestLipschitzBound:
         bounds = []
         for clamp in (1.0, 2.0):
             layer = CouplingLayer(2, 1, s_net, t_net, scale_clamp=clamp)
-            bounds.append(layer.lipschitz_bound(radius=2.0))
+            bounds.append(layer.ball_bound(2.0)[0])
         assert bounds[0] < bounds[1]
         # e^c times subnet terms dominates the reported bound
         lip_terms = 1.0 + 2.0 * s_net.lipschitz_bound() + t_net.lipschitz_bound()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from injflow.errors import InvalidArgumentError, InvalidLayerError, NumericError
 from injflow.expansive import (
@@ -199,6 +200,9 @@ class TestOutputRadiusProperties:
            st.floats(0.05, 1.0), st.floats(0.1, 3.0))
     def test_image_of_ball_within_output_radius(self, seed, n, kind, final_scale,
                                                 radius):
+        """Both halves of ball_bound(radius) hold on samples of the ball:
+        image norms within the output radius, difference quotients within
+        the Lipschitz bound."""
         rng = np.random.default_rng(seed)
         if kind == "coupling":
             n = max(n, 2)
@@ -212,8 +216,14 @@ class TestOutputRadiusProperties:
         x = rng.normal(size=(200, n))
         x *= radius / np.linalg.norm(x, axis=1, keepdims=True)
         x[100:] *= rng.uniform(size=(100, 1))
-        out_norm = np.linalg.norm(stage(x), axis=1).max()
-        assert out_norm <= stage.output_radius(radius) * (1 + 1e-12)
+        y = stage(x)
+        lip, out_radius = stage.ball_bound(radius)
+        assert np.linalg.norm(y, axis=1).max() <= out_radius * (1 + 1e-12)
+        dx, dy = cdist(x, x), cdist(y, y)
+        # Rounding in a quotient grows like 1e-16 |x| / |dx|: pairs closer
+        # than 1e-6 radius are skipped, the rest allowed 1e-9 relative.
+        keep = dx > 1e-6 * radius
+        assert (dy[keep] / dx[keep]).max() <= lip * (1 + 1e-9)
 
 
 class TestComposition:

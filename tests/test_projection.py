@@ -16,6 +16,7 @@ from injflow.expansive import (
     random_injective_relu_network,
     random_linear_expansive,
     random_well_conditioned,
+    relu_sign_pattern,
 )
 from injflow.flows import identity_block, make_coupling_block
 from injflow.network import InjectiveNetwork
@@ -25,7 +26,6 @@ from injflow.projection import (
     map_projection_regions,
     project_to_range,
     relu_pseudo_inverse,
-    relu_workspace,
 )
 
 
@@ -158,9 +158,9 @@ class TestRegionMap:
         assert map_projection_regions([[1.0]], [1.0], np.array([[0.5, 2.0]])) == ["1"]
 
     def test_tie_point_on_boundary(self):
-        ws = relu_workspace(np.array([1.0, 1.0]))
-        assert ws.tie_indices == (0,)
-        assert ws.pattern == "0"
+        delta, ties = relu_sign_pattern(np.array([[1.0, 1.0]]))
+        assert ties.tolist() == [[True]]
+        assert delta.tolist() == [[False]]
 
     def test_halfplane_pattern_on_grid(self):
         from injflow.geometry import sample_grid_2d

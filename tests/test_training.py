@@ -457,9 +457,14 @@ class TestRunLayerwise:
             TrainingConfig(phases=bad.phases, n_projections=0)
 
     def test_unknown_loss_weight_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            PhaseConfig(trainable_stages=(0,), loss="manifold", steps=5,
-                        learning_rate=1e-3, loss_weights={"foo": 1.0})
+        # An unknown key, or a weight that is not a finite number >= 0, is
+        # refused at construction, naming the key.
+        for key, weight in (("foo", 1.0), ("density", -0.5), ("density", np.nan),
+                            ("manifold", np.inf), ("density", "1.0"),
+                            ("manifold", None)):
+            with pytest.raises(InvalidConfigError, match=key):
+                PhaseConfig(trainable_stages=(0,), loss="manifold", steps=5,
+                            learning_rate=1e-3, loss_weights={key: weight})
 
     def test_latent_dim_must_match_target(self):
         net = _tiny_network(4)
