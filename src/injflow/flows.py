@@ -67,9 +67,11 @@ class Mlp:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             # np.dot, not @: numpy's matmul is ~3x slower on a 1-wide inner
             # dimension (1-wide subnet inputs and outputs), with the same bits.
-            h = np.dot(h, w.T) + b[None, :]
+            # In place on the fresh product only: X is the caller's array.
+            h = np.dot(h, w.T)
+            h += b
             if k != last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
             acts.append(h)
         return h, acts
 
@@ -82,7 +84,12 @@ class Mlp:
         last = len(self.weights) - 1
         for k in range(last, -1, -1):
             if k != last:
-                g = g * (1.0 - acts[k + 1] ** 2)  # tanh'
+                # tanh' times g in one fresh array, bitwise g * (1 - a**2).
+                a = acts[k + 1]
+                d = a * a
+                np.subtract(1.0, d, out=d)
+                d *= g
+                g = d
             if params:
                 grads = [np.dot(g.T, acts[k]), g.sum(axis=0)] + grads
             g = np.dot(g, self.weights[k])

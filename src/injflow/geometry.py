@@ -67,17 +67,30 @@ def save_points_csv(path, points: np.ndarray) -> None:
     write_csv(path, [f"x{i}" for i in range(pts.shape[1])], pts)
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_points_csv(path) -> np.ndarray:
     """Numeric rows after one header line; an unreadable or non-numeric
-    file, one without data rows or one with a non-finite cell raises
+    file, one whose first line is a row of numbers rather than a header,
+    one without data rows or one with a non-finite cell raises
     InvalidArgumentError naming the path."""
     try:
-        with warnings.catch_warnings():
-            # loadtxt warns on a file without data; that file is refused below.
-            warnings.simplefilter("ignore", UserWarning)
-            points = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            with warnings.catch_warnings():
+                # loadtxt warns on a file without data; that file is refused below.
+                warnings.simplefilter("ignore", UserWarning)
+                points = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
         raise InvalidArgumentError(f"cannot load points CSV {path}: {err}") from err
+    if all(_is_number(cell) for cell in header.split(",")):
+        raise InvalidArgumentError(f"points CSV {path} has no header line")
     if points.size == 0:
         raise InvalidArgumentError(f"points CSV {path} holds no data rows")
     bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from ._util import as_rng, flat_store, flatten, pairwise_sq_dists
 from .errors import (
@@ -387,13 +385,21 @@ def estimate_embedding_gap(f_params, f_points, g, w_samples,
 # --- Wasserstein-2 -------------------------------------------------------
 
 
+# The exact W2 routines import their solvers at first call: loading
+# scipy.optimize adds ~0.1 s and ~12 MB to a process, and training and
+# `injflow project` never solve an exact transport problem.
 def _w2_exact_uniform_equal(a: np.ndarray, b: np.ndarray) -> float:
+    from scipy.optimize import linear_sum_assignment
+
     cost = pairwise_sq_dists(a, b)
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
 def _w2_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n, m = len(mu), len(nu)
     cost = pairwise_sq_dists(mu.points, nu.points).ravel()
     # Transportation polytope: row sums = mu.weights, col sums = nu.weights.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from ._util import as_batch
 from .errors import (
@@ -119,7 +118,11 @@ def brute_force_relu_projection(b_mat, d_diag, y, value_tol: float = 1e-9):
     cone.  Minimizers within value_tol of the best feasible value are
     collected and deduplicated.  Independent of the closed-form path: this
     route never builds the sign pattern Delta_y or calls pseudo_inverse.
+    Imports its solver at first call, so `injflow project` never loads
+    scipy.optimize.
     """
+    from scipy.optimize import lsq_linear
+
     layer = InjectiveRelu(b_mat, d_diag)
     b, d, n = layer.b_mat, layer.d_diag, layer.in_dim
     yv = np.asarray(y, dtype=float).ravel()

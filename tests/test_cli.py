@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import injflow
 from injflow import metrics, training
 from injflow.cli import PRESET_PARAMS, main
 from injflow.expansive import (
@@ -256,8 +258,8 @@ class TestGapSubcommand:
 
 
 def _write_bad_input(path, kind):
-    """A missing, malformed, incomplete, non-numeric, header-only or empty
-    input file at path."""
+    """A missing, malformed, incomplete, non-numeric, headerless,
+    header-only or empty input file at path."""
     if kind == "malformed":
         path.write_text('{"format": "injflow-checkpoint-v1", "stages": [\n')
     elif kind == "incomplete":
@@ -265,6 +267,8 @@ def _write_bad_input(path, kind):
                         '"stages": [{"kind": "flow_block", "dim": 2}]}')
     elif kind == "non-numeric":
         path.write_text("x0,x1\n0.5,abc\n")
+    elif kind == "no-header":
+        path.write_text("0.5,0.25\n1.0,2.0\n")
     elif kind == "header-only":
         path.write_text("x0,x1\n")
     elif kind == "empty":
@@ -314,7 +318,7 @@ class TestInputFailures:
         return argv, paths[flag]
 
     @pytest.mark.parametrize("flag", ["--queries", "--pairs", "--latent"])
-    @pytest.mark.parametrize("kind", ["missing", "non-numeric"])
+    @pytest.mark.parametrize("kind", ["missing", "non-numeric", "no-header"])
     def test_bad_points_csv(self, tmp_path, capsys, flag, kind):
         self._expect_usage_error(*self._points_csv_argv(tmp_path, flag, kind), capsys)
 
@@ -580,7 +584,8 @@ def test_run_contract(data):
 # One broken input of an `injflow project` or `injflow gap` call.  The file
 # mutations break a CSV or the checkpoint; the stage kinds that projection
 # does not support break `project` only, since `gap` runs no inverse.
-_CSV_MUTATIONS = ("nan-cell", "inf-cell", "header-only", "wrong-width", "ragged-row")
+_CSV_MUTATIONS = ("nan-cell", "inf-cell", "header-only", "no-header", "wrong-width",
+                  "ragged-row")
 _STAGE_MUTATIONS = ("relu-m-rows", "relu-network")
 
 
@@ -648,6 +653,9 @@ def test_input_file_contract(data):
             save_points_csv(paths[name], points)
             if name == role and mutation == "header-only":
                 save_points_csv(paths[name], np.zeros((0, width)))
+            elif name == role and mutation == "no-header":
+                text = paths[name].read_text()
+                paths[name].write_text(text[text.index("\n") + 1:])
             elif name == role and mutation == "ragged-row":
                 with open(paths[name], "a", encoding="utf-8") as fh:
                     fh.write(",".join(["0.5"] * (width + 1)) + "\n")
@@ -673,6 +681,44 @@ def test_input_file_contract(data):
         named = ("stage 1" if mutation in _STAGE_MUTATIONS
                  else str(ckpt) if role is None else str(paths[role]))
         assert named in record["message"]
+
+
+# Run in a fresh interpreter: the test process has long since loaded
+# scipy.optimize through the exact-W2 and oracle tests.
+_IMPORT_CONTRACT_SCRIPT = """
+import json, sys
+from injflow.cli import main
+train, project, gap = json.loads(sys.argv[1])
+for argv in train + [project]:
+    assert main(argv) == 0, argv
+assert "scipy.optimize" not in sys.modules, "training or project loaded it"
+assert main(gap) == 0
+assert "scipy.optimize" in sys.modules, "gap ran no exact W2"
+"""
+
+
+def test_training_and_project_never_import_scipy_optimize(tmp_path):
+    """Only the exact W2 and the brute-force ReLU oracle use scipy.optimize,
+    so `injflow run` on the training presets and `injflow project` never
+    load it, and `injflow gap` loads it at first use."""
+    _, ckpt = _toy_checkpoint(tmp_path)
+    qpath = tmp_path / "queries.csv"
+    save_points_csv(qpath, np.random.default_rng(3).normal(size=(20, 3)))
+    train = [["run", "layerwise-toy", "--phase1-steps", "3", "--phase2-steps", "2",
+              "--out", str(tmp_path / "toy")],
+             ["run", "trefoil-obstruction", "--steps-manifold", "3",
+              "--steps-density", "2", "--out", str(tmp_path / "obstruction")]]
+    project = ["project", "--checkpoint", str(ckpt), "--queries", str(qpath),
+               "--out", str(tmp_path / "proj")]
+    gap = [*_gap_argv(tmp_path), "--family", "affine", "--out", str(tmp_path / "gap")]
+    src = str(Path(injflow.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT,
+         json.dumps([train, project, gap])],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point_runs():

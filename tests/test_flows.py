@@ -374,23 +374,29 @@ def _matmul_vjp(mlp, acts, g):
 
 @pytest.mark.parametrize("rows", [1, 7, 256])
 def test_one_wide_mlp_matches_matmul_bitwise(rows):
-    # The 1-wide products take np.dot instead of numpy's slow matmul path;
-    # the bits, signs of zeros included, must be those of @.
+    # The 1-wide products take np.dot instead of numpy's slow matmul path,
+    # and bias, tanh and tanh' run in place on fresh arrays; the bits, signs
+    # of zeros included, must be those of @ and out-of-place arithmetic.
     rng = np.random.default_rng(rows)
     mlp = Mlp([1, 40, 40, 1], rng=rng, final_scale=0.5)
     X = rng.normal(size=(rows, 1))
     X[0] = -0.0
+    X_before = X.copy()
     out, acts = mlp.forward_with_cache(X)
     want_out, want_acts = _matmul_forward(mlp, X)
     assert _same_bits(out, want_out)
     assert all(_same_bits(a, b) for a, b in zip(acts, want_acts))
     g = rng.normal(size=out.shape)
     g[-1] = -0.0
+    g_before = g.copy()
     gx, grads = mlp.vjp(acts, g)
     want_gx, want_grads = _matmul_vjp(mlp, acts, g)
     assert _same_bits(gx, want_gx)
     assert len(grads) == len(want_grads)
     assert all(_same_bits(a, b) for a, b in zip(grads, want_grads))
+    # The in-place kernels write only into arrays they allocated.
+    assert _same_bits(X, X_before) and _same_bits(g, g_before)
+    assert all(_same_bits(a, b) for a, b in zip(acts, want_acts))
 
 
 def test_mlp_vjp_without_params_returns_no_gradients():
