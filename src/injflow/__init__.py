@@ -14,7 +14,6 @@ from .errors import (
 )
 from .expansive import (
     InjectiveRelu,
-    InjectiveReluNetwork,
     LinearExpansive,
     ZeroPad,
 )
@@ -28,10 +27,7 @@ from .flows import (
     make_coupling_block,
 )
 from .geometry import (
-    CompactSampleSet,
     ManifoldTarget,
-    knotted_ribbon,
-    pushforward_samples,
     sample_circle,
     trefoil,
 )
@@ -50,7 +46,6 @@ from .network import InjectiveNetwork, lipschitz_estimate
 from .projection import (
     ProjectionResult,
     linear_pseudo_inverse,
-    map_projection_regions,
     project_to_range,
     relu_pseudo_inverse,
 )
@@ -59,8 +54,6 @@ from .training import (
     TrainingConfig,
     TrainingTrace,
     compute_gradients,
-    density_loss,
-    manifold_loss,
     run_layerwise,
     run_obstruction_experiment,
 )

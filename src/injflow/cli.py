@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedLayerError,
 )
 from .expansive import random_well_conditioned
-from .geometry import CompactSampleSet, load_points_csv
+from .geometry import load_points_csv
 from .network import InjectiveNetwork
 
 # The parameters each preset accepts, from a flag or the config: the least
@@ -260,7 +260,7 @@ def _cmd_run(args) -> int:
 def _read_points(path, columns: int, what: str) -> np.ndarray:
     """The rows of a points CSV whose width the checkpoint fixes; a file of
     another width is a usage error naming it."""
-    points = CompactSampleSet.from_csv(path).points
+    points = load_points_csv(path)
     if points.shape[1] != columns:
         raise InvalidArgumentError(
             f"{what} CSV {path} has {points.shape[1]} columns, expected {columns}")

@@ -1,9 +1,9 @@
 """Injective dimension-raising layers with constructive injectivity checks.
 
-Four kinds: zero padding, full-rank linear maps, single injective ReLU
-layers ReLU(Wx) with W = [B; -DB; M], and stacks of such ReLU layers with
-doubling widths.  Every kind carries a computable Lipschitz bound (operator
-norm of the assembled weights) and a report-style injectivity validation.
+Three kinds: zero padding, full-rank linear maps and injective ReLU layers
+ReLU(Wx) with W = [B; -DB; M].  Every kind carries a computable Lipschitz
+bound (operator norm of the assembled weights) and a report-style
+injectivity validation.
 """
 
 from __future__ import annotations
@@ -282,96 +282,6 @@ class InjectiveRelu(ExpansiveLayer):
                    None if m is None else np.asarray(m, dtype=float))
 
 
-class InjectiveReluNetwork(ExpansiveLayer):
-    """Stack of [B; -DB; M]-form ReLU layers with biases and doubling widths.
-
-    Each layer is an InjectiveRelu block (which owns the B, D and M checks)
-    followed by a bias; the biases satisfy b_lower >= -D b_upper
-    coordinate-wise so that no input lands in a dead zone of the paired
-    rows, and the composition is then injective.
-    """
-
-    kind = "injective_relu_network"
-
-    def __init__(self, layer_params: list[dict], check: bool = True):
-        if not layer_params:
-            raise InvalidLayerError("need at least one layer")
-        self.blocks, self.biases = [], []
-        for lp in layer_params:
-            block = InjectiveRelu(lp["b"], lp["d"], lp.get("m_rows"), check=False)
-            bias = np.asarray(lp.get("bias", np.zeros(block.out_dim)), dtype=float).ravel()
-            if bias.shape != (block.out_dim,):
-                raise InvalidLayerError("bias length must match layer width")
-            self.blocks.append(block)
-            self.biases.append(bias.copy())
-        super().__init__(self.blocks[0].in_dim, self.blocks[-1].out_dim)
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise InvalidLayerError(report.detail)
-
-    def forward_with_cache(self, X):
-        pres = []
-        h = X
-        for block, bias in zip(self.blocks, self.biases):
-            pre = h @ block.weight.T + bias[None, :]
-            pres.append(pre)
-            h = np.maximum(pre, 0.0)
-        return h, pres
-
-    def vjp(self, cache, grad_out, params=True):
-        g = grad_out
-        for block, pre in zip(reversed(self.blocks), reversed(cache)):
-            g, _ = block.vjp(pre, g, params)
-        return g, []
-
-    def lipschitz_bound(self) -> float:
-        return self.ball_bound(0.0)[0]
-
-    def ball_bound(self, radius: float):
-        """The blocks' bounds multiply; each bias moves the ball's centre by
-        its norm, which grows the radius but not the Lipschitz bound."""
-        lip, r = 1.0, radius
-        for block, bias in zip(self.blocks, self.biases):
-            block_lip, r = block.ball_bound(r)
-            lip *= block_lip
-            r += float(np.linalg.norm(bias))
-        return lip, r
-
-    def validate(self) -> InjectivityReport:
-        prev_width = self.in_dim
-        for idx, (block, bias) in enumerate(zip(self.blocks, self.biases)):
-            n = block.in_dim
-            if n != prev_width:
-                return InjectivityReport(
-                    False, f"layer {idx}: expects input width {n}, got {prev_width}")
-            report = block.validate()
-            if not report.ok:
-                return InjectivityReport(False, f"layer {idx}: {report.detail}")
-            if np.any(bias[n:2 * n] + block.d_diag * bias[:n] < -1e-12):
-                return InjectivityReport(
-                    False, f"layer {idx}: biases open a dead zone "
-                           "(need b_lower >= -D b_upper)")
-            prev_width = block.out_dim
-        return InjectivityReport(
-            True, f"{len(self.blocks)} stacked [B; -DB; M] layers, widths double")
-
-    def to_config(self) -> dict:
-        layers = []
-        for block, bias in zip(self.blocks, self.biases):
-            entry = {"b": block.b_mat.tolist(), "d": block.d_diag.tolist(),
-                     "bias": bias.tolist()}
-            if block.m_mat is not None:
-                entry["m_rows"] = block.m_mat.tolist()
-            layers.append(entry)
-        return {"kind": self.kind, "n": self.in_dim, "m": self.out_dim,
-                "layers": layers}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "InjectiveReluNetwork":
-        return cls(cfg["layers"])
-
-
 # --- constructors ----------------------------------------------------------
 
 
@@ -404,29 +314,10 @@ def random_injective_relu(n: int, m: int, rng,
     return InjectiveRelu(b, d, m_mat)
 
 
-def random_injective_relu_network(n: int, depth: int, rng,
-                                  with_bias: bool = True) -> InjectiveReluNetwork:
-    rng = as_rng(rng)
-    layers = []
-    width = n
-    for _ in range(depth):
-        b = random_well_conditioned(width, rng)
-        d = rng.uniform(0.5, 2.0, size=width)
-        bias = np.zeros(2 * width)
-        if with_bias:
-            b1 = rng.normal(0, 0.2, size=width)
-            b2 = -d * b1 + rng.uniform(0.0, 0.3, size=width)
-            bias = np.concatenate([b1, b2])
-        layers.append({"b": b, "d": d, "bias": bias})
-        width = 2 * width
-    return InjectiveReluNetwork(layers)
-
-
 _EXPANSIVE_KINDS = {
     "zero_pad": ZeroPad,
     "linear": LinearExpansive,
     "injective_relu": InjectiveRelu,
-    "injective_relu_network": InjectiveReluNetwork,
 }
 
 

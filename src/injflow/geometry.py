@@ -1,10 +1,9 @@
-"""Target manifolds, parameter-domain samplers, and pushforward sampling.
+"""Target curves, the circle sampler and point CSV I/O.
 
-Supplies the compact parameter sets (intervals, circles, annuli), the
-embedded target curves and surfaces (unit circle, trefoil knot, knotted
-ribbon, toy arcs), and the uniform pushforward measures consumed by the
-diagnostics and training experiments.  Everything here is deterministic
-under a seed and immutable after construction.
+Supplies the embedded target curves (trefoil knot, planar circle, helical
+arc) as parametrized maps, the unit-circle latent sampler and the point CSV
+reader and writer used by the CLI.  Everything here is deterministic under
+a seed.
 """
 
 from __future__ import annotations
@@ -17,48 +16,6 @@ import numpy as np
 
 from ._util import as_rng, write_csv
 from .errors import InvalidArgumentError
-from .metrics import EmpiricalMeasure
-
-RIBBON_R_MIN = 0.5
-RIBBON_R_MAX = 1.5
-DEFAULT_RIBBON_HALF_WIDTH = 0.1
-# Below this curvature norm the Frenet normal is ill-conditioned and a fixed
-# reference vector is projected off the tangent instead.
-_CURVATURE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class CompactSampleSet:
-    """Finite point cloud standing in for a compact parameter set."""
-
-    points: np.ndarray
-    generator: str = "unspecified"
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InvalidArgumentError("sample set must be a non-empty (N, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidArgumentError("sample points must be finite")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def to_csv(self, path) -> None:
-        save_points_csv(path, self.points)
-
-    @classmethod
-    def from_csv(cls, path, generator: str = "csv") -> "CompactSampleSet":
-        return cls(load_points_csv(path), generator=generator)
 
 
 def save_points_csv(path, points: np.ndarray) -> None:
@@ -126,11 +83,8 @@ class ManifoldTarget:
         return out
 
 
-# --- samplers ------------------------------------------------------------
-
-
-def sample_circle(count: int, mode: str = "grid", seed: int = 0) -> CompactSampleSet:
-    """Points on the unit circle in R^2, uniform in angle.
+def sample_circle(count: int, mode: str = "grid", seed: int = 0) -> np.ndarray:
+    """(count, 2) points on the unit circle, uniform in angle.
 
     mode 'grid' places count equispaced angles starting at 0; mode 'random'
     draws angles uniformly with the given seed.
@@ -139,58 +93,14 @@ def sample_circle(count: int, mode: str = "grid", seed: int = 0) -> CompactSampl
         raise InvalidArgumentError("count must be >= 1")
     if mode == "grid":
         theta = 2.0 * np.pi * np.arange(count) / count
-        gen = f"circle-grid(count={count})"
     elif mode == "random":
         theta = as_rng(seed).uniform(0.0, 2.0 * np.pi, size=count)
-        gen = f"circle-random(count={count}, seed={seed})"
     else:
         raise InvalidArgumentError(f"unknown mode {mode!r}")
-    pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    return CompactSampleSet(pts, generator=gen)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def sample_interval(count: int, lo: float = -1.0, hi: float = 1.0,
-                    mode: str = "grid", seed: int = 0) -> CompactSampleSet:
-    if count < 1:
-        raise InvalidArgumentError("count must be >= 1")
-    if lo >= hi:
-        raise InvalidArgumentError("need lo < hi")
-    if mode == "grid":
-        t = np.linspace(lo, hi, count)
-        gen = f"interval-grid([{lo}, {hi}], count={count})"
-    elif mode == "random":
-        t = as_rng(seed).uniform(lo, hi, size=count)
-        gen = f"interval-random([{lo}, {hi}], count={count}, seed={seed})"
-    else:
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
-    return CompactSampleSet(t[:, None], generator=gen)
-
-
-def sample_annulus(count: int, r_min: float = RIBBON_R_MIN,
-                   r_max: float = RIBBON_R_MAX, seed: int = 0) -> CompactSampleSet:
-    """(r, theta) parameter samples, uniform in area over the annulus."""
-    if count < 1:
-        raise InvalidArgumentError("count must be >= 1")
-    rng = as_rng(seed)
-    u = rng.uniform(size=count)
-    r = np.sqrt(u * (r_max ** 2 - r_min ** 2) + r_min ** 2)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-    pts = np.column_stack([r, theta])
-    gen = f"annulus-random([{r_min}, {r_max}], count={count}, seed={seed})"
-    return CompactSampleSet(pts, generator=gen)
-
-
-def sample_grid_2d(lo: float, hi: float, per_axis: int) -> CompactSampleSet:
-    """Regular (per_axis x per_axis) grid over [lo, hi]^2, row-major order."""
-    if per_axis < 1:
-        raise InvalidArgumentError("per_axis must be >= 1")
-    axis = np.linspace(lo, hi, per_axis)
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([g1.ravel(), g2.ravel()])
-    return CompactSampleSet(pts, generator=f"grid2d([{lo},{hi}], {per_axis})")
-
-
-# --- trefoil knot and knotted ribbon --------------------------------------
+# --- targets ---------------------------------------------------------------
 
 
 def trefoil(theta):
@@ -202,79 +112,6 @@ def trefoil(theta):
         -np.sin(3.0 * t),
     ], axis=-1)
     return out
-
-
-def _trefoil_d1(t):
-    return np.stack([
-        np.cos(t) + 4.0 * np.cos(2.0 * t),
-        -np.sin(t) + 4.0 * np.sin(2.0 * t),
-        -3.0 * np.cos(3.0 * t),
-    ], axis=-1)
-
-
-def _trefoil_d2(t):
-    return np.stack([
-        -np.sin(t) - 8.0 * np.sin(2.0 * t),
-        -np.cos(t) + 8.0 * np.cos(2.0 * t),
-        9.0 * np.sin(3.0 * t),
-    ], axis=-1)
-
-
-def trefoil_tangent(theta) -> np.ndarray:
-    t = np.asarray(theta, dtype=float)
-    d1 = _trefoil_d1(t)
-    return d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
-
-
-def trefoil_normal(theta) -> np.ndarray:
-    """Unit normal to the trefoil, continuous in theta.
-
-    Frenet construction: the second derivative with its tangential component
-    removed, normalized.  Where the curvature vector nearly vanishes, a fixed
-    reference vector projected off the tangent is used instead.
-    """
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    tang = trefoil_tangent(t)
-    d2 = _trefoil_d2(t)
-    raw = d2 - np.sum(d2 * tang, axis=-1, keepdims=True) * tang
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    flat = (norms[..., 0] < _CURVATURE_FLOOR)
-    if np.any(flat):
-        ref = np.array([0.0, 0.0, 1.0])
-        alt = ref[None, :] - np.sum(ref * tang[flat], axis=-1, keepdims=True) * tang[flat]
-        raw[flat] = alt
-        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    out = raw / norms
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return out[0]
-    return out
-
-
-def knotted_ribbon(r, theta, a: float = DEFAULT_RIBBON_HALF_WIDTH) -> np.ndarray:
-    """Knotted ribbon point f(theta) + a (r - 1) v(theta).
-
-    r must lie in the annulus band [1/2, 3/2]; v is the trefoil's unit normal.
-    """
-    if a <= 0:
-        raise InvalidArgumentError("half-width scale a must be positive")
-    rr = np.asarray(r, dtype=float)
-    tt = np.asarray(theta, dtype=float)
-    if np.any(rr < RIBBON_R_MIN - 1e-12) or np.any(rr > RIBBON_R_MAX + 1e-12):
-        raise InvalidArgumentError(
-            f"radial coordinate must lie in [{RIBBON_R_MIN}, {RIBBON_R_MAX}]")
-    core = trefoil(tt)
-    normal = trefoil_normal(tt)
-    return core + a * (rr[..., None] - 1.0) * normal
-
-
-# --- targets ---------------------------------------------------------------
-
-
-def circle_target(radius: float = 1.0) -> ManifoldTarget:
-    def f(params):
-        th = params[:, 0]
-        return radius * np.column_stack([np.cos(th), np.sin(th)])
-    return ManifoldTarget("circle", 1, 2, f, domain="interval[0, 2pi)")
 
 
 def trefoil_target(scale: float = 1.0) -> ManifoldTarget:
@@ -313,13 +150,3 @@ def arc_target(radius: float = 0.5, pitch: float = 0.25,
             pitch * t,
         ])
     return ManifoldTarget("helical-arc", 1, 3, f, domain="interval[-1, 1]")
-
-
-def pushforward_samples(target: ManifoldTarget,
-                        base: CompactSampleSet) -> EmpiricalMeasure:
-    """Uniform-weight measure on the image of the base samples under f."""
-    if base.dim != target.intrinsic_dim:
-        raise InvalidArgumentError(
-            f"base dimension {base.dim} does not match target "
-            f"intrinsic dimension {target.intrinsic_dim}")
-    return EmpiricalMeasure.uniform(target.map_points(base.points))

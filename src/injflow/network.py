@@ -167,20 +167,19 @@ class InjectiveNetwork:
                 f"cannot load checkpoint {path}: {type(err).__name__}: {err}") from err
 
 
-def lipschitz_estimate(net, samples, min_separation: float = 1e-9,
+def lipschitz_estimate(forward, samples, min_separation: float = 1e-9,
                        chunk: int = 256) -> float:
-    """Max difference quotient ||E(x) - E(x')|| / ||x - x'|| over sample pairs.
+    """Max difference quotient ||f(x) - f(x')|| / ||x - x'|| of the callable
+    `forward` over pairs of sample rows.
 
     Pairs closer than min_separation are skipped; raises when fewer than two
     usable pairs remain.  Always bounded by lipschitz_bound at a radius
     covering the samples.
     """
-    pts = samples.points if hasattr(samples, "points") else np.asarray(samples, float)
-    pts = np.atleast_2d(pts)
+    pts = np.atleast_2d(np.asarray(samples, float))
     if pts.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 samples")
-    fwd = net.forward if hasattr(net, "forward") else net
-    Y = np.atleast_2d(np.asarray(fwd(pts), dtype=float))
+    Y = np.atleast_2d(np.asarray(forward(pts), dtype=float))
     best = 0.0
     usable = False
     n = pts.shape[0]

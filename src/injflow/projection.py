@@ -20,7 +20,7 @@ from .errors import (
     NumericError,
     UnsupportedLayerError,
 )
-from .expansive import InjectiveRelu, LinearExpansive, relu_sign_pattern
+from .expansive import InjectiveRelu, LinearExpansive
 from .flows import identity_block
 from .network import InjectiveNetwork
 
@@ -92,18 +92,6 @@ def project_to_range(net: InjectiveNetwork, y) -> ProjectionResult:
         return ProjectionResult(x=Z[0], y_hat=y_hat[0], residual=float(residual[0]),
                                 tie_flag=bool(ties[0]))
     return ProjectionResult(x=Z, y_hat=y_hat, residual=residual, tie_flag=ties)
-
-
-def map_projection_regions(b_mat, d_diag, grid) -> list[str]:
-    """Label each grid point by the diagonal of Delta_y as a 0/1 string.
-
-    Adjacent cells with different labels straddle a discontinuity boundary
-    of the range projection.
-    """
-    layer = InjectiveRelu(b_mat, d_diag)
-    pts = grid.points if hasattr(grid, "points") else np.atleast_2d(np.asarray(grid, float))
-    delta, _ = relu_sign_pattern(as_batch(pts, layer.out_dim, "grid")[0])
-    return ["".join(row) for row in np.where(delta, "1", "0")]
 
 
 # --- independent optimality oracle ----------------------------------------

@@ -63,26 +63,6 @@ def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
     return value, grad
 
 
-# --- network losses ---------------------------------------------------------
-
-
-def manifold_loss(net: InjectiveNetwork, latent_batch, target_batch) -> float:
-    """Symmetric Chamfer between E(latent batch) and the target batch."""
-    gen = np.atleast_2d(np.asarray(net.forward(latent_batch), dtype=float))
-    value, _ = chamfer_loss_and_grad(gen, np.atleast_2d(np.asarray(target_batch, float)))
-    return value
-
-
-def density_loss(net: InjectiveNetwork, latent_batch, target_batch,
-                 n_projections: int = 64, seed: int = 0) -> float:
-    """Sliced squared-W2 between E#(latent batch) and the target batch."""
-    gen = np.atleast_2d(np.asarray(net.forward(latent_batch), dtype=float))
-    tgt = np.atleast_2d(np.asarray(target_batch, dtype=float))
-    dirs = draw_directions(tgt.shape[1], n_projections, seed)
-    value, _ = sliced_w2sq_loss_and_grad(gen, tgt, dirs)
-    return value
-
-
 def _effective_weights(loss: str, loss_weights) -> dict:
     """The given loss mix, with the named loss at weight 1.0 unless it is set."""
     weights = dict(loss_weights) if loss_weights else {}
@@ -530,7 +510,7 @@ def _obstruction_arm(arm: str, trefoil_scale: float, control_radius: float,
     def target_sampler(count, rng):
         return target.map_points(arclen.sample(count, rng))
 
-    eval_latent = sample_circle(eval_count, mode="grid").points
+    eval_latent = sample_circle(eval_count, mode="grid")
     eval_target = target.map_points(arclen.grid(eval_count))
     return _run_phases(net, config, latent_sampler, target_sampler,
                        eval_latent, eval_target).trace

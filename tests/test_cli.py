@@ -19,7 +19,6 @@ from injflow.cli import PRESET_PARAMS, main
 from injflow.expansive import (
     ZeroPad,
     random_injective_relu,
-    random_injective_relu_network,
     random_linear_expansive,
 )
 from injflow.flows import Mlp, identity_block, make_coupling_block
@@ -340,10 +339,10 @@ class TestInputFailures:
     def test_malformed_relu_network_checkpoint(self, tmp_path, capsys, block):
         rng = np.random.default_rng(0)
         net = InjectiveNetwork([identity_block(2),
-                                random_injective_relu_network(2, 1, rng),
+                                random_injective_relu(2, 4, rng),
                                 identity_block(4)])
         cfg = net.to_config()
-        cfg["stages"][1]["layers"][0].update(block)
+        cfg["stages"][1].update(block)
         ckpt = tmp_path / "net.json"
         ckpt.write_text(json.dumps(cfg))
         ppath, lpath = tmp_path / "pairs.csv", tmp_path / "latent.csv"
@@ -582,11 +581,14 @@ def test_run_contract(data):
 
 
 # One broken input of an `injflow project` or `injflow gap` call.  The file
-# mutations break a CSV or the checkpoint; the stage kinds that projection
-# does not support break `project` only, since `gap` runs no inverse.
+# mutations break a CSV or the checkpoint (`retired-kind` gives a stage the
+# kind `injective_relu_network`, which no stage has); the stage kind that
+# projection does not support breaks `project` only, since `gap` runs no
+# inverse.
+_CHECKPOINT_MUTATIONS = ("truncated-checkpoint", "retired-kind")
 _CSV_MUTATIONS = ("nan-cell", "inf-cell", "header-only", "no-header", "wrong-width",
                   "ragged-row")
-_STAGE_MUTATIONS = ("relu-m-rows", "relu-network")
+_STAGE_MUTATIONS = ("relu-m-rows",)
 
 
 def _contract_network(rng, n, kind):
@@ -594,8 +596,6 @@ def _contract_network(rng, n, kind):
     of the given kind: supported by projection unless a stage mutation."""
     if kind == "relu-m-rows":
         r1 = random_injective_relu(n, 2 * n + 1, rng)
-    elif kind == "relu-network":
-        r1 = random_injective_relu_network(n, 1, rng)
     elif kind == "zero-pad":
         r1 = ZeroPad(n, n + 1)
     elif kind == "linear":
@@ -619,7 +619,7 @@ def test_input_file_contract(data):
     command = data.draw(st.sampled_from(("project", "gap")), label="command")
     roles = ("queries",) if command == "project" else ("pairs", "latent")
     mutation = data.draw(st.sampled_from(
-        ("none", "truncated-checkpoint") + _CSV_MUTATIONS
+        ("none",) + _CHECKPOINT_MUTATIONS + _CSV_MUTATIONS
         + (_STAGE_MUTATIONS if command == "project" else ())), label="mutation")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     n = int(rng.integers(1, 3))
@@ -637,6 +637,10 @@ def test_input_file_contract(data):
         if mutation == "truncated-checkpoint":
             text = ckpt.read_text()
             ckpt.write_text(text[:len(text) // 2])
+        elif mutation == "retired-kind":
+            cfg = json.loads(ckpt.read_text())
+            cfg["stages"][1]["kind"] = "injective_relu_network"
+            ckpt.write_text(json.dumps(cfg))
         paths = {}
         for name in roles:
             width = widths[name]
@@ -721,10 +725,10 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "injflow.cli", "run",
                            "projection-bench", "--trials", "2", "--seed", "0",
-                           "--out", "/tmp/injflow-entry-test"],
+                           "--out", str(tmp_path / "out")],
                           capture_output=True, text=True)
     assert proc.returncode == 0
 

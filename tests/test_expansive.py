@@ -6,12 +6,10 @@ import pytest
 from injflow.errors import InvalidArgumentError, InvalidLayerError
 from injflow.expansive import (
     InjectiveRelu,
-    InjectiveReluNetwork,
     LinearExpansive,
     ZeroPad,
     expansive_from_config,
     random_injective_relu,
-    random_injective_relu_network,
     random_linear_expansive,
 )
 
@@ -85,26 +83,6 @@ class TestInjectiveRelu:
         assert not bad.validate().ok
 
 
-class TestInjectiveReluNetwork:
-    def test_width_doubling_validates(self):
-        net = random_injective_relu_network(2, 2, np.random.default_rng(0))
-        assert net.in_dim == 2 and net.out_dim == 8
-        assert net.validate().ok
-
-    def test_dead_zone_bias_rejected(self):
-        bad = InjectiveReluNetwork(
-            [{"b": [[1.0]], "d": [1.0], "bias": [-1.0, 0.0]}], check=False)
-        assert not bad.validate().ok
-
-    @pytest.mark.parametrize("block", [
-        {"b": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "d": [1.0, 1.0]},
-        {"b": [[1.0, 0.0], [0.0, 1.0]], "d": [1.0]},
-    ], ids=["non-square-b", "short-d"])
-    def test_malformed_block_rejected(self, block):
-        with pytest.raises(InvalidLayerError):
-            InjectiveReluNetwork([block], check=False)
-
-
 def _sampled_injectivity(layer, rng, n_pairs=10_000, box=5.0):
     x = rng.uniform(-box, box, size=(n_pairs, layer.in_dim))
     x2 = rng.uniform(-box, box, size=(n_pairs, layer.in_dim))
@@ -126,7 +104,7 @@ def _lipschitz_honored(layer, rng, n_pairs=2000, box=5.0):
     lambda rng: ZeroPad(3, 5),
     lambda rng: random_linear_expansive(3, 5, rng),
     lambda rng: random_injective_relu(2, 5, rng),
-    lambda rng: random_injective_relu_network(2, 2, rng),
+    lambda rng: random_injective_relu(2, 4, rng),
 ])
 def test_sampled_injectivity_and_lipschitz(make):
     rng = np.random.default_rng(42)
@@ -139,8 +117,7 @@ def test_sampled_injectivity_and_lipschitz(make):
 def test_json_serialization_roundtrip():
     rng = np.random.default_rng(9)
     layers = [ZeroPad(2, 4), random_linear_expansive(2, 4, rng),
-              random_injective_relu(2, 6, rng),
-              random_injective_relu_network(2, 2, rng)]
+              random_injective_relu(2, 6, rng)]
     x = rng.normal(size=(20, 2))
     for layer in layers:
         blob = json.dumps(layer.to_config())

@@ -11,7 +11,6 @@ from injflow.expansive import (
     LinearExpansive,
     ZeroPad,
     random_injective_relu,
-    random_injective_relu_network,
     random_linear_expansive,
 )
 from injflow.flows import (
@@ -114,7 +113,7 @@ class TestLipschitz:
             rng = np.random.default_rng(200 + k)
             samples = rng.uniform(-3, 3, size=(40, net.latent_dim))
             radius = float(np.linalg.norm(samples, axis=1).max())
-            assert lipschitz_estimate(net, samples) <= net.lipschitz_bound(radius)
+            assert lipschitz_estimate(net.forward, samples) <= net.lipschitz_bound(radius)
 
     def test_estimate_needs_two_usable_samples(self):
         with pytest.raises(InvalidArgumentError):
@@ -123,7 +122,7 @@ class TestLipschitz:
             lipschitz_estimate(lambda x: x, np.zeros((5, 2)))  # coincident
 
 
-_EXPANSIVE_KINDS = ("zero_pad", "linear", "relu", "relu_network")
+_EXPANSIVE_KINDS = ("zero_pad", "linear", "relu")
 
 
 def _random_expansive(kind, n, rng):
@@ -131,9 +130,7 @@ def _random_expansive(kind, n, rng):
         return ZeroPad(n, n + int(rng.integers(1, 3)))
     if kind == "linear":
         return random_linear_expansive(n, n + int(rng.integers(1, 3)), rng)
-    if kind == "relu":
-        return random_injective_relu(n, 2 * n + int(rng.integers(0, 2)), rng)
-    return random_injective_relu_network(n, int(rng.integers(1, 3)), rng)
+    return random_injective_relu(n, 2 * n + int(rng.integers(0, 2)), rng)
 
 
 def _autoregressive_network(seed, n, kinds, final_scale):
@@ -159,8 +156,8 @@ class TestLipschitzEstimateKernel:
         dy = np.linalg.norm(images[:, None, :] - images[None, :, :], axis=2)
         mask = dx > 1e-9
         want = float((dy[mask] / dx[mask]).max())
-        assert lipschitz_estimate(net, samples) == want
-        assert lipschitz_estimate(net, samples, chunk=64) == want
+        assert lipschitz_estimate(net.forward, samples) == want
+        assert lipschitz_estimate(net.forward, samples, chunk=64) == want
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 16, 1000])
@@ -190,7 +187,7 @@ class TestLipschitzProperties:
         net = _autoregressive_network(seed, n, kinds, final_scale)
         samples = np.random.default_rng(seed + 1).uniform(-scale, scale, size=(30, n))
         radius = float(np.linalg.norm(samples, axis=1).max())
-        assert lipschitz_estimate(net, samples) <= net.lipschitz_bound(radius)
+        assert lipschitz_estimate(net.forward, samples) <= net.lipschitz_bound(radius)
 
 
 class TestOutputRadiusProperties:
@@ -242,10 +239,9 @@ class TestComposition:
     (lambda rng: ZeroPad(2, 3), 2),
     (lambda rng: random_linear_expansive(2, 3, rng), 2),
     (lambda rng: random_injective_relu(2, 5, rng), 2),
-    (lambda rng: random_injective_relu_network(2, 2, rng), 2),
     (lambda rng: make_coupling_block(3, 2, rng=rng, hidden=6, final_scale=0.4), 3),
     (lambda rng: make_autoregressive_block(4, 2, rng=rng, hidden=6, final_scale=0.4), 4),
-], ids=["zero_pad", "linear", "relu", "relu_network", "coupling", "autoregressive"])
+], ids=["zero_pad", "linear", "relu", "coupling", "autoregressive"])
 def test_vjp_gradients_come_in_parameters_order(make, dim):
     rng = np.random.default_rng(17)
     stage = make(rng)
