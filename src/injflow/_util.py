@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError
 
 # 17 significant digits round-trip every float64.
 CSV_FLOAT_FORMAT = "%.17g"
 CSV_BLOCK_ROWS = 256
+# Rows of pairwise_sq_dists filled per pass, so its scratch block stays small.
+DIST_BLOCK_ROWS = 128
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -51,11 +52,34 @@ def spectral_norm(mat: np.ndarray) -> float:
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a (N,d) and b (M,d).
 
-    Computed from explicit differences, as cdist's "sqeuclidean" is: the
-    gram-matrix identity loses absolute accuracy near zero, which matters
-    for coincident points.
+    Computed from explicit differences, not the gram-matrix identity, which
+    loses absolute accuracy near zero (coincident points).  Each entry sums
+    the squared coordinate differences in coordinate order,
+    ((dx0^2 + dx1^2) + dx2^2) ..., so the result is bitwise symmetric in
+    (a, b) and bitwise equal to scipy's "sqeuclidean" metric.  Rows are
+    filled in blocks of DIST_BLOCK_ROWS with one reused scratch block.
     """
-    return cdist(np.asarray(a, dtype=float), np.asarray(b, dtype=float), "sqeuclidean")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or a.shape[1] == 0:
+        raise InvalidArgumentError(
+            f"point sets must be (N, d) and (M, d) arrays with d >= 1, got "
+            f"shapes {a.shape} and {b.shape}")
+    n, d = a.shape
+    out = np.empty((n, b.shape[0]))
+    bt = np.ascontiguousarray(b.T)
+    scratch = np.empty((min(n, DIST_BLOCK_ROWS), b.shape[0]))
+    for start in range(0, n, DIST_BLOCK_ROWS):
+        block = a[start:start + DIST_BLOCK_ROWS]
+        rows = out[start:start + DIST_BLOCK_ROWS]
+        np.subtract(block[:, 0:1], bt[0], out=rows)
+        np.multiply(rows, rows, out=rows)
+        diff = scratch[:len(block)]
+        for k in range(1, d):
+            np.subtract(block[:, k:k + 1], bt[k], out=diff)
+            np.multiply(diff, diff, out=diff)
+            rows += diff
+    return out
 
 
 def flatten(arrays) -> np.ndarray:

@@ -113,16 +113,15 @@ class LinearExpansive(ExpansiveLayer):
 
     kind = "linear"
 
-    def __init__(self, weight, check: bool = True):
+    def __init__(self, weight):
         w = np.asarray(weight, dtype=float)
         if w.ndim != 2:
             raise InvalidLayerError("weight must be a matrix")
         super().__init__(w.shape[1], w.shape[0])
         self.weight = w.copy()
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise InvalidLayerError(report.detail)
+        report = self.validate()
+        if not report.ok:
+            raise InvalidLayerError(report.detail)
 
     def forward_with_cache(self, X):
         # The input batch is the cache: the weight gradient needs it.  np.dot,
@@ -199,7 +198,7 @@ class InjectiveRelu(ExpansiveLayer):
 
     kind = "injective_relu"
 
-    def __init__(self, b_mat, d_diag, m_mat=None, check: bool = True):
+    def __init__(self, b_mat, d_diag, m_mat=None):
         b = np.asarray(b_mat, dtype=float)
         d = np.asarray(d_diag, dtype=float).ravel()
         m = None if m_mat is None else np.atleast_2d(np.asarray(m_mat, dtype=float))
@@ -215,10 +214,9 @@ class InjectiveRelu(ExpansiveLayer):
         self.b_mat = b.copy()
         self.d_diag = d.copy()
         self.m_mat = None if m is None or not m.size else m.copy()
-        if check:
-            report = self.validate()
-            if not report.ok:
-                raise InvalidLayerError(report.detail)
+        report = self.validate()
+        if not report.ok:
+            raise InvalidLayerError(report.detail)
         self.weight = assemble_relu_weight(self.b_mat, self.d_diag, self.m_mat)
 
     def forward_with_cache(self, X):

@@ -10,9 +10,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from ._util import as_batch, flat_store, flat_views, flatten, unbatch
+from ._util import as_batch, flat_store, flat_views, flatten, pairwise_sq_dists, unbatch
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
 from .expansive import ExpansiveLayer, expansive_from_config
 from .flows import FlowBlock, compose_ball_bounds
@@ -183,11 +182,12 @@ def lipschitz_estimate(forward, samples, min_separation: float = 1e-9,
     best = 0.0
     usable = False
     n = pts.shape[0]
-    # cdist is bitwise symmetric, so a row block meets only the columns from
-    # its own start on; that still covers every unordered pair.
+    # pairwise_sq_dists is bitwise symmetric, since (x - y)^2 == (y - x)^2,
+    # so a row block meets only the columns from its own start on; that
+    # still covers every unordered pair.
     for start in range(0, n, chunk):
-        dx = cdist(pts[start:start + chunk], pts[start:])
-        dy = cdist(Y[start:start + chunk], Y[start:])
+        dx = np.sqrt(pairwise_sq_dists(pts[start:start + chunk], pts[start:]))
+        dy = np.sqrt(pairwise_sq_dists(Y[start:start + chunk], Y[start:]))
         mask = dx > min_separation
         if mask.any():
             usable = True

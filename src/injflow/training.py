@@ -53,7 +53,12 @@ def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
     generated points (argmin selections treated as locally constant)."""
     if generated.size == 0 or target.size == 0:
         raise InvalidArgumentError("batches must be non-empty")
-    d2 = pairwise_sq_dists(generated, target)
+    return _chamfer_from_sq_dists(generated, target,
+                                  pairwise_sq_dists(generated, target))
+
+
+def _chamfer_from_sq_dists(generated, target, d2):
+    """chamfer_loss_and_grad on d2 = pairwise_sq_dists(generated, target)."""
     jmin = np.argmin(d2, axis=1)          # generated -> target
     imin = np.argmin(d2, axis=0)          # target -> generated
     n_g, n_t = generated.shape[0], target.shape[0]
@@ -70,16 +75,19 @@ def _effective_weights(loss: str, loss_weights) -> dict:
     return weights
 
 
-def _weighted_loss(gen, target, weights: dict, directions):
+def _weighted_loss(gen, target, weights: dict, directions, sq_dists=None):
     """(value, gradient wrt gen) of the weighted sum of the named losses;
-    zero weights are skipped, and the density loss needs `directions`."""
+    zero weights are skipped, and the density loss needs `directions`.
+    The Chamfer term reuses sq_dists = pairwise_sq_dists(gen, target) when
+    the caller has it."""
     total = 0.0
     grad = np.zeros_like(gen)
     for name, w in weights.items():
         if w == 0.0:
             continue
         if name == "manifold":
-            v, g = chamfer_loss_and_grad(gen, target)
+            v, g = (chamfer_loss_and_grad(gen, target) if sq_dists is None
+                    else _chamfer_from_sq_dists(gen, target, sq_dists))
         elif name == "density":
             if directions is None:
                 raise InvalidArgumentError("density loss needs projection directions")
@@ -282,8 +290,11 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
     def record(step, weights):
         """Diagnostics on the fixed eval sets, free of batch sampling noise."""
         gen = np.atleast_2d(np.asarray(net.forward(eval_latent), dtype=float))
-        loss_value, _ = _weighted_loss(gen, eval_target, weights, diag_dirs)
-        supinf = metrics.directed_supinf(eval_target, gen)
+        # One distance matrix serves the Chamfer term and the sup-inf, which
+        # is then bitwise metrics.directed_supinf(eval_target, gen).
+        d2 = pairwise_sq_dists(gen, eval_target)
+        loss_value, _ = _weighted_loss(gen, eval_target, weights, diag_dirs, d2)
+        supinf = float(np.sqrt(d2.min(axis=0).max()))
         w2 = metrics.wasserstein2_sliced(
             metrics.EmpiricalMeasure.uniform(gen),
             metrics.EmpiricalMeasure.uniform(eval_target),

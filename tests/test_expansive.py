@@ -51,7 +51,8 @@ class TestLinear:
 
     def test_validation_reports(self):
         assert LinearExpansive([[1.0], [0.0]]).validate().ok
-        bad = LinearExpansive([[0.0], [0.0]], check=False)
+        bad = LinearExpansive([[1.0], [0.0]])
+        bad.weight[0, 0] = 0.0
         assert not bad.validate().ok
 
     def test_square_matrix_not_expansive(self):
@@ -79,7 +80,8 @@ class TestInjectiveRelu:
             InjectiveRelu([[0.0]], [1.0])
 
     def test_nonpositive_diagonal_reported(self):
-        bad = InjectiveRelu([[1.0]], [0.0], check=False)
+        bad = InjectiveRelu([[1.0]], [1.0])
+        bad.d_diag[0] = 0.0
         assert not bad.validate().ok
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from injflow._util import flat_store, pairwise_sq_dists
 from injflow.errors import (
@@ -45,6 +46,31 @@ class TestPairwiseSqDists:
         want = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_array_equal(got, want)
         assert (got[np.arange(same), np.arange(same)] == 0.0).all()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bitwise_equal_to_cdist_across_row_blocks(self, layout):
+        # Network outputs are F-ordered; the kernel fills rows in blocks of
+        # 128, so the row counts cross one and two block edges.
+        rng = np.random.default_rng(17)
+        for n, m, d in [(1, 7, 1), (127, 5, 2), (128, 300, 3), (129, 64, 4),
+                        (300, 257, 5), (257, 1, 3)]:
+            scale = 10.0 ** rng.uniform(-4.0, 4.0)
+            a = scale * rng.normal(size=(n, 2 * d))
+            b = scale * rng.normal(size=(2 * m, d))
+            if layout == "strided":
+                a, b = a[:, ::2], b[::2]
+            else:
+                a, b = np.asarray(a[:, :d], order=layout), np.asarray(b[:m], order=layout)
+            b[:min(n, m) // 3] = a[:min(n, m) // 3]
+            got = pairwise_sq_dists(a, b)
+            np.testing.assert_array_equal(got, cdist(a, b, "sqeuclidean"))
+            np.testing.assert_array_equal(pairwise_sq_dists(b, a), got.T)
+
+    def test_mismatched_widths_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="shapes"):
+            pairwise_sq_dists(np.zeros((4, 3)), np.zeros((5, 2)))
+        with pytest.raises(InvalidArgumentError):
+            pairwise_sq_dists(np.zeros(3), np.zeros((5, 3)))
 
 
 class TestEmpiricalMeasure:

@@ -78,9 +78,10 @@ class TestForward:
 
 class TestConstruction:
     def test_monotone_dimensions_enforced(self):
+        # The layer itself refuses to map 3 dimensions to 2.
         with pytest.raises(InvalidLayerError):
             InjectiveNetwork([identity_block(2),
-                              LinearExpansive(np.eye(3)[:, :2].T, check=False),
+                              LinearExpansive(np.eye(3)[:, :2].T),
                               identity_block(1)])
 
     def test_alternation_enforced(self):
@@ -90,10 +91,10 @@ class TestConstruction:
             InjectiveNetwork([identity_block(1), ZeroPad(1, 2)])
 
     def test_invalid_expansive_rejected(self):
+        layer = LinearExpansive(np.eye(3)[:, :2])
+        layer.weight[:] = 0.0  # as a training step updates it, in place
         with pytest.raises(InvalidLayerError):
-            InjectiveNetwork([identity_block(2),
-                              LinearExpansive(np.zeros((3, 2)), check=False),
-                              identity_block(3)])
+            InjectiveNetwork([identity_block(2), layer, identity_block(3)])
 
 
 class TestLipschitz:

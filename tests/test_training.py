@@ -466,6 +466,24 @@ class TestRunLayerwise:
                 PhaseConfig(trainable_stages=(0,), loss="manifold", steps=5,
                             learning_rate=1e-3, loss_weights={key: weight})
 
+    @pytest.mark.parametrize("loss, stages", [("manifold", (1, 2)), ("density", (0,))])
+    def test_record_matches_supinf_and_chamfer_bitwise(self, loss, stages):
+        # The record shares one distance matrix between its Chamfer term and
+        # its sup-inf; 300 eval rows cross two row blocks of that matrix.
+        net = _tiny_network(5)
+        target = _tiny_target()
+        config = TrainingConfig(
+            phases=(PhaseConfig(trainable_stages=stages, loss=loss, steps=3,
+                                learning_rate=5e-3),),
+            batch_size=32, seed=5, lipschitz_log_interval=2, n_projections=8)
+        final = run_layerwise(net, target, config, eval_count=300).trace.final
+        eval_latent = np.linspace(-1.0, 1.0, 300)[:, None]
+        eval_target = target.map_points(eval_latent)
+        gen = net.forward(eval_latent)
+        assert final.directed_supinf == directed_supinf(eval_target, gen)
+        if loss == "manifold":
+            assert final.loss == chamfer_loss_and_grad(gen, eval_target)[0]
+
     def test_latent_dim_must_match_target(self):
         net = _tiny_network(4)
 
