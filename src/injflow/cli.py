@@ -9,6 +9,7 @@ field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -333,6 +334,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Built once per process: a caller running many commands in one process
+# would otherwise pay the parser's construction on each.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="injflow",

@@ -49,9 +49,6 @@ class InjectiveNetwork:
                     raise InvalidLayerError(
                         f"stage {idx}: expansive input {stage.in_dim} "
                         f"does not match {dim}")
-                if stage.out_dim < stage.in_dim:
-                    raise InvalidLayerError(
-                        f"stage {idx}: dimensions must be non-decreasing")
                 report = stage.validate()
                 if not report.ok:
                     raise InvalidLayerError(f"stage {idx}: {report.detail}")

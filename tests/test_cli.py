@@ -22,7 +22,7 @@ from injflow.expansive import (
     random_linear_expansive,
 )
 from injflow.flows import Mlp, identity_block, make_coupling_block
-from injflow.geometry import save_points_csv
+from injflow.geometry import load_points_csv, save_points_csv
 from injflow.network import InjectiveNetwork
 
 
@@ -692,21 +692,22 @@ def test_input_file_contract(data):
 _IMPORT_CONTRACT_SCRIPT = """
 import json, sys
 from injflow.cli import main
-train, project, gap = json.loads(sys.argv[1])
-for argv in train + [project]:
+train, project, gap_equal, gap = json.loads(sys.argv[1])
+for argv in train + [project, gap_equal]:
     assert main(argv) == 0, argv
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-assert not loaded, f"training or project loaded {loaded}"
+assert not loaded, f"training, project or equal-size gap loaded {loaded}"
 assert main(gap) == 0
-assert "scipy.optimize" in sys.modules, "gap ran no exact W2"
+assert "scipy.optimize" in sys.modules, "gap ran no transport LP"
 """
 
 
 def test_training_and_project_never_import_scipy_optimize(tmp_path):
-    """Only the exact W2 and the brute-force ReLU oracle use scipy, through
-    scipy.optimize, so `injflow run` on the training presets and `injflow
-    project` load no scipy module at all, and `injflow gap` loads
-    scipy.optimize at first use."""
+    """Only the transport LP of the exact W2 and the brute-force ReLU oracle
+    use scipy, through scipy.optimize, so `injflow run` on the training
+    presets, `injflow project` and `injflow gap` with as many latent rows
+    as pairs (every W2 an assignment) load no scipy module at all, and
+    `injflow gap` with unequal counts loads scipy.optimize at first use."""
     _, ckpt = _toy_checkpoint(tmp_path)
     qpath = tmp_path / "queries.csv"
     save_points_csv(qpath, np.random.default_rng(3).normal(size=(20, 3)))
@@ -717,12 +718,17 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
     project = ["project", "--checkpoint", str(ckpt), "--queries", str(qpath),
                "--out", str(tmp_path / "proj")]
     gap = [*_gap_argv(tmp_path), "--family", "affine", "--out", str(tmp_path / "gap")]
+    pairs, latent = (gap[gap.index(flag) + 1] for flag in ("--pairs", "--latent"))
+    equal_latent = tmp_path / "latent-equal.csv"
+    save_points_csv(equal_latent, load_points_csv(latent)[:len(load_points_csv(pairs))])
+    gap_equal = [str(equal_latent) if arg == latent else arg for arg in gap]
+    gap_equal[-1] = str(tmp_path / "gap-equal")
     src = str(Path(injflow.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT,
-         json.dumps([train, project, gap])],
+         json.dumps([train, project, gap_equal, gap])],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from injflow._util import flat_store, pairwise_sq_dists
@@ -12,6 +13,7 @@ from injflow.errors import (
     BudgetExceededError,
     InvalidArgumentError,
     InvalidCandidateError,
+    NumericError,
 )
 from injflow.flows import Mlp
 from injflow.metrics import (
@@ -28,6 +30,7 @@ from injflow.metrics import (
     wasserstein2_exact,
     wasserstein2_sliced,
     wasserstein_bound_check,
+    _assignment,
     _small_flow_descent_point,
 )
 
@@ -385,6 +388,55 @@ class TestExactW2:
         m = EmpiricalMeasure.uniform(pts)
         with pytest.raises(BudgetExceededError):
             wasserstein2_exact(m, m)
+
+
+
+def _assignment_costs(rng, count):
+    """Generic float cost matrices of sizes 1-256: Gaussian entries, and
+    squared distances between point clouds, unrelated or near duplicates."""
+    for k in range(count):
+        n = int(rng.integers(1, 257))
+        d = int(rng.integers(1, 6))
+        a = rng.normal(size=(n, d))
+        if k % 3 == 0:
+            yield rng.normal(size=(n, n))
+        elif k % 3 == 1:
+            yield pairwise_sq_dists(a, rng.normal(size=(n, d)))
+        else:
+            noise = 10.0 ** rng.uniform(-8, -1)
+            yield pairwise_sq_dists(a, a + rng.normal(scale=noise, size=(n, d)))
+
+
+class TestAssignment:
+    """The numpy solver behind the equal-size exact W2, against scipy."""
+
+    def test_permutation_matches_scipy(self):
+        rng = np.random.default_rng(11)
+        for cost in _assignment_costs(rng, 45):
+            assert np.array_equal(_assignment(cost), linear_sum_assignment(cost)[1])
+
+    @pytest.mark.parametrize("kind", ["integer-ties", "all-zero", "scaled-1e300"])
+    def test_total_cost_matches_scipy_on_ties(self, kind):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(1, 121))
+            if kind == "integer-ties":
+                cost = rng.integers(0, 4, size=(n, n)).astype(float)
+            elif kind == "all-zero":
+                cost = np.zeros((n, n))
+            else:
+                cost = rng.integers(0, 4, size=(n, n)) * 1e300
+            cols = _assignment(cost)
+            assert np.array_equal(np.sort(cols), np.arange(n))
+            rows, want = linear_sum_assignment(cost)
+            assert cost[np.arange(n), cols].sum() == cost[rows, want].sum()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cost_refused(self, bad):
+        cost = np.random.default_rng(13).uniform(size=(5, 5))
+        cost[2, 3] = bad
+        with pytest.raises(NumericError):
+            _assignment(cost)
 
 
 class TestSlicedW2:
