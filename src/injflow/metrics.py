@@ -391,7 +391,7 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     square matrix.
 
     Shortest augmenting paths with dual prices u, v (Crouse 2016, the
-    method behind scipy's linear_sum_assignment).  Warm start: v holds the
+    method of scipy.optimize's assignment solver).  Warm start: v holds the
     column minima, each row claims its cheapest reduced column, the first
     claimant of a column keeps it, and u makes its edge tight.  Each free
     row then runs one Dijkstra pass over whole rows of reduced costs; a
