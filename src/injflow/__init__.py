@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .metrics import (
     EmbeddingGapEstimate,
-    EmpiricalMeasure,
     directed_supinf,
     embedding_gap_upper,
     estimate_embedding_gap,

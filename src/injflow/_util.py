@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -116,3 +118,11 @@ def write_csv(path, columns, rows) -> None:
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def write_json(path, payload) -> None:
+    """Strict JSON (a non-finite float raises ValueError), indent 1, then a
+    final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, allow_nan=False)
+        fh.write("\n")

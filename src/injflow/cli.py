@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, projection, training
-from ._util import as_rng, write_csv
+from ._util import as_rng, write_csv, write_json
 from .errors import (
     InjectiveFlowError,
     InvalidArgumentError,
@@ -51,10 +51,7 @@ def _write_table(out_dir: Path, name: str, columns, rows, fmt: str) -> Path:
         write_csv(path, columns, rows)
     elif fmt == "json":
         path = out_dir / f"{name}.json"
-        payload = {"columns": list(columns), "rows": rows.tolist()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        write_json(path, {"columns": list(columns), "rows": rows.tolist()})
     else:
         raise InvalidArgumentError(f"unknown format {fmt!r}")
     return path
@@ -69,11 +66,8 @@ def _write_points(out_dir: Path, name: str, points, fmt: str) -> Path:
 def _write_summary(out_dir: Path, preset: str, seed: int, wall_time: float,
                    metrics_dict: dict) -> Path:
     path = out_dir / "summary.json"
-    payload = {"preset": preset, "seed": seed, "wall_time": wall_time,
-               "metrics": metrics_dict}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    write_json(path, {"preset": preset, "seed": seed, "wall_time": wall_time,
+                      "metrics": metrics_dict})
     return path
 
 
@@ -309,9 +303,7 @@ def _cmd_gap(args) -> int:
                                          seed=args.seed)
     check = metrics.wasserstein_bound_check(x, fx, g_map, latent, gap,
                                             tolerance=args.tolerance, seed=args.seed)
-    w2, method = metrics.wasserstein2(metrics.EmpiricalMeasure.uniform(fx),
-                                      metrics.EmpiricalMeasure.uniform(g_map(latent)),
-                                      seed=args.seed)
+    w2, method = metrics.wasserstein2(fx, g_map(latent), seed=args.seed)
     payload = {
         "lower": gap.lower,
         "upper": gap.upper,
@@ -320,9 +312,7 @@ def _cmd_gap(args) -> int:
                         "tolerance": check.tolerance,
                         "passed": check.passed, "method": check.method},
     }
-    with open(out_dir / "gap.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    write_json(out_dir / "gap.json", payload)
     return 0
 
 

@@ -288,11 +288,11 @@ def random_orthonormal_columns(n: int, m: int, rng) -> np.ndarray:
     return q[:, :n]
 
 
-def random_well_conditioned(n: int, rng, spread=(0.8, 1.25)) -> np.ndarray:
+def random_well_conditioned(n: int, rng) -> np.ndarray:
     rng = as_rng(rng)
     q1, _ = np.linalg.qr(rng.normal(size=(n, n)))
     q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    s = rng.uniform(spread[0], spread[1], size=n)
+    s = rng.uniform(0.8, 1.25, size=n)
     return q1 @ np.diag(s) @ q2
 
 
@@ -300,13 +300,12 @@ def random_linear_expansive(n: int, m: int, rng) -> LinearExpansive:
     return LinearExpansive(random_orthonormal_columns(n, m, rng))
 
 
-def random_injective_relu(n: int, m: int, rng,
-                          d_range=(0.5, 2.0)) -> InjectiveRelu:
+def random_injective_relu(n: int, m: int, rng) -> InjectiveRelu:
     rng = as_rng(rng)
     if m < 2 * n:
         raise InvalidLayerError("injective ReLU layer needs m >= 2n")
     b = random_well_conditioned(n, rng)
-    d = rng.uniform(d_range[0], d_range[1], size=n)
+    d = rng.uniform(0.5, 2.0, size=n)
     m_extra = m - 2 * n
     m_mat = rng.normal(size=(m_extra, n)) if m_extra else None
     return InjectiveRelu(b, d, m_mat)

@@ -59,13 +59,14 @@ def load_points_csv(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ManifoldTarget:
-    """A parametrized target: injective map from a compact domain into R^m."""
+    """A parametrized target: injective map from a compact domain into R^m;
+    domain is the (lo, hi) interval of every parameter coordinate."""
 
     name: str
     intrinsic_dim: int
     ambient_dim: int
     param_map: Callable[[np.ndarray], np.ndarray]
-    domain: str
+    domain: tuple[float, float]
 
     def map_points(self, params) -> np.ndarray:
         x = np.asarray(params, dtype=float)
@@ -117,7 +118,7 @@ def trefoil(theta):
 def trefoil_target(scale: float = 1.0) -> ManifoldTarget:
     def f(params):
         return scale * trefoil(params[:, 0])
-    return ManifoldTarget("trefoil", 1, 3, f, domain="interval[0, 2pi)")
+    return ManifoldTarget("trefoil", 1, 3, f, domain=(0.0, 2.0 * np.pi))
 
 
 def planar_circle_target(radius: float = 1.0, tilt: float = 0.0,
@@ -136,7 +137,7 @@ def planar_circle_target(radius: float = 1.0, tilt: float = 0.0,
         pts = np.column_stack([x, y * np.cos(tilt) - z * np.sin(tilt),
                                y * np.sin(tilt) + z * np.cos(tilt)])
         return pts + c[None, :]
-    return ManifoldTarget("planar-circle", 1, 3, f, domain="interval[0, 2pi)")
+    return ManifoldTarget("planar-circle", 1, 3, f, domain=(0.0, 2.0 * np.pi))
 
 
 def arc_target(radius: float = 0.5, pitch: float = 0.25,
@@ -149,4 +150,4 @@ def arc_target(radius: float = 0.5, pitch: float = 0.25,
             radius * np.sin(sweep * t),
             pitch * t,
         ])
-    return ManifoldTarget("helical-arc", 1, 3, f, domain="interval[-1, 1]")
+    return ManifoldTarget("helical-arc", 1, 3, f, domain=(-1.0, 1.0))

@@ -1,4 +1,4 @@
-"""Embedding-gap bounds and Wasserstein-2 distances for weighted point clouds.
+"""Embedding-gap bounds and Wasserstein-2 distances between point clouds.
 
 The gap between a target curve/surface f(K) and a candidate map g(W) is
 reported as a certified interval: the lower end is the directed sup-inf
@@ -26,58 +26,9 @@ from .errors import (
 from .flows import Mlp
 
 EXACT_W2_MAX_POINTS = 512
-WEIGHT_SUM_TOLERANCE = 1e-12
 DOMAIN_TOLERANCE = 1e-9
 # Passes of match-then-regress in the affine candidate fit.
 ICP_PASSES = 6
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted point cloud: nonnegative weights summing to one."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InvalidArgumentError("points must be a non-empty (N, d) array")
-        if w.shape != (pts.shape[0],):
-            raise InvalidArgumentError("weights must align with points")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
-            raise InvalidArgumentError("points and weights must be finite")
-        if np.any(w < 0):
-            raise InvalidArgumentError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise InvalidArgumentError(
-                f"weights must sum to 1 (got {float(w.sum())!r})")
-        pts = pts.copy()
-        w = w.copy()
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, points) -> "EmpiricalMeasure":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise InvalidArgumentError("points must be a non-empty (N, d) array")
-        n = pts.shape[0]
-        return cls(pts, np.full(n, 1.0 / n))
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        n = len(self)
-        return bool(np.all(np.abs(self.weights - 1.0 / n) <= tol))
 
 
 @dataclass(frozen=True)
@@ -453,25 +404,29 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
     return col4row
 
 
-def _w2_exact_uniform_equal(a: np.ndarray, b: np.ndarray) -> float:
-    cost = pairwise_sq_dists(a, b)
-    cols = _assignment(cost)
-    return float(np.sqrt(cost[np.arange(len(cols)), cols].mean()))
+def _cloud(points) -> np.ndarray:
+    """points as a float (N, d) array, the uniform measure on its rows."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise InvalidArgumentError("points must be a non-empty (N, d) array")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidArgumentError("points must be finite")
+    return pts
 
 
 # The LP routine imports its solver at first call: loading scipy.optimize
-# adds ~0.5 s and ~43 MB to a process, and only weighted or unequal-size
-# measures need the transportation LP.
-def _w2_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+# adds ~0.5 s and ~43 MB to a process, and only unequal-size clouds need
+# the transportation LP.
+def _w2_exact_lp(a: np.ndarray, b: np.ndarray) -> float:
     from scipy import sparse
     from scipy.optimize import linprog
 
-    n, m = len(mu), len(nu)
-    cost = pairwise_sq_dists(mu.points, nu.points).ravel()
-    # Transportation polytope: row sums = mu.weights, col sums = nu.weights.
+    n, m = len(a), len(b)
+    cost = pairwise_sq_dists(a, b).ravel()
+    # Transportation polytope: row sums 1/n, column sums 1/m.
     a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
                           sparse.kron(np.ones((1, n)), sparse.eye(m))])
-    b_eq = np.concatenate([mu.weights, nu.weights])
+    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
     # HiGHS's default 1e-7 feasibility tolerances leave ~1e-8 errors in W2.
     res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
@@ -481,36 +436,34 @@ def _w2_exact_lp(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     return float(np.sqrt(max(res.fun, 0.0)))
 
 
-def wasserstein2_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Exact discrete W2 with squared Euclidean ground cost.
+def wasserstein2_exact(a, b) -> float:
+    """Exact discrete W2, squared Euclidean ground cost, between the uniform
+    measures on the rows of a and b.
 
-    Equal-size uniform supports go through an assignment solve; general
-    weights through the transportation LP.  Supports are capped at
-    EXACT_W2_MAX_POINTS combined; larger inputs must use the sliced variant.
+    Equal row counts go through an assignment solve, unequal ones through
+    the transportation LP.  Supports are capped at EXACT_W2_MAX_POINTS
+    combined; larger inputs must use the sliced variant.
     """
-    if mu.dim != nu.dim:
-        raise InvalidArgumentError("measures must share an ambient dimension")
-    if len(mu) + len(nu) > EXACT_W2_MAX_POINTS:
+    a, b = _cloud(a), _cloud(b)
+    if a.shape[1] != b.shape[1]:
+        raise InvalidArgumentError("point clouds must share an ambient dimension")
+    if len(a) + len(b) > EXACT_W2_MAX_POINTS:
         raise BudgetExceededError(
-            f"combined support {len(mu) + len(nu)} exceeds the exact budget "
+            f"combined support {len(a) + len(b)} exceeds the exact budget "
             f"{EXACT_W2_MAX_POINTS}; use wasserstein2_sliced")
-    if len(mu) == len(nu) and mu.is_uniform() and nu.is_uniform():
-        return _w2_exact_uniform_equal(mu.points, nu.points)
-    return _w2_exact_lp(mu, nu)
+    if len(a) != len(b):
+        return _w2_exact_lp(a, b)
+    cost = pairwise_sq_dists(a, b)
+    cols = _assignment(cost)
+    return float(np.sqrt(cost[np.arange(len(cols)), cols].mean()))
 
 
-def w2_1d_squared(x, wx, y, wy) -> float:
-    """Exact squared 1-D W2 between weighted atoms via the quantile coupling."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    wx = np.asarray(wx, dtype=float)
-    wy = np.asarray(wy, dtype=float)
-    ix = np.argsort(x, kind="stable")
-    iy = np.argsort(y, kind="stable")
-    x, wx = x[ix], wx[ix]
-    y, wy = y[iy], wy[iy]
-    cx = np.cumsum(wx)
-    cy = np.cumsum(wy)
+def w2_1d_squared(x, y) -> float:
+    """Exact squared 1-D W2 between uniform atoms via the quantile coupling."""
+    x = np.sort(np.asarray(x, dtype=float))
+    y = np.sort(np.asarray(y, dtype=float))
+    cx = np.cumsum(np.full(len(x), 1.0 / len(x)))
+    cy = np.cumsum(np.full(len(y), 1.0 / len(y)))
     edges = np.unique(np.concatenate([[0.0], cx, cy]))
     edges = edges[edges <= min(cx[-1], cy[-1]) + 1e-15]
     masses = np.diff(edges)
@@ -564,36 +517,36 @@ def draw_directions(dim: int, count: int, rng) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=0, keepdims=True)
 
 
-def wasserstein2_sliced(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                        n_projections: int = 128, seed: int = 0) -> float:
-    """Sliced W2: root of the dimension-scaled mean of squared 1-D W2 values.
+def wasserstein2_sliced(a, b, n_projections: int = 128, seed: int = 0) -> float:
+    """Sliced W2 between the uniform measures on the rows of a and b: root
+    of the dimension-scaled mean of squared 1-D W2 values.
 
     Scaled by the ambient dimension so that a pure translation by v reports
-    ||v|| in expectation; deterministic under the seed.  Equal-size uniform
-    measures go through the training loss's sort-and-subtract kernel, other
-    weights through one quantile coupling per direction.
+    ||v|| in expectation; deterministic under the seed.  Equal row counts
+    go through the training loss's sort-and-subtract kernel, unequal ones
+    through one quantile coupling per direction.
     """
-    if mu.dim != nu.dim:
-        raise InvalidArgumentError("measures must share an ambient dimension")
-    d = mu.dim
+    a, b = _cloud(a), _cloud(b)
+    if a.shape[1] != b.shape[1]:
+        raise InvalidArgumentError("point clouds must share an ambient dimension")
+    d = a.shape[1]
     dirs = draw_directions(d, n_projections, seed)
-    if len(mu) == len(nu) and mu.is_uniform() and nu.is_uniform():
-        return float(np.sqrt(sliced_w2sq_loss_and_grad(mu.points, nu.points, dirs)[0]))
-    px = mu.points @ dirs
-    py = nu.points @ dirs
+    if len(a) == len(b):
+        return float(np.sqrt(sliced_w2sq_loss_and_grad(a, b, dirs)[0]))
+    px = a @ dirs
+    py = b @ dirs
     total = 0.0
     for k in range(n_projections):
-        total += w2_1d_squared(px[:, k], mu.weights, py[:, k], nu.weights)
+        total += w2_1d_squared(px[:, k], py[:, k])
     return float(np.sqrt(d * total / n_projections))
 
 
-def wasserstein2(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                 n_projections: int = 128, seed: int = 0) -> tuple[float, str]:
+def wasserstein2(a, b, n_projections: int = 128, seed: int = 0) -> tuple[float, str]:
     """(W2, "exact") while the combined support fits EXACT_W2_MAX_POINTS,
     else (sliced W2, "sliced")."""
-    if len(mu) + len(nu) <= EXACT_W2_MAX_POINTS:
-        return wasserstein2_exact(mu, nu), "exact"
-    return wasserstein2_sliced(mu, nu, n_projections, seed), "sliced"
+    if len(a) + len(b) <= EXACT_W2_MAX_POINTS:
+        return wasserstein2_exact(a, b), "exact"
+    return wasserstein2_sliced(a, b, n_projections, seed), "sliced"
 
 
 @dataclass(frozen=True)
@@ -622,10 +575,8 @@ def wasserstein_bound_check(f_params, f_points, g, w_samples,
     box = DomainBox.from_points(np.asarray(w_samples, dtype=float), margin=1e-6)
     if not box.contains(H, tol=1e-6):
         raise InvalidCandidateError("candidate output leaves the W sample box")
-    w2, method = wasserstein2(
-        EmpiricalMeasure.uniform(FX),
-        EmpiricalMeasure.uniform(np.atleast_2d(np.asarray(g(H), dtype=float))),
-        n_projections=n_projections, seed=seed)
+    w2, method = wasserstein2(FX, np.atleast_2d(np.asarray(g(H), dtype=float)),
+                              n_projections=n_projections, seed=seed)
     return BoundCheckReport(w2=w2, upper=gap.upper, tolerance=tolerance,
                             passed=bool(w2 <= gap.upper + tolerance),
                             method=method)

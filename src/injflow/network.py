@@ -11,7 +11,8 @@ import json
 
 import numpy as np
 
-from ._util import as_batch, flat_store, flat_views, flatten, pairwise_sq_dists, unbatch
+from ._util import (as_batch, flat_store, flat_views, flatten, pairwise_sq_dists,
+                    unbatch, write_json)
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
 from .expansive import ExpansiveLayer, expansive_from_config
 from .flows import FlowBlock, compose_ball_bounds
@@ -23,10 +24,9 @@ CHECKPOINT_FORMAT = "injflow-checkpoint-v1"
 class InjectiveNetwork:
     """Alternating composition [T0, R1, T1, ..., RL, TL], applied in order."""
 
-    def __init__(self, stages, check: bool = True):
+    def __init__(self, stages):
         self.stages = list(stages)
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         if not self.stages:
@@ -134,9 +134,7 @@ class InjectiveNetwork:
                 "stages": [s.to_config() for s in self.stages]}
 
     def save_checkpoint(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_config(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_config())
 
     @classmethod
     def from_config(cls, cfg: dict) -> "InjectiveNetwork":
@@ -163,12 +161,11 @@ class InjectiveNetwork:
                 f"cannot load checkpoint {path}: {type(err).__name__}: {err}") from err
 
 
-def lipschitz_estimate(forward, samples, min_separation: float = 1e-9,
-                       chunk: int = 256) -> float:
+def lipschitz_estimate(forward, samples, chunk: int = 256) -> float:
     """Max difference quotient ||f(x) - f(x')|| / ||x - x'|| of the callable
     `forward` over pairs of sample rows.
 
-    Pairs closer than min_separation are skipped; raises when fewer than two
+    Pairs closer than 1e-9 are skipped; raises when fewer than two
     usable pairs remain.  Always bounded by lipschitz_bound at a radius
     covering the samples.
     """
@@ -185,7 +182,7 @@ def lipschitz_estimate(forward, samples, min_separation: float = 1e-9,
     for start in range(0, n, chunk):
         dx = np.sqrt(pairwise_sq_dists(pts[start:start + chunk], pts[start:]))
         dy = np.sqrt(pairwise_sq_dists(Y[start:start + chunk], Y[start:]))
-        mask = dx > min_separation
+        mask = dx > 1e-9
         if mask.any():
             usable = True
             best = max(best, float((dy[mask] / dx[mask]).max()))

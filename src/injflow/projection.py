@@ -51,7 +51,7 @@ def linear_pseudo_inverse(weight, y) -> ProjectionResult:
 
 def _project_through(layer, y) -> ProjectionResult:
     net = InjectiveNetwork([identity_block(layer.in_dim), layer,
-                            identity_block(layer.out_dim)], check=False)
+                            identity_block(layer.out_dim)])
     return project_to_range(net, y)
 
 
@@ -97,13 +97,13 @@ def project_to_range(net: InjectiveNetwork, y) -> ProjectionResult:
 # --- independent optimality oracle ----------------------------------------
 
 
-def brute_force_relu_projection(b_mat, d_diag, y, value_tol: float = 1e-9):
+def brute_force_relu_projection(b_mat, d_diag, y):
     """Enumerate all 2^n sign patterns and solve each cone-constrained
     least-squares problem numerically; return (best residual, minimizers).
 
     In alpha = Bx coordinates the range restricted to a sign pattern is
     affine, so each pattern yields a bounded least-squares problem over its
-    cone.  Minimizers within value_tol of the best feasible value are
+    cone.  Minimizers within 1e-9 of the best feasible value are
     collected and deduplicated.  Independent of the closed-form path: this
     route never builds the sign pattern Delta_y or calls pseudo_inverse.
     Imports its solver at first call, so `injflow project` never loads
@@ -137,7 +137,7 @@ def brute_force_relu_projection(b_mat, d_diag, y, value_tol: float = 1e-9):
         best_val = min(best_val, val)
     keep: list[np.ndarray] = []
     for val, x in solutions:
-        if val <= best_val + value_tol:
+        if val <= best_val + 1e-9:
             if not any(np.linalg.norm(x - k) <= 1e-7 * max(1.0, np.linalg.norm(k))
                        for k in keep):
                 keep.append(x)

@@ -129,24 +129,23 @@ class Adam:
     place: the vector of InjectiveNetwork.parameter_store, whose layout
     every gradient given to step shares."""
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.t = 0
 
     def step(self, g: np.ndarray) -> None:
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        self.params -= (self.lr / b1c) * self.m / (np.sqrt(self.v / b2c) + self.eps)
+        b1c = 1.0 - beta1 ** self.t
+        b2c = 1.0 - beta2 ** self.t
+        self.m *= beta1
+        self.m += (1.0 - beta1) * g
+        self.v *= beta2
+        self.v += (1.0 - beta2) * g * g
+        self.params -= (self.lr / b1c) * self.m / (np.sqrt(self.v / b2c) + eps)
 
 
 # --- configuration and traces ----------------------------------------------
@@ -295,10 +294,8 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
         d2 = pairwise_sq_dists(gen, eval_target)
         loss_value, _ = _weighted_loss(gen, eval_target, weights, diag_dirs, d2)
         supinf = float(np.sqrt(d2.min(axis=0).max()))
-        w2 = metrics.wasserstein2_sliced(
-            metrics.EmpiricalMeasure.uniform(gen),
-            metrics.EmpiricalMeasure.uniform(eval_target),
-            n_projections=128, seed=diag_seed)
+        w2 = metrics.wasserstein2_sliced(gen, eval_target, n_projections=128,
+                                         seed=diag_seed)
         lip = lipschitz_estimate(lambda _: gen, eval_latent)  # reuses the images
         trace.append(TraceRecord(step=step, loss=loss_value,
                                  directed_supinf=supinf, sliced_w2=w2,
@@ -351,12 +348,14 @@ def run_layerwise(net: InjectiveNetwork, target: ManifoldTarget,
         raise InvalidConfigError(
             f"target intrinsic dim {target.intrinsic_dim} must equal the "
             f"network latent dim {net.latent_dim}")
-    sampler = _param_sampler(target)
+    lo, hi = target.domain
+
+    def sampler(count, rng):
+        return as_rng(rng).uniform(lo, hi, size=(count, target.intrinsic_dim))
 
     def target_sampler(count, rng):
         return target.map_points(sampler(count, rng))
 
-    lo, hi = _PARAM_DOMAINS[target.domain]
     grid = np.linspace(lo, hi, eval_count)[:, None]
     eval_latent = grid
     eval_target = target.map_points(grid)
@@ -364,35 +363,18 @@ def run_layerwise(net: InjectiveNetwork, target: ManifoldTarget,
                        eval_latent, eval_target)
 
 
-_PARAM_DOMAINS = {
-    "interval[-1, 1]": (-1.0, 1.0),
-    "interval[0, 2pi)": (0.0, 2.0 * np.pi),
-}
-
-
-def _param_sampler(target: ManifoldTarget):
-    if target.domain not in _PARAM_DOMAINS:
-        raise InvalidConfigError(
-            f"no parameter sampler for domain {target.domain!r}")
-    lo, hi = _PARAM_DOMAINS[target.domain]
-
-    def sample(count, rng):
-        return as_rng(rng).uniform(lo, hi, size=(count, target.intrinsic_dim))
-    return sample
-
-
 # --- experiment builders -----------------------------------------------------
 
 
-def build_layerwise_toy_network(seed: int = 0, hidden: int = 24,
-                                flow_depth: int = 3) -> InjectiveNetwork:
-    """n=1 -> o=2 -> m=3 network for the layerwise toy experiment."""
+def build_layerwise_toy_network(seed: int = 0) -> InjectiveNetwork:
+    """n=1 -> o=2 -> m=3 network for the layerwise toy experiment: coupling
+    blocks of depth 3 with hidden width 24."""
     rng = as_rng(seed)
     t0 = FlowBlock(1, [AutoregressiveLayer(1, rng=rng)])
     r1 = LinearExpansive(random_orthonormal_columns(1, 2, rng))
-    t1 = make_coupling_block(2, flow_depth, rng=rng, hidden=hidden)
+    t1 = make_coupling_block(2, 3, rng=rng, hidden=24)
     r2 = LinearExpansive(random_orthonormal_columns(2, 3, rng))
-    t2 = make_coupling_block(3, flow_depth, rng=rng, hidden=hidden)
+    t2 = make_coupling_block(3, 3, rng=rng, hidden=24)
     return InjectiveNetwork([t0, r1, t1, r2, t2])
 
 
@@ -435,28 +417,30 @@ def run_layerwise_toy(seed: int = 0, phase1_steps: int = 2400,
     return net, result
 
 
-def build_obstruction_network(seed: int = 0, hidden: int = 40,
-                              t0_depth: int = 2,
-                              t1_depth: int = 10) -> InjectiveNetwork:
-    """Extendable-by-construction family: planar flow, full-rank linear
-    R^2 -> R^3, then an ambient flow block."""
+def build_obstruction_network(seed: int = 0) -> InjectiveNetwork:
+    """Extendable-by-construction family: planar flow (2 couplings),
+    full-rank linear R^2 -> R^3, then an ambient flow block (10 couplings);
+    hidden width 40."""
     rng = as_rng(seed)
-    t0 = make_coupling_block(2, t0_depth, rng=rng, hidden=hidden)
+    t0 = make_coupling_block(2, 2, rng=rng, hidden=40)
     r1 = LinearExpansive(random_orthonormal_columns(2, 3, rng))
-    t1 = make_coupling_block(3, t1_depth, rng=rng, hidden=hidden)
+    t1 = make_coupling_block(3, 10, rng=rng, hidden=40)
     return InjectiveNetwork([t0, r1, t1])
 
 
 class _ArclengthSampler:
-    """Inverse-CDF sampler making a curve target uniform in arclength."""
+    """Inverse-CDF sampler making a closed curve target, one period over its
+    domain, uniform in arclength."""
 
-    def __init__(self, target: ManifoldTarget, grid_size: int = 4096):
-        theta = np.linspace(0.0, 2.0 * np.pi, grid_size, endpoint=False)[:, None]
+    def __init__(self, target: ManifoldTarget):
+        grid_size = 4096
+        lo, hi = target.domain
+        theta = np.linspace(lo, hi, grid_size, endpoint=False)[:, None]
         pts = target.map_points(theta)
         seg = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
         cdf = np.concatenate([[0.0], np.cumsum(seg)])
         self._cdf = cdf / cdf[-1]
-        self._theta = np.linspace(0.0, 2.0 * np.pi, grid_size + 1)
+        self._theta = np.linspace(lo, hi, grid_size + 1)
 
     def theta(self, u) -> np.ndarray:
         return np.interp(np.asarray(u, dtype=float), self._cdf, self._theta)

@@ -483,7 +483,7 @@ class TestErrors:
             return ManifoldTarget(
                 "nan-circle", 1, 3,
                 lambda t: np.full((batch, 3), np.nan) if len(t) == batch else good(t),
-                domain="interval[0, 2pi)")
+                domain=(0.0, 2.0 * np.pi))
         monkeypatch.setattr(training, "planar_circle_target", nan_circle)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"batch_size": batch}))

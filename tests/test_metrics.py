@@ -18,7 +18,6 @@ from injflow.errors import (
 from injflow.flows import Mlp
 from injflow.metrics import (
     DomainBox,
-    EmpiricalMeasure,
     directed_supinf,
     draw_directions,
     embedding_gap_upper,
@@ -76,19 +75,30 @@ class TestPairwiseSqDists:
             pairwise_sq_dists(np.zeros(3), np.zeros((5, 3)))
 
 
-class TestEmpiricalMeasure:
-    def test_uniform_weights(self):
-        m = EmpiricalMeasure.uniform(np.zeros((4, 2)))
-        np.testing.assert_allclose(m.weights, 0.25)
+def _with_entry(value):
+    pts = np.zeros((3, 2))
+    pts[1, 0] = value
+    return pts
 
-    def test_invalid_weights(self):
-        pts = np.zeros((2, 1))
+
+class TestPointClouds:
+    """W2 takes (N, d) arrays, each the uniform measure on its rows."""
+
+    @pytest.mark.parametrize("w2", [wasserstein2_exact, wasserstein2_sliced],
+                             ids=["exact", "sliced"])
+    @pytest.mark.parametrize("a, b", [
+        (np.zeros((0, 2)), np.zeros((3, 2))),
+        (np.zeros(3), np.zeros((3, 1))),
+        (np.zeros((3, 2, 2)), np.zeros((3, 2))),
+        (_with_entry(np.nan), np.zeros((3, 2))),
+        (_with_entry(np.inf), np.zeros((3, 2))),
+        (np.zeros((3, 2)), np.zeros((3, 3))),
+    ], ids=["empty", "1-D", "3-D", "nan", "inf", "widths"])
+    def test_bad_cloud_refused(self, w2, a, b):
         with pytest.raises(InvalidArgumentError):
-            EmpiricalMeasure(pts, np.array([0.6, 0.6]))
+            w2(a, b)
         with pytest.raises(InvalidArgumentError):
-            EmpiricalMeasure(pts, np.array([-0.5, 1.5]))
-        with pytest.raises(InvalidArgumentError):
-            EmpiricalMeasure(np.zeros((0, 1)), np.zeros(0))
+            w2(b, a)
 
 
 class TestDirectedSupinf:
@@ -306,19 +316,14 @@ class TestSandwich:
 class TestExactW2:
     def test_identical_measures(self):
         pts = np.random.default_rng(3).normal(size=(8, 2))
-        m = EmpiricalMeasure.uniform(pts)
-        assert wasserstein2_exact(m, m) == pytest.approx(0.0, abs=1e-12)
+        assert wasserstein2_exact(pts, pts) == pytest.approx(0.0, abs=1e-12)
 
     def test_point_masses(self):
-        mu = EmpiricalMeasure.uniform(np.array([[0.0]]))
-        nu = EmpiricalMeasure.uniform(np.array([[1.0]]))
-        assert wasserstein2_exact(mu, nu) == pytest.approx(1.0)
+        assert wasserstein2_exact([[0.0]], [[1.0]]) == pytest.approx(1.0)
 
     def test_two_point_coupling_choice(self):
-        mu = EmpiricalMeasure.uniform(np.array([[0.0], [2.0]]))
-        nu = EmpiricalMeasure.uniform(np.array([[1.0], [3.0]]))
         # Monotone matching costs (1+1)/2 = 1; the crossing one (9+1)/2 = 5.
-        assert wasserstein2_exact(mu, nu) == pytest.approx(1.0)
+        assert wasserstein2_exact([[0.0], [2.0]], [[1.0], [3.0]]) == pytest.approx(1.0)
 
     def test_matches_permutation_enumeration(self):
         rng = np.random.default_rng(4)
@@ -327,15 +332,13 @@ class TestExactW2:
             d = int(rng.integers(1, 4))
             a = rng.normal(size=(n, d))
             b = rng.normal(size=(n, d))
-            got = wasserstein2_exact(EmpiricalMeasure.uniform(a),
-                                     EmpiricalMeasure.uniform(b))
+            got = wasserstein2_exact(a, b)
             want = w2_enumeration_uniform(a, b)
             assert abs(got - want) <= 1e-9
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(5)
-        measures = [EmpiricalMeasure.uniform(rng.normal(size=(6, 2)))
-                    for _ in range(6)]
+        measures = [rng.normal(size=(6, 2)) for _ in range(6)]
         for m in measures:
             assert wasserstein2_exact(m, m) <= 1e-12
         for a, b in itertools.combinations(measures, 2):
@@ -345,25 +348,19 @@ class TestExactW2:
             assert (wasserstein2_exact(a, c)
                     <= wasserstein2_exact(a, b) + wasserstein2_exact(b, c) + 1e-8)
 
-    def test_weighted_lp_path_matches_1d_quantile(self):
+    def test_unequal_size_lp_path_matches_1d_quantile(self):
         rng = np.random.default_rng(6)
-        for _ in range(10):
-            n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        for n, m in itertools.permutations(range(2, 7), 2):
             x = rng.normal(size=(n, 1))
             y = rng.normal(size=(m, 1))
-            wx = rng.uniform(0.1, 1.0, size=n)
-            wx /= wx.sum()
-            wy = rng.uniform(0.1, 1.0, size=m)
-            wy /= wy.sum()
-            got = wasserstein2_exact(EmpiricalMeasure(x, wx),
-                                     EmpiricalMeasure(y, wy))
-            want = np.sqrt(w2_1d_squared(x[:, 0], wx, y[:, 0], wy))
+            got = wasserstein2_exact(x, y)
+            want = np.sqrt(w2_1d_squared(x[:, 0], y[:, 0]))
             assert abs(got - want) <= 1e-7
 
     def test_lp_path_memory_on_unequal_uniform_supports(self):
         rng = np.random.default_rng(7)
-        mu = EmpiricalMeasure.uniform(rng.uniform(size=(300, 1)))
-        nu = EmpiricalMeasure.uniform(rng.uniform(size=(200, 1)))
+        mu = rng.uniform(size=(300, 1))
+        nu = rng.uniform(size=(200, 1))
         tracemalloc.start()
         try:
             got = wasserstein2_exact(mu, nu)
@@ -371,23 +368,20 @@ class TestExactW2:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        want = np.sqrt(w2_1d_squared(mu.points[:, 0], mu.weights,
-                                     nu.points[:, 0], nu.weights))
+        want = np.sqrt(w2_1d_squared(mu[:, 0], nu[:, 0]))
         assert abs(got - want) <= 1e-7
 
     def test_lp_path_exact_on_unequal_uniform_supports(self):
         rng = np.random.default_rng(7)
-        mu = EmpiricalMeasure.uniform(rng.uniform(size=(300, 1)))
-        nu = EmpiricalMeasure.uniform(rng.uniform(size=(200, 1)))
-        want = np.sqrt(w2_1d_squared(mu.points[:, 0], mu.weights,
-                                     nu.points[:, 0], nu.weights))
+        mu = rng.uniform(size=(300, 1))
+        nu = rng.uniform(size=(200, 1))
+        want = np.sqrt(w2_1d_squared(mu[:, 0], nu[:, 0]))
         assert abs(wasserstein2_exact(mu, nu) - want) <= 1e-12
 
     def test_budget_exceeded(self):
         pts = np.zeros((300, 1))
-        m = EmpiricalMeasure.uniform(pts)
         with pytest.raises(BudgetExceededError):
-            wasserstein2_exact(m, m)
+            wasserstein2_exact(pts, pts)
 
 
 
@@ -442,16 +436,13 @@ class TestAssignment:
 class TestSlicedW2:
     def test_identical_measures_zero(self):
         pts = np.random.default_rng(7).normal(size=(50, 3))
-        m = EmpiricalMeasure.uniform(pts)
-        assert wasserstein2_sliced(m, m, 64, seed=0) == pytest.approx(0.0, abs=1e-12)
+        assert wasserstein2_sliced(pts, pts, 64, seed=0) == pytest.approx(0.0, abs=1e-12)
 
     def test_translation_recovers_shift_norm(self):
         rng = np.random.default_rng(8)
         v = np.array([0.3, -0.4, 0.5])
         pts = rng.normal(size=(400, 3))
-        mu = EmpiricalMeasure.uniform(pts)
-        nu = EmpiricalMeasure.uniform(pts + v)
-        got = wasserstein2_sliced(mu, nu, n_projections=256, seed=9)
+        got = wasserstein2_sliced(pts, pts + v, n_projections=256, seed=9)
         assert abs(got - np.linalg.norm(v)) <= 0.05 * np.linalg.norm(v)
 
     def test_bounded_by_exact_on_random_instances(self):
@@ -459,16 +450,16 @@ class TestSlicedW2:
             rng = np.random.default_rng(500 + k)
             d = int(rng.integers(1, 4))
             n = int(rng.integers(5, 40))
-            mu = EmpiricalMeasure.uniform(rng.normal(0, 1, size=(n, d)))
-            nu = EmpiricalMeasure.uniform(rng.normal(0.3, 1.2, size=(n, d)))
+            mu = rng.normal(0, 1, size=(n, d))
+            nu = rng.normal(0.3, 1.2, size=(n, d))
             ex = wasserstein2_exact(mu, nu)
             sl = wasserstein2_sliced(mu, nu, n_projections=128, seed=k)
             assert sl <= ex + 1e-9
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(10)
-        mu = EmpiricalMeasure.uniform(rng.normal(size=(30, 2)))
-        nu = EmpiricalMeasure.uniform(rng.normal(size=(25, 2)))
+        mu = rng.normal(size=(30, 2))
+        nu = rng.normal(size=(25, 2))
         a = wasserstein2_sliced(mu, nu, 64, seed=11)
         b = wasserstein2_sliced(mu, nu, 64, seed=11)
         assert a == b
@@ -485,16 +476,14 @@ class TestSlicedW2:
         y = rng.normal(0.5, 1.5, size=(n, d))
         if decimals is not None:
             x, y = np.round(x, decimals), np.round(y, decimals)
-        mu, nu = EmpiricalMeasure.uniform(x), EmpiricalMeasure.uniform(y)
         dirs = draw_directions(d, k, seed)
-        w = np.full(n, 1.0 / n)
         reference = np.sqrt(d * np.mean([
-            w2_1d_squared(x @ dirs[:, j], w, y @ dirs[:, j], w) for j in range(k)]))
-        got = wasserstein2_sliced(mu, nu, n_projections=k, seed=seed)
+            w2_1d_squared(x @ dirs[:, j], y @ dirs[:, j]) for j in range(k)]))
+        got = wasserstein2_sliced(x, y, n_projections=k, seed=seed)
         assert abs(got - reference) <= 1e-12 * reference
 
     def test_needs_positive_projections(self):
-        m = EmpiricalMeasure.uniform(np.zeros((2, 2)))
+        m = np.zeros((2, 2))
         with pytest.raises(InvalidArgumentError):
             wasserstein2_sliced(m, m, 0)
 
@@ -502,9 +491,9 @@ class TestSlicedW2:
 class TestBudgetedW2:
     def test_method_follows_combined_support_budget(self):
         rng = np.random.default_rng(8)
-        small = EmpiricalMeasure.uniform(rng.normal(size=(10, 2)))
-        other = EmpiricalMeasure.uniform(rng.normal(size=(12, 2)))
-        large = EmpiricalMeasure.uniform(rng.normal(size=(600, 2)))
+        small = rng.normal(size=(10, 2))
+        other = rng.normal(size=(12, 2))
+        large = rng.normal(size=(600, 2))
         assert wasserstein2(small, other) == (wasserstein2_exact(small, other), "exact")
         assert (wasserstein2(large, other, n_projections=16, seed=3)
                 == (wasserstein2_sliced(large, other, n_projections=16, seed=3),

@@ -287,12 +287,11 @@ class TestBatchedProjectionProperties:
     def test_rank_check_after_in_place_update(self, seed, n, extra):
         rng = np.random.default_rng(seed)
         layer = random_linear_expansive(n, n + extra, rng)
+        net = InjectiveNetwork([identity_block(n), layer, identity_block(n + extra)])
         # Training updates the weight in place, after construction validated it.
         layer.weight[:, int(rng.integers(0, n))] = 0.0
         with pytest.raises(InvalidLayerError):
             layer.pseudo_inverse(rng.normal(size=(3, n + extra)))
-        net = InjectiveNetwork([identity_block(n), layer, identity_block(n + extra)],
-                               check=False)
         with pytest.raises(NumericError) as err:
             project_to_range(net, rng.normal(size=(3, n + extra)))
         assert err.value.stage_index == 1

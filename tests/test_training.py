@@ -387,7 +387,7 @@ def _tiny_target():
     def f(params):
         t = params[:, 0]
         return np.column_stack([t, 0.3 * np.sin(np.pi * t)])
-    return ManifoldTarget("tiny-curve", 1, 2, f, domain="interval[-1, 1]")
+    return ManifoldTarget("tiny-curve", 1, 2, f, domain=(-1.0, 1.0))
 
 
 def _tiny_network(seed=0):
@@ -418,7 +418,7 @@ class TestRunLayerwise:
         def f(params):
             return np.column_stack([params[:, 0], np.zeros(params.shape[0])])
 
-        target = ManifoldTarget("identity-pad", 1, 2, f, domain="interval[-1, 1]")
+        target = ManifoldTarget("identity-pad", 1, 2, f, domain=(-1.0, 1.0))
         config = _tiny_config(steps=5)
         result = run_layerwise(net, target, config)
         assert result.trace.records[0].step == 0
@@ -490,7 +490,7 @@ class TestRunLayerwise:
         def f(params):
             return np.column_stack([params, params[:, :1]])
 
-        target = ManifoldTarget("plane", 2, 3, f, domain="interval[-1, 1]")
+        target = ManifoldTarget("plane", 2, 3, f, domain=(-1.0, 1.0))
         with pytest.raises(InvalidConfigError):
             run_layerwise(net, target, _tiny_config())
 
@@ -544,7 +544,7 @@ class TestObstructionSmoke:
             return ManifoldTarget(
                 "nan-trefoil", 1, 3,
                 lambda t: np.full((7, 3), np.nan) if len(t) == 7 else good(t),
-                domain="interval[0, 2pi)")
+                domain=(0.0, 2.0 * np.pi))
         monkeypatch.setattr(training, "trefoil_target", nan_trefoil)
         start = time.perf_counter()
         with pytest.raises(NumericError):
