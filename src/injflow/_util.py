@@ -41,10 +41,6 @@ def as_batch(x, dim: int, what: str = "input"):
     raise InvalidArgumentError(f"{what} must be 1-D or 2-D, got ndim={arr.ndim}")
 
 
-def unbatch(y: np.ndarray, single: bool) -> np.ndarray:
-    return y[0] if single else y
-
-
 def spectral_norm(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0

@@ -90,7 +90,6 @@ def _preset_gap_visualization(params: dict, out_dir: Path, fmt: str, seed: int) 
     lowers, uppers = [], []
     for i, alpha in enumerate(alphas, start=1):
         def g_map(ws, _a=alpha):
-            ws = np.atleast_2d(np.asarray(ws, dtype=float))
             return np.column_stack([ws[:, 0], _a * amp * np.sin(np.pi * ws[:, 0])])
 
         _write_points(out_dir, f"g{i}_samples", g_map(w), fmt)
@@ -295,15 +294,11 @@ def _cmd_gap(args) -> int:
             f"{m} target coordinates, got {pairs.shape[1]} columns")
     n = pairs.shape[1] - m
     x, fx = pairs[:, :n], pairs[:, n:]
-
-    def g_map(ws):
-        return np.atleast_2d(np.asarray(net.forward(ws), dtype=float))
-
-    gap = metrics.estimate_embedding_gap(x, fx, g_map, latent, family=args.family,
+    gap = metrics.estimate_embedding_gap(x, fx, net.forward, latent, family=args.family,
                                          seed=args.seed)
-    check = metrics.wasserstein_bound_check(x, fx, g_map, latent, gap,
+    check = metrics.wasserstein_bound_check(x, fx, net.forward, latent, gap,
                                             tolerance=args.tolerance, seed=args.seed)
-    w2, method = metrics.wasserstein2(fx, g_map(latent), seed=args.seed)
+    w2, method = metrics.wasserstein2(fx, net.forward(latent), seed=args.seed)
     payload = {
         "lower": gap.lower,
         "upper": gap.upper,

@@ -2,29 +2,22 @@
 
 Three kinds: zero padding, full-rank linear maps and injective ReLU layers
 ReLU(Wx) with W = [B; -DB; M].  Every kind carries a computable Lipschitz
-bound (operator norm of the assembled weights) and a report-style
-injectivity validation.
+bound (operator norm of the assembled weights) and an injectivity check,
+`validate()`, that raises InvalidLayerError.  Layers take (N, n) float
+arrays, one point per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._util import as_batch, as_rng, spectral_norm, unbatch
+from ._util import as_rng, spectral_norm
 from .errors import InvalidArgumentError, InvalidLayerError, UnsupportedLayerError
 
 RANK_TOLERANCE = 1e-10
 # |z_i - z_{i+n}| below this (relative) threshold flags a tie between the
 # two per-coordinate minimizers of the ReLU pseudo-inverse.
 TIE_RELATIVE_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class InjectivityReport:
-    ok: bool
-    detail: str
 
 
 class ExpansiveLayer:
@@ -41,9 +34,8 @@ class ExpansiveLayer:
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
 
-    def __call__(self, x):
-        X, single = as_batch(x, self.in_dim)
-        return unbatch(self.forward_with_cache(X)[0], single)
+    def __call__(self, X):
+        return self.forward_with_cache(X)[0]
 
     def forward_with_cache(self, X: np.ndarray):
         """(output rows, cache that vjp reads) for the rows of X."""
@@ -71,8 +63,9 @@ class ExpansiveLayer:
         lip = self.lipschitz_bound()
         return lip, lip * radius
 
-    def validate(self) -> InjectivityReport:
-        raise NotImplementedError
+    def validate(self) -> None:
+        """Raise InvalidLayerError unless the layer is injective.  The base
+        does nothing: zero padding, which has no parameters, always is."""
 
     def to_config(self) -> dict:
         raise NotImplementedError
@@ -97,9 +90,6 @@ class ZeroPad(ExpansiveLayer):
     def lipschitz_bound(self) -> float:
         return 1.0
 
-    def validate(self) -> InjectivityReport:
-        return InjectivityReport(True, "zero padding is an isometric embedding")
-
     def to_config(self) -> dict:
         return {"kind": self.kind, "n": self.in_dim, "m": self.out_dim}
 
@@ -119,9 +109,7 @@ class LinearExpansive(ExpansiveLayer):
             raise InvalidLayerError("weight must be a matrix")
         super().__init__(w.shape[1], w.shape[0])
         self.weight = w.copy()
-        report = self.validate()
-        if not report.ok:
-            raise InvalidLayerError(report.detail)
+        self.validate()
 
     def forward_with_cache(self, X):
         # The input batch is the cache: the weight gradient needs it.  np.dot,
@@ -134,9 +122,7 @@ class LinearExpansive(ExpansiveLayer):
     def pseudo_inverse(self, Z):
         # Training updates the weight in place, so the rank is checked again.
         X, _, _, sv = np.linalg.lstsq(self.weight, Z.T, rcond=None)
-        report = _column_rank_report(sv)
-        if not report.ok:
-            raise InvalidLayerError(report.detail)
+        _check_column_rank(sv)
         return X.T, np.zeros(Z.shape[0], dtype=bool)
 
     def parameters(self):
@@ -148,8 +134,8 @@ class LinearExpansive(ExpansiveLayer):
     def lipschitz_bound(self) -> float:
         return spectral_norm(self.weight)
 
-    def validate(self) -> InjectivityReport:
-        return _column_rank_report(np.linalg.svd(self.weight, compute_uv=False))
+    def validate(self) -> None:
+        _check_column_rank(np.linalg.svd(self.weight, compute_uv=False))
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "n": self.in_dim, "m": self.out_dim,
@@ -160,14 +146,14 @@ class LinearExpansive(ExpansiveLayer):
         return cls(np.asarray(cfg["weight"], dtype=float))
 
 
-def _column_rank_report(sv: np.ndarray) -> InjectivityReport:
-    """Full-column-rank verdict from a weight's singular values (descending)."""
+def _check_column_rank(sv: np.ndarray) -> None:
+    """Raise InvalidLayerError unless a weight with these singular values
+    (descending) has full column rank."""
     if sv.size == 0 or sv[0] == 0.0:
-        return InjectivityReport(False, "zero weight matrix has rank 0")
+        raise InvalidLayerError("zero weight matrix has rank 0")
     if sv[-1] <= RANK_TOLERANCE * sv[0]:
-        return InjectivityReport(
-            False, f"rank-deficient: sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
-    return InjectivityReport(True, f"full column rank (cond {sv[0] / sv[-1]:.3e})")
+        raise InvalidLayerError(
+            f"rank-deficient: sigma_min/sigma_max = {sv[-1] / sv[0]:.3e}")
 
 
 def assemble_relu_weight(b_mat: np.ndarray, d_diag: np.ndarray,
@@ -214,9 +200,7 @@ class InjectiveRelu(ExpansiveLayer):
         self.b_mat = b.copy()
         self.d_diag = d.copy()
         self.m_mat = None if m is None or not m.size else m.copy()
-        report = self.validate()
-        if not report.ok:
-            raise InvalidLayerError(report.detail)
+        self.validate()
         self.weight = assemble_relu_weight(self.b_mat, self.d_diag, self.m_mat)
 
     def forward_with_cache(self, X):
@@ -255,15 +239,12 @@ class InjectiveRelu(ExpansiveLayer):
         # ReLU is 1-Lipschitz, so the assembled weight's norm dominates.
         return spectral_norm(self.weight)
 
-    def validate(self) -> InjectivityReport:
+    def validate(self) -> None:
         if np.any(self.d_diag <= 0.0):
-            return InjectivityReport(False, "D has non-positive entries")
+            raise InvalidLayerError("D has non-positive entries")
         sv = np.linalg.svd(self.b_mat, compute_uv=False)
         if sv[-1] <= RANK_TOLERANCE * max(sv[0], 1e-300):
-            return InjectivityReport(
-                False, f"B nearly singular: sigma_min = {sv[-1]:.3e}")
-        return InjectivityReport(
-            True, f"[B; -DB; M] form with cond(B) = {sv[0] / sv[-1]:.3e}")
+            raise InvalidLayerError(f"B nearly singular: sigma_min = {sv[-1]:.3e}")
 
     def to_config(self) -> dict:
         cfg = {"kind": self.kind, "n": self.in_dim, "m": self.out_dim,

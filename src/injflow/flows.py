@@ -2,15 +2,16 @@
 
 Both kinds are exactly invertible in closed form and carry analytic
 log-determinants.  Conditioner subnets are small tanh MLPs; log-scales are
-hard-clamped to [-scale_clamp, scale_clamp] before exponentiation so every
+hard-clamped to [-SCALE_CLAMP, SCALE_CLAMP] before exponentiation so every
 layer stays invertible and admits a finite Lipschitz bound on norm balls.
+Layers and blocks take (N, d) float arrays, one point per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_batch, as_rng, spectral_norm, unbatch
+from ._util import as_rng, spectral_norm
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
 
 SCALE_CLAMP = 5.0
@@ -57,8 +58,8 @@ class Mlp:
     def out_dim(self) -> int:
         return self.sizes[-1]
 
-    def __call__(self, x):
-        return self.forward_with_cache(np.atleast_2d(np.asarray(x, dtype=float)))[0]
+    def __call__(self, X):
+        return self.forward_with_cache(X)[0]
 
     def forward_with_cache(self, X):
         acts = [X]
@@ -133,12 +134,12 @@ class Mlp:
         return cls(cfg["sizes"], weights=cfg["weights"], biases=cfg["biases"])
 
 
-def _clamped_log_scale(s_raw, clamp: float):
-    """Clamp raw log-scales to [-clamp, clamp]; a non-finite one, which the
-    clamp would hide, raises NumericError."""
+def _clamped_log_scale(s_raw):
+    """Clamp raw log-scales to [-SCALE_CLAMP, SCALE_CLAMP]; a non-finite
+    one, which the clamp would hide, raises NumericError."""
     if not np.isfinite(s_raw).all():
         raise NumericError("non-finite log-scale")
-    return np.clip(s_raw, -clamp, clamp)
+    return np.clip(s_raw, -SCALE_CLAMP, SCALE_CLAMP)
 
 
 def compose_ball_bounds(parts, radius: float):
@@ -157,18 +158,16 @@ class _AffineFlowLayer:
     """forward_with_cache is the one forward of a flow layer; its cache
     carries the clamped log-scales under "log_scale"."""
 
-    def forward(self, x):
-        X, single = as_batch(x, self.dim)
-        return unbatch(self.forward_with_cache(X)[0], single)
+    def forward(self, X):
+        return self.forward_with_cache(X)[0]
 
     def forward_and_log_det(self, X):
         """(Y, log|det J|) for the rows of X: the clamped log-scales summed."""
         Y, cache = self.forward_with_cache(X)
         return Y, cache["log_scale"].sum(axis=1)
 
-    def log_det(self, x):
-        X, single = as_batch(x, self.dim)
-        return unbatch(self.forward_and_log_det(X)[1], single)
+    def log_det(self, X):
+        return self.forward_and_log_det(X)[1]
 
 
 class CouplingLayer(_AffineFlowLayer):
@@ -179,8 +178,7 @@ class CouplingLayer(_AffineFlowLayer):
     subnets are Mlps mapping dim - split coordinates to split.
     """
 
-    def __init__(self, dim: int, split: int, s_net, t_net, perm=None,
-                 scale_clamp: float = SCALE_CLAMP):
+    def __init__(self, dim: int, split: int, s_net, t_net, perm=None):
         if not (1 <= split < dim):
             raise InvalidLayerError(f"split must satisfy 1 <= d < n, got {split}/{dim}")
         for net in (s_net, t_net):
@@ -192,28 +190,26 @@ class CouplingLayer(_AffineFlowLayer):
         self.split = int(split)
         self.s_net = s_net
         self.t_net = t_net
-        self.scale_clamp = float(scale_clamp)
         if perm is None:
             perm = np.arange(dim)
         self.perm = np.asarray(perm, dtype=int)
         if sorted(self.perm.tolist()) != list(range(dim)):
             raise InvalidLayerError("perm must be a permutation of 0..n-1")
 
-    def inverse(self, y):
-        Y, single = as_batch(y, self.dim)
+    def inverse(self, Y):
         ya, b = Y[:, :self.split], Y[:, self.split:]
-        s = _clamped_log_scale(self.s_net(b), self.scale_clamp)
+        s = _clamped_log_scale(self.s_net(b))
         a = (ya - self.t_net(b)) * np.exp(-s)
         out = np.empty_like(Y)
         out[:, self.perm] = np.concatenate([a, b], axis=1)
-        return unbatch(out, single)
+        return out
 
     def forward_with_cache(self, X):
         xp = X[:, self.perm]
         a, b = xp[:, :self.split], xp[:, self.split:]
         s_raw, s_cache = self.s_net.forward_with_cache(b)
         t, t_cache = self.t_net.forward_with_cache(b)
-        s = _clamped_log_scale(s_raw, self.scale_clamp)
+        s = _clamped_log_scale(s_raw)
         es = np.exp(s)
         out = np.concatenate([a * es + t, b], axis=1)
         return out, {"a": a, "log_scale": s, "es": es,
@@ -225,7 +221,7 @@ class CouplingLayer(_AffineFlowLayer):
         es, a = cache["es"], cache["a"]
         ga = gya * es
         gs = gya * a * es
-        gs = gs * (np.abs(cache["log_scale"]) < self.scale_clamp)
+        gs = gs * (np.abs(cache["log_scale"]) < SCALE_CLAMP)
         gb_s, s_grads = self.s_net.vjp(cache["s_cache"], gs, params)
         gb_t, t_grads = self.t_net.vjp(cache["t_cache"], gya, params)
         gb += gb_s + gb_t
@@ -251,7 +247,7 @@ class CouplingLayer(_AffineFlowLayer):
         block-triangular Jacobian with those block norms."""
         s_lip = self.s_net.lipschitz_bound()
         s0 = float(np.abs(self.s_net(np.zeros((1, self.dim - self.split)))).max())
-        es = float(np.exp(min(self.scale_clamp, s0 + s_lip * radius)))
+        es = float(np.exp(min(SCALE_CLAMP, s0 + s_lip * radius)))
         cross = radius * es * s_lip + self.t_net.lipschitz_bound()
         head = radius * es + self.t_net.output_bound(radius)
         return (spectral_norm(np.array([[es, cross], [0.0, 1.0]])),
@@ -259,14 +255,13 @@ class CouplingLayer(_AffineFlowLayer):
 
     def to_config(self) -> dict:
         return {"kind": "coupling", "dim": self.dim, "split": self.split,
-                "perm": self.perm.tolist(), "scale_clamp": self.scale_clamp,
+                "perm": self.perm.tolist(), "scale_clamp": SCALE_CLAMP,
                 "s_net": self.s_net.to_config(), "t_net": self.t_net.to_config()}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CouplingLayer":
         return cls(cfg["dim"], cfg["split"], Mlp.from_config(cfg["s_net"]),
-                   Mlp.from_config(cfg["t_net"]), perm=cfg["perm"],
-                   scale_clamp=cfg["scale_clamp"])
+                   Mlp.from_config(cfg["t_net"]), perm=cfg["perm"])
 
 
 class AutoregressiveLayer(_AffineFlowLayer):
@@ -276,12 +271,10 @@ class AutoregressiveLayer(_AffineFlowLayer):
     learnable constant pair."""
 
     def __init__(self, dim: int, conditioners=None, first_params=None,
-                 rng=None, hidden=(DEFAULT_SUBNET_WIDTH,),
-                 scale_clamp: float = SCALE_CLAMP, final_scale: float = 0.0):
+                 rng=None, hidden=(DEFAULT_SUBNET_WIDTH,), final_scale: float = 0.0):
         if dim < 1:
             raise InvalidLayerError("dim must be >= 1")
         self.dim = int(dim)
-        self.scale_clamp = float(scale_clamp)
         self.first_params = (np.zeros(2) if first_params is None
                              else np.asarray(first_params, dtype=float).copy())
         if self.first_params.shape != (2,):
@@ -299,16 +292,15 @@ class AutoregressiveLayer(_AffineFlowLayer):
                     f"expected {i} -> 2")
         self.conditioners = list(conditioners)
 
-    def inverse(self, y):
-        Y, single = as_batch(y, self.dim)
+    def inverse(self, Y):
         X = np.empty_like(Y)
-        ls0 = _clamped_log_scale(self.first_params[0], self.scale_clamp)
+        ls0 = _clamped_log_scale(self.first_params[0])
         X[:, 0] = (Y[:, 0] - self.first_params[1]) * np.exp(-ls0)
         for i in range(1, self.dim):
             out = self.conditioners[i - 1](X[:, :i])
-            ls = _clamped_log_scale(out[:, 0], self.scale_clamp)
+            ls = _clamped_log_scale(out[:, 0])
             X[:, i] = (Y[:, i] - out[:, 1]) * np.exp(-ls)
-        return unbatch(X, single)
+        return X
 
     def forward_with_cache(self, X):
         n_pts = X.shape[0]
@@ -322,13 +314,13 @@ class AutoregressiveLayer(_AffineFlowLayer):
             caches.append(c)
             ls_raw[:, i] = out[:, 0]
             sh[:, i] = out[:, 1]
-        ls = _clamped_log_scale(ls_raw, self.scale_clamp)
+        ls = _clamped_log_scale(ls_raw)
         els = np.exp(ls)
         return X * els + sh, {"x": X, "log_scale": ls, "els": els, "caches": caches}
 
     def vjp(self, cache, grad_out, params=True):
         X, els = cache["x"], cache["els"]
-        mask = np.abs(cache["log_scale"]) < self.scale_clamp
+        mask = np.abs(cache["log_scale"]) < SCALE_CLAMP
         gx = grad_out * els
         grads = []
         g_ls = grad_out * X * els * mask
@@ -362,13 +354,13 @@ class AutoregressiveLayer(_AffineFlowLayer):
         es = np.empty(self.dim)
         sh = np.empty(self.dim)
         lip = np.zeros(self.dim)
-        es[0] = np.exp(min(abs(float(self.first_params[0])), self.scale_clamp))
+        es[0] = np.exp(min(abs(float(self.first_params[0])), SCALE_CLAMP))
         sh[0] = abs(float(self.first_params[1]))
         for i in range(1, self.dim):
             cond = self.conditioners[i - 1]
             out0 = cond(np.zeros((1, i)))
             lip[i] = cond.lipschitz_bound()
-            es[i] = np.exp(min(self.scale_clamp, abs(float(out0[0, 0])) + lip[i] * radius))
+            es[i] = np.exp(min(SCALE_CLAMP, abs(float(out0[0, 0])) + lip[i] * radius))
             sh[i] = abs(float(out0[0, 1])) + lip[i] * radius
         cross = radius * es * lip + lip
         g = np.tril(np.broadcast_to(cross[:, None], (self.dim, self.dim)), -1)
@@ -377,15 +369,14 @@ class AutoregressiveLayer(_AffineFlowLayer):
 
     def to_config(self) -> dict:
         return {"kind": "autoregressive", "dim": self.dim,
-                "scale_clamp": self.scale_clamp,
+                "scale_clamp": SCALE_CLAMP,
                 "first": self.first_params.tolist(),
                 "conditioners": [c.to_config() for c in self.conditioners]}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AutoregressiveLayer":
         conds = [Mlp.from_config(c) for c in cfg["conditioners"]]
-        return cls(cfg["dim"], conditioners=conds, first_params=cfg["first"],
-                   scale_clamp=cfg["scale_clamp"])
+        return cls(cfg["dim"], conditioners=conds, first_params=cfg["first"])
 
 
 class FlowBlock:
@@ -399,32 +390,29 @@ class FlowBlock:
                 raise InvalidLayerError(
                     f"layer dim {layer.dim} does not match block dim {self.dim}")
 
-    def __call__(self, x):
-        return self.forward(x)
+    def __call__(self, X):
+        return self.forward(X)
 
-    def forward(self, x):
-        X, single = as_batch(x, self.dim)
+    def forward(self, X):
         for layer in self.layers:
             X = layer.forward(X)
-        return unbatch(X, single)
+        return X
 
-    def inverse(self, y):
-        Y, single = as_batch(y, self.dim)
+    def inverse(self, Y):
         for layer in reversed(self.layers):
             Y = layer.inverse(Y)
-        return unbatch(Y, single)
+        return Y
 
     def pseudo_inverse(self, Z):
         """Exact inverse of the rows of Z; a bijection has no ties."""
         return self.inverse(Z), np.zeros(Z.shape[0], dtype=bool)
 
-    def log_det(self, x):
-        X, single = as_batch(x, self.dim)
+    def log_det(self, X):
         total = np.zeros(X.shape[0])
         for layer in self.layers:
             X, layer_log_det = layer.forward_and_log_det(X)
             total += layer_log_det
-        return unbatch(total, single)
+        return total
 
     def forward_with_cache(self, X):
         caches = []
@@ -459,6 +447,10 @@ class FlowBlock:
     def from_config(cls, cfg: dict) -> "FlowBlock":
         layers = []
         for lc in cfg["layers"]:
+            # Checkpoints record the one clamp every layer uses.
+            if lc["scale_clamp"] != SCALE_CLAMP:
+                raise InvalidLayerError(
+                    f"scale_clamp must be {SCALE_CLAMP}, got {lc['scale_clamp']!r}")
             if lc["kind"] == "coupling":
                 layers.append(CouplingLayer.from_config(lc))
             elif lc["kind"] == "autoregressive":
@@ -474,8 +466,7 @@ def identity_block(dim: int) -> FlowBlock:
 
 def make_coupling_block(dim: int, n_layers: int, rng=None,
                         hidden: int = DEFAULT_SUBNET_WIDTH,
-                        final_scale: float = 0.0,
-                        scale_clamp: float = SCALE_CLAMP) -> FlowBlock:
+                        final_scale: float = 0.0) -> FlowBlock:
     """Stack of affine couplings with alternating reversal permutations."""
     if dim < 2:
         raise InvalidLayerError("coupling layers need dim >= 2")
@@ -487,17 +478,15 @@ def make_coupling_block(dim: int, n_layers: int, rng=None,
         cond_in = dim - split
         s_net = Mlp([cond_in, hidden, hidden, split], rng=rng, final_scale=final_scale)
         t_net = Mlp([cond_in, hidden, hidden, split], rng=rng, final_scale=final_scale)
-        layers.append(CouplingLayer(dim, split, s_net, t_net, perm=perm,
-                                    scale_clamp=scale_clamp))
+        layers.append(CouplingLayer(dim, split, s_net, t_net, perm=perm))
     return FlowBlock(dim, layers)
 
 
 def make_autoregressive_block(dim: int, n_layers: int, rng=None,
                               hidden: int = DEFAULT_SUBNET_WIDTH,
-                              final_scale: float = 0.0,
-                              scale_clamp: float = SCALE_CLAMP) -> FlowBlock:
+                              final_scale: float = 0.0) -> FlowBlock:
     rng = as_rng(rng)
     layers = [AutoregressiveLayer(dim, rng=rng, hidden=(hidden,),
-                                  scale_clamp=scale_clamp, final_scale=final_scale)
+                                  final_scale=final_scale)
               for _ in range(n_layers)]
     return FlowBlock(dim, layers)

@@ -2,8 +2,7 @@
 
 Supplies the embedded target curves (trefoil knot, planar circle, helical
 arc) as parametrized maps, the unit-circle latent sampler and the point CSV
-reader and writer used by the CLI.  Everything here is deterministic under
-a seed.
+reader and writer used by the CLI.  Everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_rng, write_csv
+from ._util import write_csv
 from .errors import InvalidArgumentError
 
 
@@ -84,20 +83,12 @@ class ManifoldTarget:
         return out
 
 
-def sample_circle(count: int, mode: str = "grid", seed: int = 0) -> np.ndarray:
-    """(count, 2) points on the unit circle, uniform in angle.
-
-    mode 'grid' places count equispaced angles starting at 0; mode 'random'
-    draws angles uniformly with the given seed.
-    """
+def sample_circle(count: int) -> np.ndarray:
+    """(count, 2) points on the unit circle at count equispaced angles,
+    starting at angle 0."""
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    if mode == "grid":
-        theta = 2.0 * np.pi * np.arange(count) / count
-    elif mode == "random":
-        theta = as_rng(seed).uniform(0.0, 2.0 * np.pi, size=count)
-    else:
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
+    theta = 2.0 * np.pi * np.arange(count) / count
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 

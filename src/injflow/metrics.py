@@ -119,15 +119,13 @@ def embedding_gap_upper(f_params, f_points, g, h, g_domain: DomainBox | None = N
 
 
 def _affine_func(a: np.ndarray, c: np.ndarray):
-    def apply(x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
+    def apply(X):
         return X @ a.T + c[None, :]
     return apply
 
 
 def _constant_func(w: np.ndarray):
-    def apply(x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
+    def apply(X):
         return np.repeat(w[None, :], X.shape[0], axis=0)
     return apply
 
@@ -208,8 +206,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
 
     # Identity-style embedding of the parameters into R^o as the incumbent.
     if o >= n:
-        def identity_pad(x, _n=n, _o=o):
-            Xb = np.atleast_2d(np.asarray(x, dtype=float))
+        def identity_pad(Xb, _n=n, _o=o):
             out = np.zeros((Xb.shape[0], _o))
             out[:, :_n] = Xb
             return out
@@ -326,7 +323,7 @@ def estimate_embedding_gap(f_params, f_points, g, w_samples,
     candidate, upper = fit_candidate_alignment(
         X, FX, g, W, family=family, seed=seed)
     GW = np.atleast_2d(np.asarray(g(W), dtype=float))
-    GH = np.atleast_2d(np.asarray(g(np.atleast_2d(candidate(X))), dtype=float))
+    GH = np.atleast_2d(np.asarray(g(candidate(X)), dtype=float))
     lower = directed_supinf(FX, np.vstack([GW, GH]))
     # g(h(x)) sits in the candidate set, so lower <= upper holds exactly;
     # the min guards the one-ulp case where reductions round differently.

@@ -8,11 +8,12 @@ injective from the latent space into the ambient space.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from ._util import (as_batch, flat_store, flat_views, flatten, pairwise_sq_dists,
-                    unbatch, write_json)
+                    write_json)
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
 from .expansive import ExpansiveLayer, expansive_from_config
 from .flows import FlowBlock, compose_ball_bounds
@@ -49,9 +50,10 @@ class InjectiveNetwork:
                     raise InvalidLayerError(
                         f"stage {idx}: expansive input {stage.in_dim} "
                         f"does not match {dim}")
-                report = stage.validate()
-                if not report.ok:
-                    raise InvalidLayerError(f"stage {idx}: {report.detail}")
+                try:
+                    stage.validate()
+                except InvalidLayerError as err:
+                    raise InvalidLayerError(f"stage {idx}: {err}") from err
                 dim = stage.out_dim
             expect_flow = not expect_flow
         if not isinstance(self.stages[-1], FlowBlock):
@@ -66,6 +68,7 @@ class InjectiveNetwork:
         return self.stages[-1].dim
 
     def forward(self, x):
+        """The image of x, one latent vector or an (N, n) stack."""
         X, single = as_batch(x, self.latent_dim, "latent input")
         for idx, stage in enumerate(self.stages):
             try:
@@ -74,7 +77,7 @@ class InjectiveNetwork:
                 raise NumericError(str(err), stage_index=idx) from err
             if not np.all(np.isfinite(X)):
                 raise NumericError("non-finite stage output", stage_index=idx)
-        return unbatch(X, single)
+        return X[0] if single else X
 
     def forward_with_cache(self, X: np.ndarray):
         caches = []
@@ -152,13 +155,24 @@ class InjectiveNetwork:
     @classmethod
     def load_checkpoint(cls, path) -> "InjectiveNetwork":
         """Load a saved network; an unreadable, malformed, incomplete or
-        invalid checkpoint raises InvalidArgumentError naming the path."""
+        invalid checkpoint, or one holding a non-finite number (NaN,
+        Infinity, 1e999 or an integer past the float range), raises
+        InvalidArgumentError naming the path."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_config(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+                return cls.from_config(json.load(fh, parse_float=_finite_float,
+                                                 parse_constant=_finite_float))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                OverflowError) as err:
             raise InvalidArgumentError(
                 f"cannot load checkpoint {path}: {type(err).__name__}: {err}") from err
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def lipschitz_estimate(forward, samples, chunk: int = 256) -> float:

@@ -288,7 +288,7 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
 
     def record(step, weights):
         """Diagnostics on the fixed eval sets, free of batch sampling noise."""
-        gen = np.atleast_2d(np.asarray(net.forward(eval_latent), dtype=float))
+        gen = net.forward(eval_latent)
         # One distance matrix serves the Chamfer term and the sup-inf, which
         # is then bitwise metrics.directed_supinf(eval_target, gen).
         d2 = pairwise_sq_dists(gen, eval_target)
@@ -505,7 +505,7 @@ def _obstruction_arm(arm: str, trefoil_scale: float, control_radius: float,
     def target_sampler(count, rng):
         return target.map_points(arclen.sample(count, rng))
 
-    eval_latent = sample_circle(eval_count, mode="grid")
+    eval_latent = sample_circle(eval_count)
     eval_target = target.map_points(arclen.grid(eval_count))
     return _run_phases(net, config, latent_sampler, target_sampler,
                        eval_latent, eval_target).trace

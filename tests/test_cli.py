@@ -21,7 +21,12 @@ from injflow.expansive import (
     random_injective_relu,
     random_linear_expansive,
 )
-from injflow.flows import Mlp, identity_block, make_coupling_block
+from injflow.flows import (
+    Mlp,
+    identity_block,
+    make_autoregressive_block,
+    make_coupling_block,
+)
 from injflow.geometry import load_points_csv, save_points_csv
 from injflow.network import InjectiveNetwork
 
@@ -364,6 +369,47 @@ class TestInputFailures:
         ckpt.write_text(json.dumps(cfg))
         qpath = tmp_path / "queries.csv"
         save_points_csv(qpath, np.zeros((2, 3)))
+        record = self._expect_usage_error(["project", "--checkpoint", str(ckpt),
+                                           "--queries", str(qpath),
+                                           "--out", str(tmp_path / "o")], ckpt, capsys)
+        assert record["error"]["message"].startswith("cannot load checkpoint")
+
+    @pytest.mark.parametrize("slot, literal", [
+        ("linear-weight", "Infinity"),
+        ("linear-weight", "-Infinity"),
+        ("linear-weight", "1e999"),
+        ("linear-weight", "1" + "0" * 399),
+        ("coupling-weight", "NaN"),
+        ("autoregressive-first", "NaN"),
+        ("relu-d", "NaN"),
+        ("scale-clamp", "-1.0"),
+        ("scale-clamp", "NaN"),
+    ], ids=["inf", "minus-inf", "overflowing-float", "overflowing-int",
+            "coupling-nan", "first-nan", "relu-d-nan", "negative-clamp", "nan-clamp"])
+    def test_bad_checkpoint_number(self, tmp_path, capsys, slot, literal):
+        # A number the network cannot use is refused as the checkpoint
+        # loads: a non-finite one, one past the float range, or a
+        # scale_clamp other than the one every flow layer uses.
+        rng = np.random.default_rng(0)
+        net = InjectiveNetwork([make_coupling_block(2, 1, rng=rng, hidden=4),
+                                random_injective_relu(2, 4, rng),
+                                make_autoregressive_block(4, 1, rng=rng, hidden=4),
+                                random_linear_expansive(4, 5, rng),
+                                identity_block(5)])
+        cfg = net.to_config()
+        stages = cfg["stages"]
+        coupling, autoregressive = stages[0]["layers"][0], stages[2]["layers"][0]
+        relu, linear = stages[1], stages[3]
+        owner, key = {"linear-weight": (linear["weight"][0], 0),
+                      "coupling-weight": (coupling["s_net"]["weights"][0][0], 0),
+                      "autoregressive-first": (autoregressive["first"], 0),
+                      "relu-d": (relu["d"], 0),
+                      "scale-clamp": (coupling, "scale_clamp")}[slot]
+        owner[key] = "@"
+        ckpt = tmp_path / "net.json"
+        ckpt.write_text(json.dumps(cfg).replace('"@"', literal))
+        qpath = tmp_path / "queries.csv"
+        save_points_csv(qpath, np.zeros((2, 5)))
         record = self._expect_usage_error(["project", "--checkpoint", str(ckpt),
                                            "--queries", str(qpath),
                                            "--out", str(tmp_path / "o")], ckpt, capsys)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from injflow.errors import InvalidArgumentError, InvalidLayerError
+from injflow.errors import InvalidLayerError
 from injflow.expansive import (
     InjectiveRelu,
     LinearExpansive,
@@ -16,13 +16,11 @@ from injflow.expansive import (
 
 class TestZeroPad:
     def test_basic(self):
-        np.testing.assert_array_equal(ZeroPad(2, 4)([1.0, 2.0]), [1, 2, 0, 0])
-        np.testing.assert_array_equal(ZeroPad(1, 2)([0.0]), [0, 0])
-        np.testing.assert_array_equal(ZeroPad(2, 3)([3.0, -1.0]), [3, -1, 0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            ZeroPad(2, 4)([1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(ZeroPad(2, 4)(np.array([[1.0, 2.0]])),
+                                      [[1, 2, 0, 0]])
+        np.testing.assert_array_equal(ZeroPad(1, 2)(np.array([[0.0]])), [[0, 0]])
+        np.testing.assert_array_equal(ZeroPad(2, 3)(np.array([[3.0, -1.0]])),
+                                      [[3, -1, 0]])
 
     def test_left_inverse_recovers_exactly(self):
         rng = np.random.default_rng(0)
@@ -31,29 +29,33 @@ class TestZeroPad:
         assert (y[:, :3] == x).all()
 
     def test_always_validates(self):
-        assert ZeroPad(1, 2).validate().ok
+        ZeroPad(1, 2).validate()
 
 
 class TestLinear:
     def test_axis_embedding(self):
-        np.testing.assert_array_equal(LinearExpansive([[1.0], [0.0]])([5.0]), [5, 0])
+        np.testing.assert_array_equal(
+            LinearExpansive([[1.0], [0.0]])(np.array([[5.0]])), [[5, 0]])
 
     def test_duplicate_coordinate(self):
-        np.testing.assert_array_equal(LinearExpansive([[1.0], [1.0]])([2.0]), [2, 2])
+        np.testing.assert_array_equal(
+            LinearExpansive([[1.0], [1.0]])(np.array([[2.0]])), [[2, 2]])
 
     def test_hand_product(self):
         w = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-        np.testing.assert_array_equal(LinearExpansive(w)([1.0, 2.0]), [1, 2, 3])
+        np.testing.assert_array_equal(LinearExpansive(w)(np.array([[1.0, 2.0]])),
+                                      [[1, 2, 3]])
 
     def test_rank_deficiency_rejected_at_construction(self):
         with pytest.raises(InvalidLayerError):
             LinearExpansive([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
 
     def test_validation_reports(self):
-        assert LinearExpansive([[1.0], [0.0]]).validate().ok
+        LinearExpansive([[1.0], [0.0]]).validate()
         bad = LinearExpansive([[1.0], [0.0]])
         bad.weight[0, 0] = 0.0
-        assert not bad.validate().ok
+        with pytest.raises(InvalidLayerError, match="^zero weight matrix has rank 0$"):
+            bad.validate()
 
     def test_square_matrix_not_expansive(self):
         with pytest.raises(InvalidLayerError):
@@ -63,15 +65,15 @@ class TestLinear:
 class TestInjectiveRelu:
     def test_positive_branch(self):
         layer = InjectiveRelu([[1.0]], [1.0])
-        np.testing.assert_array_equal(layer([2.0]), [2, 0])
+        np.testing.assert_array_equal(layer(np.array([[2.0]])), [[2, 0]])
 
     def test_negative_branch(self):
         layer = InjectiveRelu([[1.0]], [1.0])
-        np.testing.assert_array_equal(layer([-3.0]), [0, 3])
+        np.testing.assert_array_equal(layer(np.array([[-3.0]])), [[0, 3]])
 
     def test_with_extra_rows(self):
         layer = InjectiveRelu([[1.0]], [2.0], [[1.0]])
-        np.testing.assert_array_equal(layer([1.0]), [1, 0, 1])
+        np.testing.assert_array_equal(layer(np.array([[1.0]])), [[1, 0, 1]])
 
     def test_invalid_construction(self):
         with pytest.raises(InvalidLayerError):
@@ -82,7 +84,8 @@ class TestInjectiveRelu:
     def test_nonpositive_diagonal_reported(self):
         bad = InjectiveRelu([[1.0]], [1.0])
         bad.d_diag[0] = 0.0
-        assert not bad.validate().ok
+        with pytest.raises(InvalidLayerError, match="^D has non-positive entries$"):
+            bad.validate()
 
 
 def _sampled_injectivity(layer, rng, n_pairs=10_000, box=5.0):
@@ -111,7 +114,7 @@ def _lipschitz_honored(layer, rng, n_pairs=2000, box=5.0):
 def test_sampled_injectivity_and_lipschitz(make):
     rng = np.random.default_rng(42)
     layer = make(rng)
-    assert layer.validate().ok
+    layer.validate()
     assert _sampled_injectivity(layer, rng)
     assert _lipschitz_honored(layer, rng)
 

@@ -65,6 +65,16 @@ class TestForward:
                               - np.atleast_2d(net.forward(x2)), axis=1)
         assert (gaps[distinct] > 0.0).all()
 
+    def test_single_vector_matches_batch_row(self):
+        # One latent vector takes the batched path as a one-row stack; BLAS
+        # may sum a one-row product in another order, so not bitwise.
+        for seed in range(10):
+            net = _random_network(seed)
+            X = np.random.default_rng(seed).normal(size=(6, net.latent_dim))
+            y = net.forward(X[0])
+            assert y.shape == (net.ambient_dim,)
+            np.testing.assert_allclose(y, net.forward(X)[0], rtol=0, atol=1e-12)
+
     def test_stage_indexed_numeric_error(self):
         def bad():
             return Mlp([1, 1], weights=[np.zeros((1, 1))], biases=[[np.inf]])
