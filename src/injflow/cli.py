@@ -195,6 +195,8 @@ def _load_config(path: str) -> dict:
                           extra={"line": err.lineno, "column": err.colno}) from err
     except OSError as err:
         raise _UsageError(f"cannot read config: {err}") from err
+    except RecursionError as err:
+        raise _UsageError(f"config {path} is nested too deeply") from err
     if not isinstance(cfg, dict):
         raise _UsageError("config must be a JSON object")
     return cfg

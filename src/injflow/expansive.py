@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import as_rng, spectral_norm
-from .errors import InvalidArgumentError, InvalidLayerError, UnsupportedLayerError
+from .errors import InvalidLayerError, UnsupportedLayerError
 
 RANK_TOLERANCE = 1e-10
 # |z_i - z_{i+n}| below this (relative) threshold flags a tie between the
@@ -135,6 +135,7 @@ class LinearExpansive(ExpansiveLayer):
         return spectral_norm(self.weight)
 
     def validate(self) -> None:
+        _check_finite(self.weight)
         _check_column_rank(np.linalg.svd(self.weight, compute_uv=False))
 
     def to_config(self) -> dict:
@@ -143,7 +144,13 @@ class LinearExpansive(ExpansiveLayer):
 
     @classmethod
     def from_config(cls, cfg: dict) -> "LinearExpansive":
-        return cls(np.asarray(cfg["weight"], dtype=float))
+        return cls(cfg["weight"])
+
+
+def _check_finite(*arrays) -> None:
+    """Raise InvalidLayerError on a NaN or inf entry (None: no array)."""
+    if not all(np.isfinite(a).all() for a in arrays if a is not None):
+        raise InvalidLayerError("non-finite parameter entry")
 
 
 def _check_column_rank(sv: np.ndarray) -> None:
@@ -240,6 +247,7 @@ class InjectiveRelu(ExpansiveLayer):
         return spectral_norm(self.weight)
 
     def validate(self) -> None:
+        _check_finite(self.b_mat, self.d_diag, self.m_mat)
         if np.any(self.d_diag <= 0.0):
             raise InvalidLayerError("D has non-positive entries")
         sv = np.linalg.svd(self.b_mat, compute_uv=False)
@@ -255,10 +263,7 @@ class InjectiveRelu(ExpansiveLayer):
 
     @classmethod
     def from_config(cls, cfg: dict) -> "InjectiveRelu":
-        m = cfg.get("m_rows")
-        return cls(np.asarray(cfg["b"], dtype=float),
-                   np.asarray(cfg["d"], dtype=float),
-                   None if m is None else np.asarray(m, dtype=float))
+        return cls(cfg["b"], cfg["d"], cfg.get("m_rows"))
 
 
 # --- constructors ----------------------------------------------------------
@@ -290,17 +295,3 @@ def random_injective_relu(n: int, m: int, rng) -> InjectiveRelu:
     m_extra = m - 2 * n
     m_mat = rng.normal(size=(m_extra, n)) if m_extra else None
     return InjectiveRelu(b, d, m_mat)
-
-
-_EXPANSIVE_KINDS = {
-    "zero_pad": ZeroPad,
-    "linear": LinearExpansive,
-    "injective_relu": InjectiveRelu,
-}
-
-
-def expansive_from_config(cfg: dict) -> ExpansiveLayer:
-    kind = cfg.get("kind")
-    if kind not in _EXPANSIVE_KINDS:
-        raise InvalidArgumentError(f"unknown expansive kind {kind!r}")
-    return _EXPANSIVE_KINDS[kind].from_config(cfg)

@@ -1,10 +1,10 @@
 """Bijective flow layers: affine coupling and affine autoregressive maps.
 
-Both kinds are exactly invertible in closed form and carry analytic
-log-determinants.  Conditioner subnets are small tanh MLPs; log-scales are
-hard-clamped to [-SCALE_CLAMP, SCALE_CLAMP] before exponentiation so every
-layer stays invertible and admits a finite Lipschitz bound on norm balls.
-Layers and blocks take (N, d) float arrays, one point per row.
+Both kinds are exactly invertible in closed form.  Conditioner subnets are
+small tanh MLPs; log-scales are hard-clamped to [-SCALE_CLAMP, SCALE_CLAMP]
+before exponentiation so every layer stays invertible and admits a finite
+Lipschitz bound on norm balls.  Layers and blocks take (N, d) float arrays,
+one point per row.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import as_rng, spectral_norm
-from .errors import InvalidArgumentError, InvalidLayerError, NumericError
+from .errors import InvalidLayerError, NumericError
 
 SCALE_CLAMP = 5.0
 DEFAULT_SUBNET_WIDTH = 32
@@ -156,18 +156,10 @@ def compose_ball_bounds(parts, radius: float):
 
 class _AffineFlowLayer:
     """forward_with_cache is the one forward of a flow layer; its cache
-    carries the clamped log-scales under "log_scale"."""
+    carries the clamped log-scales under "log_scale", which vjp reads."""
 
     def forward(self, X):
         return self.forward_with_cache(X)[0]
-
-    def forward_and_log_det(self, X):
-        """(Y, log|det J|) for the rows of X: the clamped log-scales summed."""
-        Y, cache = self.forward_with_cache(X)
-        return Y, cache["log_scale"].sum(axis=1)
-
-    def log_det(self, X):
-        return self.forward_and_log_det(X)[1]
 
 
 class CouplingLayer(_AffineFlowLayer):
@@ -177,6 +169,8 @@ class CouplingLayer(_AffineFlowLayer):
     input; exactly invertible for any subnets since exp(s) > 0.  Both
     subnets are Mlps mapping dim - split coordinates to split.
     """
+
+    kind = "coupling"
 
     def __init__(self, dim: int, split: int, s_net, t_net, perm=None):
         if not (1 <= split < dim):
@@ -254,7 +248,7 @@ class CouplingLayer(_AffineFlowLayer):
                 float(np.sqrt(head ** 2 + radius ** 2)))
 
     def to_config(self) -> dict:
-        return {"kind": "coupling", "dim": self.dim, "split": self.split,
+        return {"kind": self.kind, "dim": self.dim, "split": self.split,
                 "perm": self.perm.tolist(), "scale_clamp": SCALE_CLAMP,
                 "s_net": self.s_net.to_config(), "t_net": self.t_net.to_config()}
 
@@ -269,6 +263,8 @@ class AutoregressiveLayer(_AffineFlowLayer):
     conditioner of coordinate i sees only x_{1..i-1}, an Mlp mapping those
     i - 1 inputs to (ls_i, sh_i); the first coordinate's conditioner is a
     learnable constant pair."""
+
+    kind = "autoregressive"
 
     def __init__(self, dim: int, conditioners=None, first_params=None,
                  rng=None, hidden=(DEFAULT_SUBNET_WIDTH,), final_scale: float = 0.0):
@@ -368,7 +364,7 @@ class AutoregressiveLayer(_AffineFlowLayer):
         return spectral_norm(g), float(np.linalg.norm(radius * es + sh))
 
     def to_config(self) -> dict:
-        return {"kind": "autoregressive", "dim": self.dim,
+        return {"kind": self.kind, "dim": self.dim,
                 "scale_clamp": SCALE_CLAMP,
                 "first": self.first_params.tolist(),
                 "conditioners": [c.to_config() for c in self.conditioners]}
@@ -382,10 +378,14 @@ class AutoregressiveLayer(_AffineFlowLayer):
 class FlowBlock:
     """Ordered stack of flow layers of a common dimension; empty = identity."""
 
+    kind = "flow_block"
+
     def __init__(self, dim: int, layers=None):
         self.dim = int(dim)
         self.layers = list(layers or [])
         for layer in self.layers:
+            if not isinstance(layer, _AffineFlowLayer):
+                raise InvalidLayerError(f"flow block cannot hold {type(layer).__name__}")
             if layer.dim != self.dim:
                 raise InvalidLayerError(
                     f"layer dim {layer.dim} does not match block dim {self.dim}")
@@ -406,13 +406,6 @@ class FlowBlock:
     def pseudo_inverse(self, Z):
         """Exact inverse of the rows of Z; a bijection has no ties."""
         return self.inverse(Z), np.zeros(Z.shape[0], dtype=bool)
-
-    def log_det(self, X):
-        total = np.zeros(X.shape[0])
-        for layer in self.layers:
-            X, layer_log_det = layer.forward_and_log_det(X)
-            total += layer_log_det
-        return total
 
     def forward_with_cache(self, X):
         caches = []
@@ -440,24 +433,8 @@ class FlowBlock:
         return compose_ball_bounds(self.layers, radius)
 
     def to_config(self) -> dict:
-        return {"kind": "flow_block", "dim": self.dim,
+        return {"kind": self.kind, "dim": self.dim,
                 "layers": [layer.to_config() for layer in self.layers]}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "FlowBlock":
-        layers = []
-        for lc in cfg["layers"]:
-            # Checkpoints record the one clamp every layer uses.
-            if lc["scale_clamp"] != SCALE_CLAMP:
-                raise InvalidLayerError(
-                    f"scale_clamp must be {SCALE_CLAMP}, got {lc['scale_clamp']!r}")
-            if lc["kind"] == "coupling":
-                layers.append(CouplingLayer.from_config(lc))
-            elif lc["kind"] == "autoregressive":
-                layers.append(AutoregressiveLayer.from_config(lc))
-            else:
-                raise InvalidArgumentError(f"unknown flow layer kind {lc['kind']!r}")
-        return cls(cfg["dim"], layers)
 
 
 def identity_block(dim: int) -> FlowBlock:

@@ -79,22 +79,22 @@ def directed_supinf(f_points, g_points) -> float:
     """Max over rows of f_points of the min distance to g_points.
 
     Sample version of sup_{x in K} inf_{w in W} ||g(w) - f(x)||_2; a lower
-    bound for the embedding gap in the sampling limit.
+    bound for the embedding gap in the sampling limit.  Both are checked by
+    _cloud, and pairwise_sq_dists refuses sets of different widths.
     """
-    F = np.asarray(f_points, dtype=float)
-    G = np.asarray(g_points, dtype=float)
-    if F.ndim != 2 or G.ndim != 2 or F.shape[0] == 0 or G.shape[0] == 0:
-        raise InvalidArgumentError("both point sets must be non-empty (N, d) arrays")
-    if F.shape[1] != G.shape[1]:
-        raise InvalidArgumentError(
-            f"ambient dimensions differ: {F.shape[1]} vs {G.shape[1]}")
-    best = np.full(F.shape[0], np.inf)
-    chunk = max(1, int(2e5) // max(1, G.shape[0]))
+    return float(np.sqrt(_nearest_rows(_cloud(f_points), _cloud(g_points))[1].max()))
+
+
+def _nearest_rows(F: np.ndarray, G: np.ndarray):
+    """(argmin, min) per row of F of its squared distances to the rows of G,
+    in row blocks of about 2e5 distances; no row depends on the blocking."""
+    nearest, best = [], []
+    chunk = max(1, int(2e5) // max(1, len(G)))
     for start in range(0, F.shape[0], chunk):
-        block = F[start:start + chunk]
-        d2 = pairwise_sq_dists(block, G)
-        best[start:start + block.shape[0]] = d2.min(axis=1)
-    return float(np.sqrt(best.max()))
+        d2 = pairwise_sq_dists(F[start:start + chunk], G)
+        nearest.append(np.argmin(d2, axis=1))
+        best.append(d2.min(axis=1))
+    return np.concatenate(nearest), np.concatenate(best)
 
 
 def embedding_gap_upper(f_params, f_points, g, h, g_domain: DomainBox | None = None,
@@ -216,9 +216,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
 
     # Nearest-neighbor matched affine fit, ICP-style refinement.  A
     # rank-deficient regression is a caller error regardless of incumbents.
-    d2_gw = pairwise_sq_dists(FX, GW)
-    nearest_w = np.argmin(d2_gw, axis=1)
-    d_gw = d2_gw.min(axis=1)
+    nearest_w, d_gw = _nearest_rows(FX, GW)
     matched = W[nearest_w]
     prev_upper = np.inf
     for _ in range(ICP_PASSES):

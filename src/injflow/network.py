@@ -15,11 +15,36 @@ import numpy as np
 from ._util import (as_batch, flat_store, flat_views, flatten, pairwise_sq_dists,
                     write_json)
 from .errors import InvalidArgumentError, InvalidLayerError, NumericError
-from .expansive import ExpansiveLayer, expansive_from_config
-from .flows import FlowBlock, compose_ball_bounds
+from .expansive import ExpansiveLayer, InjectiveRelu, LinearExpansive, ZeroPad
+from .flows import AutoregressiveLayer, CouplingLayer, FlowBlock, compose_ball_bounds
 
 DEFAULT_DOMAIN_RADIUS = 10.0
 CHECKPOINT_FORMAT = "injflow-checkpoint-v1"
+_KINDS = {cls.kind: cls for cls in (FlowBlock, CouplingLayer, AutoregressiveLayer,
+                                    ZeroPad, LinearExpansive, InjectiveRelu)}
+
+
+def build_from_config(cfg: dict):
+    """The stage or flow layer cfg describes, built by the class its "kind" names."""
+    cls = _KINDS.get(cfg["kind"])
+    if cls is None:
+        raise InvalidArgumentError(f"unknown kind {cfg['kind']!r}")
+    if cls is FlowBlock:
+        return FlowBlock(cfg["dim"], [build_from_config(lc) for lc in cfg["layers"]])
+    return cls.from_config(cfg)
+
+
+def _same(want, got) -> bool:
+    """want == got with equal JSON types at every level (true is not 1)."""
+    if type(want) is not type(got):
+        return False
+    if type(got) is dict:
+        return want.keys() == got.keys() and all(_same(want[k], got[k]) for k in got)
+    if type(got) is list:
+        if got and type(got[0]) is float:  # a tolist() row of floats, compared in C
+            return want == got and set(map(type, want)) == {float}
+        return len(want) == len(got) and all(map(_same, want, got))
+    return want == got
 
 
 class InjectiveNetwork:
@@ -141,29 +166,29 @@ class InjectiveNetwork:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "InjectiveNetwork":
+        """The network cfg describes, if its to_config() is cfg, JSON types too."""
         if cfg.get("format") != CHECKPOINT_FORMAT:
-            raise InvalidArgumentError(
-                f"unknown checkpoint format {cfg.get('format')!r}")
-        stages = []
-        for sc in cfg["stages"]:
-            if sc["kind"] == "flow_block":
-                stages.append(FlowBlock.from_config(sc))
-            else:
-                stages.append(expansive_from_config(sc))
-        return cls(stages)
+            raise InvalidArgumentError(f"unknown checkpoint format {cfg.get('format')!r}")
+        if cfg.keys() != {"format", "stages"}:
+            raise InvalidArgumentError("a checkpoint holds only format and stages")
+        net = cls([build_from_config(sc) for sc in cfg["stages"]])
+        for idx, (want, stage) in enumerate(zip(cfg["stages"], net.stages)):
+            if not _same(want, stage.to_config()):
+                raise InvalidArgumentError(f"stage {idx} does not load as written")
+        return net
 
     @classmethod
     def load_checkpoint(cls, path) -> "InjectiveNetwork":
-        """Load a saved network; an unreadable, malformed, incomplete or
-        invalid checkpoint, or one holding a non-finite number (NaN,
-        Infinity, 1e999 or an integer past the float range), raises
-        InvalidArgumentError naming the path."""
+        """Load a saved network; an unreadable, malformed, too deeply nested,
+        incomplete or invalid checkpoint (see from_config), or one holding a
+        non-finite number (NaN, Infinity, 1e999 or an integer past the float
+        range), raises InvalidArgumentError naming the path."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_config(json.load(fh, parse_float=_finite_float,
                                                  parse_constant=_finite_float))
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
-                OverflowError) as err:
+                OverflowError, RecursionError) as err:
             raise InvalidArgumentError(
                 f"cannot load checkpoint {path}: {type(err).__name__}: {err}") from err
 

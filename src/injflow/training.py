@@ -459,8 +459,7 @@ class ObstructionResult:
     summary: dict
 
 
-def _obstruction_arm(arm: str, trefoil_scale: float, control_radius: float,
-                     seed: int, steps_manifold: int, steps_density: int,
+def _obstruction_arm(arm: str, seed: int, steps_manifold: int, steps_density: int,
                      batch_size: int, lipschitz_log_interval: int,
                      eval_count: int) -> TrainingTrace:
     """Train one arm ("treatment" or "control") of the obstruction run.
@@ -469,9 +468,9 @@ def _obstruction_arm(arm: str, trefoil_scale: float, control_radius: float,
     it: the targets hold closures that do not pickle.
     """
     if arm == "treatment":
-        target = trefoil_target(scale=trefoil_scale)
+        target = trefoil_target(scale=1.0)
     else:
-        target = planar_circle_target(radius=control_radius, tilt=0.35,
+        target = planar_circle_target(radius=2.0, tilt=0.35,
                                       center=(0.1, 0.0, 0.1))
     leg1 = max(1, steps_density // 2)
     leg2 = max(1, (3 * steps_density) // 10)
@@ -524,8 +523,6 @@ def _control_arm_into(conn, *args) -> None:
 def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
                                steps_density: int = 3500,
                                batch_size: int = 256,
-                               trefoil_scale: float = 1.0,
-                               control_radius: float = 2.0,
                                lipschitz_log_interval: int = 50,
                                eval_count: int = 512) -> ObstructionResult:
     """Identical-budget paired runs: trefoil treatment vs planar-circle control.
@@ -544,8 +541,8 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     # Imported here so that `import injflow` stays as light as it was.
     import multiprocessing
 
-    args = (trefoil_scale, control_radius, seed, steps_manifold, steps_density,
-            batch_size, lipschitz_log_interval, eval_count)
+    args = (seed, steps_manifold, steps_density, batch_size, lipschitz_log_interval,
+            eval_count)
     # fork, not spawn: a spawned worker would import numpy and scipy again
     # (about 0.5 s).  The package starts no threads, so the fork is safe.
     ctx = multiprocessing.get_context("fork")

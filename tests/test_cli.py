@@ -203,6 +203,33 @@ class TestProjectSubcommand:
         assert record["error"]["row"] == 2
 
 
+def _mixed_network():
+    """coupling -> ReLU -> autoregressive -> linear -> identity block: every
+    flow-layer and parameter-holding stage kind, from latent 2 to ambient 5."""
+    rng = np.random.default_rng(0)
+    return InjectiveNetwork([make_coupling_block(2, 1, rng=rng, hidden=4),
+                             random_injective_relu(2, 4, rng),
+                             make_autoregressive_block(4, 1, rng=rng, hidden=4),
+                             random_linear_expansive(4, 5, rng),
+                             identity_block(5)])
+
+
+def _mixed_network_calls(tmp, ckpt):
+    """`injflow project` and `injflow gap --family affine` argvs on ckpt,
+    with seeded inputs shaped for _mixed_network."""
+    rng = np.random.default_rng(1)
+    inputs = {"queries": rng.uniform(-1, 1, size=(12, 5)),
+              "pairs": rng.uniform(-0.5, 0.5, size=(12, 6)),
+              "latent": rng.uniform(-1, 1, size=(12, 2))}
+    for name, points in inputs.items():
+        save_points_csv(tmp / f"{name}.csv", points)
+    return (["project", "--checkpoint", str(ckpt), "--queries", str(tmp / "queries.csv"),
+             "--out", str(tmp / "project")],
+            ["gap", "--checkpoint", str(ckpt), "--pairs", str(tmp / "pairs.csv"),
+             "--latent", str(tmp / "latent.csv"), "--family", "affine",
+             "--out", str(tmp / "gap")])
+
+
 def _gap_argv(tmp_path):
     """`injflow gap` arguments (no --out) for target pairs that the toy
     checkpoint's network generates itself."""
@@ -262,10 +289,12 @@ class TestGapSubcommand:
 
 
 def _write_bad_input(path, kind):
-    """A missing, malformed, incomplete, non-numeric, headerless,
-    header-only or empty input file at path."""
+    """A missing, malformed, deeply nested, incomplete, non-numeric,
+    headerless, header-only or empty input file at path."""
     if kind == "malformed":
         path.write_text('{"format": "injflow-checkpoint-v1", "stages": [\n')
+    elif kind == "deeply-nested":
+        path.write_text("[" * 200_000)
     elif kind == "incomplete":
         path.write_text('{"format": "injflow-checkpoint-v1", '
                         '"stages": [{"kind": "flow_block", "dim": 2}]}')
@@ -291,7 +320,8 @@ class TestInputFailures:
         assert str(bad_path) in record["error"]["message"]
         return record
 
-    @pytest.mark.parametrize("kind", ["missing", "malformed", "incomplete"])
+    @pytest.mark.parametrize("kind", ["missing", "malformed", "incomplete",
+                                      "deeply-nested"])
     def test_bad_checkpoint(self, tmp_path, capsys, kind):
         qpath = tmp_path / "queries.csv"
         save_points_csv(qpath, np.zeros((2, 3)))
@@ -390,13 +420,7 @@ class TestInputFailures:
         # A number the network cannot use is refused as the checkpoint
         # loads: a non-finite one, one past the float range, or a
         # scale_clamp other than the one every flow layer uses.
-        rng = np.random.default_rng(0)
-        net = InjectiveNetwork([make_coupling_block(2, 1, rng=rng, hidden=4),
-                                random_injective_relu(2, 4, rng),
-                                make_autoregressive_block(4, 1, rng=rng, hidden=4),
-                                random_linear_expansive(4, 5, rng),
-                                identity_block(5)])
-        cfg = net.to_config()
+        cfg = _mixed_network().to_config()
         stages = cfg["stages"]
         coupling, autoregressive = stages[0]["layers"][0], stages[2]["layers"][0]
         relu, linear = stages[1], stages[3]
@@ -415,6 +439,33 @@ class TestInputFailures:
                                            "--out", str(tmp_path / "o")], ckpt, capsys)
         assert record["error"]["message"].startswith("cannot load checkpoint")
 
+    @pytest.mark.parametrize("edit", [
+        lambda st: st[0]["layers"][0].update(perm=[0.9, 1.2]),
+        lambda st: st[0].update(dim=2.7),
+        lambda st: st[0]["layers"][0]["s_net"]["sizes"].__setitem__(1, 4.5),
+        lambda st: st[0]["layers"][0]["s_net"].update(weights=None),
+        lambda st: st[2]["layers"][0].update(first=None),
+        lambda st: st[3].update(m=6),
+        lambda st: st[0]["layers"][0]["s_net"]["sizes"].__setitem__(0, True),
+        lambda st: st[0]["layers"][0]["s_net"]["biases"][0].__setitem__(0, 0),
+        lambda st: st[3].update(note="extra"),
+        lambda st: st[0]["layers"].append(identity_block(2).to_config()),
+        lambda st: st[0]["layers"].append(ZeroPad(2, 3).to_config()),
+    ], ids=["float-perm", "fractional-dim", "fractional-size", "null-weights",
+            "null-first", "contradicting-m", "true-size", "integer-bias",
+            "extra-key", "flow-block-in-block", "zero-pad-in-block"])
+    def test_checkpoint_that_loads_as_another_network(self, tmp_path, capsys, edit):
+        # Each file once loaded as a network that writes a different file
+        # (a cut or cast value, freshly drawn or zero weights, an ignored
+        # key); the two layer kinds were refused, and still are.
+        cfg = _mixed_network().to_config()
+        edit(cfg["stages"])
+        ckpt = tmp_path / "net.json"
+        ckpt.write_text(json.dumps(cfg))
+        for argv in _mixed_network_calls(tmp_path, ckpt):
+            record = self._expect_usage_error(argv, ckpt, capsys)
+            assert record["error"]["message"].startswith("cannot load checkpoint")
+
 
 class TestErrors:
     def test_unknown_preset_exit_2(self, capsys):
@@ -422,6 +473,16 @@ class TestErrors:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"]["type"] == "usage"
+
+    def test_deeply_nested_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 200_000)
+        code = _run(["run", "projection-bench", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"]["type"] == "usage"
+        assert str(cfg) in record["error"]["message"]
 
     def test_malformed_config_reports_line_and_column(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -731,6 +792,62 @@ def test_input_file_contract(data):
         named = ("stage 1" if mutation in _STAGE_MUTATIONS
                  else str(ckpt) if role is None else str(paths[role]))
         assert named in record["message"]
+
+
+# The values one leaf of a valid checkpoint is set to: every JSON type, a
+# float that may well be valid, integers that may pass for a count or an
+# index, one past the float range and a nested list.  1e300 is left out: a
+# finite weight that large overflows later, which numpy reports as a
+# warning, not as an error record.
+_LEAF_POOL = (None, True, 2.5, -1, 0, "x", [], {}, 10 ** 400, [[0.5, [1.5]]])
+
+
+def _leaf_groups(node, path=()):
+    """{path with list indices dropped: [paths of its scalar leaves]}, so a
+    draw reaches a dim or a kind as often as one weight row's entries."""
+    if isinstance(node, (dict, list)):
+        groups = {}
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            for group, leaves in _leaf_groups(value, path + (key,)).items():
+                groups.setdefault(group, []).extend(leaves)
+        return groups
+    return {tuple(k for k in path if isinstance(k, str)): [path]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_checkpoint_leaf_contract(data):
+    """`injflow project` and `injflow gap --family affine` on a valid
+    checkpoint with one leaf set to a value from _LEAF_POOL never raise:
+    each call exits 0 or 2, a call that exits 2 leaves exactly one JSON
+    record on stderr, and one that exits 0 loaded a network whose
+    to_config() is the mutated file."""
+    cfg = _mixed_network().to_config()
+    groups = _leaf_groups(cfg)
+    group = data.draw(st.sampled_from(sorted(groups, key=repr)), label="group")
+    path = data.draw(st.sampled_from(groups[group]), label="leaf")
+    value = data.draw(st.sampled_from(_LEAF_POOL), label="value")
+    owner = cfg
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ckpt = tmp / "net.json"
+        ckpt.write_text(json.dumps(cfg))
+        for argv in _mixed_network_calls(tmp, ckpt):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), err.getvalue()
+            if code == 0:
+                loaded = InjectiveNetwork.load_checkpoint(ckpt).to_config()
+                assert json.dumps(loaded, sort_keys=True) == json.dumps(cfg, sort_keys=True)
+            else:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, lines
+                json.loads(lines[0])
 
 
 # Run in a fresh interpreter: the test process has long since loaded

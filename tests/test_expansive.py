@@ -8,10 +8,11 @@ from injflow.expansive import (
     InjectiveRelu,
     LinearExpansive,
     ZeroPad,
-    expansive_from_config,
     random_injective_relu,
     random_linear_expansive,
 )
+from injflow.flows import identity_block
+from injflow.network import InjectiveNetwork
 
 
 class TestZeroPad:
@@ -88,6 +89,19 @@ class TestInjectiveRelu:
             bad.validate()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LinearExpansive([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]),
+    lambda: InjectiveRelu([[1, 0], [0, 1]], [np.nan, 1]),
+    lambda: InjectiveRelu([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+    lambda: InjectiveRelu([[1.0]], [1.0], [[np.nan]]),
+], ids=["linear-inf", "relu-d-nan", "relu-b-inf", "relu-m-nan"])
+def test_non_finite_parameters_rejected(make):
+    # Every comparison with NaN is false, so the rank and sign checks alone
+    # would pass these; a linear layer with an inf weight then hung in lstsq.
+    with pytest.raises(InvalidLayerError, match="^non-finite parameter entry$"):
+        make()
+
+
 def _sampled_injectivity(layer, rng, n_pairs=10_000, box=5.0):
     x = rng.uniform(-box, box, size=(n_pairs, layer.in_dim))
     x2 = rng.uniform(-box, box, size=(n_pairs, layer.in_dim))
@@ -125,6 +139,8 @@ def test_json_serialization_roundtrip():
               random_injective_relu(2, 6, rng)]
     x = rng.normal(size=(20, 2))
     for layer in layers:
-        blob = json.dumps(layer.to_config())
-        clone = expansive_from_config(json.loads(blob))
+        net = InjectiveNetwork([identity_block(layer.in_dim), layer,
+                                identity_block(layer.out_dim)])
+        blob = json.dumps(net.to_config())
+        clone = InjectiveNetwork.from_config(json.loads(blob)).stages[1]
         np.testing.assert_array_equal(clone(x), layer(x))

@@ -30,6 +30,7 @@ from injflow.metrics import (
     wasserstein2_sliced,
     wasserstein_bound_check,
     _assignment,
+    _nearest_rows,
     _small_flow_descent_point,
 )
 
@@ -208,6 +209,29 @@ class TestCandidateFit:
         with pytest.raises(InvalidArgumentError):
             fit_candidate_alignment(x, fx, lambda w: np.zeros((len(np.atleast_2d(w)), 3)),
                                     np.zeros((4, 2)))
+
+    def test_nearest_match_memory_grows_linearly(self):
+        # The whole 4,000 x 4,000 pairs-by-latents distance matrix would
+        # take 128 MB; the fit matches rows in blocks, with the same bits.
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-1, 1, size=(4000, 1))
+
+        def g(w):
+            return np.column_stack([np.cos(w[:, 0]), np.sin(w[:, 0]), w[:, 0]])
+
+        fx = g(0.8 * x + 0.1) + rng.normal(0, 0.01, size=(4000, 3))
+        w_samples = rng.uniform(-1.5, 1.5, size=(4000, 1))
+        tracemalloc.start()
+        try:
+            fit_candidate_alignment(x, fx, g, w_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        d2 = pairwise_sq_dists(fx[:300], g(w_samples))
+        nearest, best = _nearest_rows(fx[:300], g(w_samples))
+        assert (nearest == d2.argmin(axis=1)).all()
+        assert best.tobytes() == d2.min(axis=1).tobytes()
 
     def test_small_flow_refines_affine(self):
         x = np.linspace(-1, 1, 50)[:, None]

@@ -516,8 +516,7 @@ class TestObstructionSmoke:
         from injflow.training import _obstruction_arm, run_obstruction_experiment
         forked = run_obstruction_experiment(seed=1, steps_manifold=6,
                                             steps_density=6).control
-        local = _obstruction_arm("control", trefoil_scale=1.0, control_radius=2.0,
-                                 seed=1, steps_manifold=6, steps_density=6,
+        local = _obstruction_arm("control", seed=1, steps_manifold=6, steps_density=6,
                                  batch_size=256, lipschitz_log_interval=50,
                                  eval_count=512)
         assert len(forked) > 0
@@ -528,8 +527,7 @@ class TestObstructionSmoke:
 
         from injflow import training
 
-        budget = dict(trefoil_scale=1.0, control_radius=2.0, seed=1,
-                      steps_manifold=300, steps_density=300, batch_size=7,
+        budget = dict(seed=1, steps_manifold=300, steps_density=300, batch_size=7,
                       lipschitz_log_interval=50, eval_count=512)
         start = time.perf_counter()
         training._obstruction_arm("control", **budget)
