@@ -85,6 +85,10 @@ def directed_supinf(f_points, g_points) -> float:
     return float(np.sqrt(_nearest_rows(_cloud(f_points), _cloud(g_points))[1].max()))
 
 
+# A squared distance past the float range is inf, farther than any finite
+# one; when every candidate distance is, the bound built on them is not
+# finite, and _finite_upper reports that.
+@np.errstate(over="ignore")
 def _nearest_rows(F: np.ndarray, G: np.ndarray):
     """(argmin, min) per row of F of its squared distances to the rows of G,
     in row blocks of about 2e5 distances; no row depends on the blocking."""
@@ -114,8 +118,19 @@ def embedding_gap_upper(f_params, f_points, g, h, g_domain: DomainBox | None = N
     GH = np.atleast_2d(np.asarray(g(H), dtype=float))
     # Same arithmetic as the directed sup-inf path so the sandwich
     # lower <= upper holds to the last ulp when both see the same pairs.
-    devs = np.sqrt(((GH - FX) ** 2).sum(axis=1))
+    # An overflow gives an infinite bound, which _finite_upper reports.
+    with np.errstate(over="ignore"):
+        devs = np.sqrt(((GH - FX) ** 2).sum(axis=1))
     return float(devs.max())
+
+
+def _finite_upper(upper: float) -> float:
+    """upper, if finite; a NaN or an overflow in g's outputs or in their
+    distances to the target is a numeric failure."""
+    if not np.isfinite(upper):
+        raise NumericError(f"the embedding-gap upper bound is {upper}, not finite: "
+                           "g's outputs or their distances overflow")
+    return upper
 
 
 def _affine_func(a: np.ndarray, c: np.ndarray):
@@ -202,7 +217,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
         # Degenerate single-point reduction: the best constant map into W.
         j = int(np.argmin(np.linalg.norm(GW - FX[0][None, :], axis=1)))
         cand = CandidateMap("constant", _constant_func(W[j].copy()))
-        return cand, upper_of(cand.func)
+        return cand, _finite_upper(upper_of(cand.func))
 
     # Identity-style embedding of the parameters into R^o as the incumbent.
     if o >= n:
@@ -258,6 +273,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
         raise InvalidArgumentError("no feasible candidate found inside the domain box")
 
     best_upper, best = min(candidates, key=lambda t: t[0])
+    _finite_upper(best_upper)  # no refinement starts from an infinite bound
 
     if family == "small-flow":
         a, c = best_affine if best_affine is not None else (np.eye(o, n), np.zeros(o))
@@ -470,6 +486,37 @@ def w2_1d_squared(x, y) -> float:
     return float(np.sum(masses * (x[xi] - y[yi]) ** 2))
 
 
+def _slice_projections(generated: np.ndarray, target: np.ndarray,
+                       directions: np.ndarray):
+    """(pg, pt): both batches projected on the (d, K) directions, one C-ordered
+    row of n values per direction, so each sort runs along contiguous memory;
+    pt is sorted.  The batches must be non-empty and of equal size."""
+    if generated.size == 0 or target.size == 0:
+        raise InvalidArgumentError("batches must be non-empty")
+    if generated.shape[0] != target.shape[0]:
+        raise InvalidArgumentError("sliced loss needs equal-size batches")
+    pg = (generated @ directions).T.copy()
+    pt = (target @ directions).T.copy()
+    pt.sort(axis=1)
+    return pg, pt
+
+
+def _scaled_mean_square(diffs: np.ndarray, d: int) -> float:
+    # mean sums in memory order, so it reads the C-ordered (n, K) transpose.
+    return float(d * np.mean((diffs ** 2).T.copy()))
+
+
+def sliced_w2sq(generated: np.ndarray, target: np.ndarray,
+                directions: np.ndarray) -> float:
+    """The value of sliced_w2sq_loss_and_grad, bitwise, without its gradient:
+    sorted values are the same whichever order a sort breaks ties in, so
+    no sort order is kept."""
+    pg, pt = _slice_projections(generated, target, directions)
+    pg.sort(axis=1)
+    pg -= pt
+    return _scaled_mean_square(pg, generated.shape[1])
+
+
 def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
                               directions: np.ndarray):
     """Dimension-scaled mean of squared 1-D W2 over the given unit directions,
@@ -477,17 +524,9 @@ def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
 
     Batches must have equal size (uniform weights); directions is (d, K).
     """
-    if generated.size == 0 or target.size == 0:
-        raise InvalidArgumentError("batches must be non-empty")
-    if generated.shape[0] != target.shape[0]:
-        raise InvalidArgumentError("sliced loss needs equal-size batches")
+    pg, pt = _slice_projections(generated, target, directions)
     n, d = generated.shape
     k = directions.shape[1]
-    # One projection per row, so each sort runs along contiguous memory;
-    # mean and matmul sum in memory order, so they read C-ordered (n, k).
-    pg = (generated @ directions).T.copy()
-    pt = (target @ directions).T.copy()
-    pt.sort(axis=1)
     # Without ties every sort gives the one stable order, so the faster
     # default sort is re-done stably only when a row has equal neighbours.
     # The row orders index the flat (k, n) arrays, faster than *_along_axis.
@@ -498,10 +537,10 @@ def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
         flat = np.argsort(pg, axis=1, kind="stable") + offsets
         sorted_pg = pg.take(flat)
     diffs = sorted_pg - pt
-    value = float(d * np.mean((diffs ** 2).T.copy()))
     gproj = np.empty_like(pg)
     gproj.put(flat, 2.0 * d * diffs / (n * k))
-    return value, gproj.T.copy() @ directions.T
+    # matmul, like mean, sums in memory order: it reads the (n, K) transpose.
+    return _scaled_mean_square(diffs, d), gproj.T.copy() @ directions.T
 
 
 def draw_directions(dim: int, count: int, rng) -> np.ndarray:
@@ -518,8 +557,9 @@ def wasserstein2_sliced(a, b, n_projections: int = 128, seed: int = 0) -> float:
 
     Scaled by the ambient dimension so that a pure translation by v reports
     ||v|| in expectation; deterministic under the seed.  Equal row counts
-    go through the training loss's sort-and-subtract kernel, unequal ones
-    through one quantile coupling per direction.
+    go through sliced_w2sq, the value half of the training loss's
+    sort-and-subtract kernel, unequal ones through one quantile coupling
+    per direction.
     """
     a, b = _cloud(a), _cloud(b)
     if a.shape[1] != b.shape[1]:
@@ -527,7 +567,7 @@ def wasserstein2_sliced(a, b, n_projections: int = 128, seed: int = 0) -> float:
     d = a.shape[1]
     dirs = draw_directions(d, n_projections, seed)
     if len(a) == len(b):
-        return float(np.sqrt(sliced_w2sq_loss_and_grad(a, b, dirs)[0]))
+        return float(np.sqrt(sliced_w2sq(a, b, dirs)))
     px = a @ dirs
     py = b @ dirs
     total = 0.0

@@ -200,7 +200,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def lipschitz_estimate(forward, samples, chunk: int = 256) -> float:
+def lipschitz_estimate(forward, samples, chunk: int = 64) -> float:
     """Max difference quotient ||f(x) - f(x')|| / ||x - x'|| of the callable
     `forward` over pairs of sample rows.
 

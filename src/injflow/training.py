@@ -37,7 +37,7 @@ from .geometry import (
     sample_circle,
     trefoil_target,
 )
-from .metrics import draw_directions, sliced_w2sq_loss_and_grad
+from .metrics import draw_directions, sliced_w2sq, sliced_w2sq_loss_and_grad
 from .network import InjectiveNetwork, lipschitz_estimate
 
 LOSSES = ("manifold", "density")
@@ -53,12 +53,7 @@ def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
     generated points (argmin selections treated as locally constant)."""
     if generated.size == 0 or target.size == 0:
         raise InvalidArgumentError("batches must be non-empty")
-    return _chamfer_from_sq_dists(generated, target,
-                                  pairwise_sq_dists(generated, target))
-
-
-def _chamfer_from_sq_dists(generated, target, d2):
-    """chamfer_loss_and_grad on d2 = pairwise_sq_dists(generated, target)."""
+    d2 = pairwise_sq_dists(generated, target)
     jmin = np.argmin(d2, axis=1)          # generated -> target
     imin = np.argmin(d2, axis=0)          # target -> generated
     n_g, n_t = generated.shape[0], target.shape[0]
@@ -68,6 +63,17 @@ def _chamfer_from_sq_dists(generated, target, d2):
     return value, grad
 
 
+def _chamfer_and_supinf(generated: np.ndarray, target: np.ndarray):
+    """(chamfer_loss_and_grad(generated, target)[0],
+    metrics.directed_supinf(target, generated)), bitwise, from the row and
+    column minima of one distance matrix, which is freed on return: a
+    minimum is the entry its argmin picks."""
+    d2 = pairwise_sq_dists(generated, target)
+    to_target, to_generated = d2.min(axis=1), d2.min(axis=0)
+    return (float(to_target.mean() + to_generated.mean()),
+            float(np.sqrt(to_generated.max())))
+
+
 def _effective_weights(loss: str, loss_weights) -> dict:
     """The given loss mix, with the named loss at weight 1.0 unless it is set."""
     weights = dict(loss_weights) if loss_weights else {}
@@ -75,25 +81,28 @@ def _effective_weights(loss: str, loss_weights) -> dict:
     return weights
 
 
-def _weighted_loss(gen, target, weights: dict, directions, sq_dists=None):
-    """(value, gradient wrt gen) of the weighted sum of the named losses;
-    zero weights are skipped, and the density loss needs `directions`.
-    The Chamfer term reuses sq_dists = pairwise_sq_dists(gen, target) when
-    the caller has it."""
-    total = 0.0
-    grad = np.zeros_like(gen)
+def _active_terms(weights: dict, directions):
+    """(name, weight) of each loss with a non-zero weight, in order; such
+    a loss with an unknown name, or the density loss without `directions`,
+    raises."""
     for name, w in weights.items():
         if w == 0.0:
             continue
-        if name == "manifold":
-            v, g = (chamfer_loss_and_grad(gen, target) if sq_dists is None
-                    else _chamfer_from_sq_dists(gen, target, sq_dists))
-        elif name == "density":
-            if directions is None:
-                raise InvalidArgumentError("density loss needs projection directions")
-            v, g = sliced_w2sq_loss_and_grad(gen, target, directions)
-        else:
+        if name not in LOSSES:
             raise InvalidArgumentError(f"unknown loss {name!r}")
+        if name == "density" and directions is None:
+            raise InvalidArgumentError("density loss needs projection directions")
+        yield name, w
+
+
+def _weighted_loss(gen, target, weights: dict, directions):
+    """(value, gradient wrt gen) of the weighted sum of the named losses;
+    zero weights are skipped, and the density loss needs `directions`."""
+    total = 0.0
+    grad = np.zeros_like(gen)
+    for name, w in _active_terms(weights, directions):
+        v, g = (chamfer_loss_and_grad(gen, target) if name == "manifold"
+                else sliced_w2sq_loss_and_grad(gen, target, directions))
         total += w * v
         grad += w * g
     return total, grad
@@ -267,6 +276,27 @@ class LayerwiseResult:
         return next(r for r in reversed(self.trace.records) if r.step <= step)
 
 
+def _record(net, step, weights, eval_latent, eval_target, diag_dirs,
+            diag_seed) -> TraceRecord:
+    """Diagnostics on the fixed eval sets, free of batch sampling noise.
+
+    Only values are computed, no loss gradient, and at most one eval-set
+    distance matrix is alive at a time: the one behind the Chamfer term
+    and the sup-inf is freed before the sliced W2 and the Lipschitz
+    estimate run."""
+    gen = net.forward(eval_latent)
+    chamfer, supinf = _chamfer_and_supinf(gen, eval_target)
+    loss = 0.0
+    for name, w in _active_terms(weights, diag_dirs):
+        loss += w * (chamfer if name == "manifold"
+                     else sliced_w2sq(gen, eval_target, diag_dirs))
+    w2 = metrics.wasserstein2_sliced(gen, eval_target, n_projections=128,
+                                     seed=diag_seed)
+    lip = lipschitz_estimate(lambda _: gen, eval_latent)  # reuses the images
+    return TraceRecord(step=step, loss=loss, directed_supinf=supinf,
+                       sliced_w2=w2, lipschitz_estimate=lip)
+
+
 def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
                 eval_target):
     """Shared schedule runner; diagnostics are evaluated on the fixed
@@ -286,21 +316,6 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
     diag_dirs = draw_directions(eval_target.shape[1], config.n_projections,
                                 diag_seed)
 
-    def record(step, weights):
-        """Diagnostics on the fixed eval sets, free of batch sampling noise."""
-        gen = net.forward(eval_latent)
-        # One distance matrix serves the Chamfer term and the sup-inf, which
-        # is then bitwise metrics.directed_supinf(eval_target, gen).
-        d2 = pairwise_sq_dists(gen, eval_target)
-        loss_value, _ = _weighted_loss(gen, eval_target, weights, diag_dirs, d2)
-        supinf = float(np.sqrt(d2.min(axis=0).max()))
-        w2 = metrics.wasserstein2_sliced(gen, eval_target, n_projections=128,
-                                         seed=diag_seed)
-        lip = lipschitz_estimate(lambda _: gen, eval_latent)  # reuses the images
-        trace.append(TraceRecord(step=step, loss=loss_value,
-                                 directed_supinf=supinf, sliced_w2=w2,
-                                 lipschitz_estimate=lip))
-
     for phase in config.phases:
         trainable = sorted(set(phase.trainable_stages))
         frozen = sorted(set(range(len(net.stages))) - set(trainable))
@@ -314,14 +329,16 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
             dirs = (draw_directions(target.shape[1], config.n_projections, rng)
                     if needs_dirs else None)
             if global_step % interval == 0:
-                record(global_step, weights)
+                trace.append(_record(net, global_step, weights, eval_latent,
+                                     eval_target, diag_dirs, diag_seed))
             _, grads = compute_gradients(
                 net, phase.loss, latent, target, trainable=set(trainable),
                 directions=dirs, loss_weights=weights)
             optimizer.step(grads)
             global_step += 1
         # Final state of the phase.
-        record(global_step, weights)
+        trace.append(_record(net, global_step, weights, eval_latent,
+                             eval_target, diag_dirs, diag_seed))
         global_step += 1
         after = _digest(net, frozen) if frozen else ""
         frozen_digests.append((before, after))

@@ -886,14 +886,78 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
     save_points_csv(equal_latent, load_points_csv(latent)[:len(load_points_csv(pairs))])
     gap_equal = [str(equal_latent) if arg == latent else arg for arg in gap]
     gap_equal[-1] = str(tmp_path / "gap-equal")
-    src = str(Path(injflow.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT,
          json.dumps([train, project, gap_equal, gap])],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=_package_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH, for
+    commands run in a fresh interpreter."""
+    src = str(Path(injflow.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize("family", ["affine", "small-flow"])
+def test_overflowing_gap_is_one_numeric_record(tmp_path, family):
+    """A linear weight scaled by 1e300 is finite, so the checkpoint loads,
+    but the squared distances behind the gap bound overflow: `injflow gap`
+    exits 1 with one numeric record and nothing else on stderr.  It printed
+    three numpy RuntimeWarnings and exited 2 ("gap.upper must be finite").
+    Run in a fresh interpreter, so stderr is all that the command wrote."""
+    cfg = _mixed_network().to_config()
+    linear = cfg["stages"][3]
+    linear["weight"] = (np.array(linear["weight"]) * 1e300).tolist()
+    ckpt = tmp_path / "net.json"
+    ckpt.write_text(json.dumps(cfg))
+    _, gap = _mixed_network_calls(tmp_path, ckpt)
+    gap[gap.index("--family") + 1] = family
+    proc = subprocess.run([sys.executable, "-m", "injflow.cli", *gap],
+                          capture_output=True, text=True, env=_package_env(),
+                          timeout=120)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"]["type"] == "numeric"
+
+
+# VmHWM, not ru_maxrss: Linux carries the high-water mark of the process
+# that started this one (here the test runner) into ru_maxrss across exec.
+_PEAK_RSS_SCRIPT = """
+import sys
+from injflow.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_large_gap_peak_rss(tmp_path):
+    """`injflow gap --family affine` on 4,000 pairs and 4,000 latent rows,
+    with one BLAS thread, peaks at ~55 MB resident (2-core Linux host,
+    numpy 2.4): the nearest-row matches go in row blocks, and the sliced W2s
+    build no gradient.  With a gradient per sliced W2 it peaked at ~67 MB.
+    Run in a fresh interpreter, so the figure is that command's alone."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("reads the peak resident size from /proc")
+    net, ckpt = _toy_checkpoint(tmp_path)
+    rng = np.random.default_rng(4)
+    params = rng.uniform(-1, 1, size=(4000, 2))
+    save_points_csv(tmp_path / "pairs.csv", np.hstack([params, net.forward(params)]))
+    save_points_csv(tmp_path / "latent.csv", rng.uniform(-1, 1, size=(4000, 2)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, "gap",
+         "--pairs", str(tmp_path / "pairs.csv"), "--latent", str(tmp_path / "latent.csv"),
+         "--checkpoint", str(ckpt), "--family", "affine", "--out", str(tmp_path / "gap")],
+        capture_output=True, text=True, timeout=120,
+        env={**_package_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+             "MKL_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
+    assert peak_mb < 60.0, peak_mb
 
 
 def test_console_entry_point_runs(tmp_path):

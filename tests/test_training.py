@@ -1,5 +1,9 @@
 import copy
+import importlib.util
+import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,12 +34,24 @@ from injflow.training import (
     TraceRecord,
     TrainingConfig,
     TrainingTrace,
+    _chamfer_and_supinf,
     chamfer_loss_and_grad,
     compute_gradients,
     draw_directions,
     run_layerwise,
+    sliced_w2sq,
     sliced_w2sq_loss_and_grad,
 )
+
+
+def _tied_clouds(seed, n, d, spread):
+    """Two (n, d) clouds on an integer grid of side `spread`, each row drawn
+    from a pool of n // 2 + 1 rows: duplicate rows, and many equal
+    distances and equal projections."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-spread, spread + 1, size=(n // 2 + 1, d)).astype(float)
+    return (pool[rng.integers(0, len(pool), size=n)],
+            rng.integers(-spread, spread + 1, size=(n, d)).astype(float))
 
 
 class TestChamfer:
@@ -61,6 +77,19 @@ class TestChamfer:
         with pytest.raises(InvalidArgumentError):
             chamfer_loss_and_grad(np.zeros((0, 2)), np.zeros((3, 2)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 3),
+           st.integers(1, 3))
+    def test_minima_value_bitwise_equal_to_argmin_value(self, seed, n, d, spread):
+        # The diagnostics record takes the Chamfer value and the sup-inf from
+        # row and column minima; on tied distances argmin picks one of equal
+        # entries, so the values must agree to the bit.  Up to 300 rows
+        # cross the row blocks of pairwise_sq_dists.
+        gen, tgt = _tied_clouds(seed, n, d, spread)
+        chamfer, supinf = _chamfer_and_supinf(gen, tgt)
+        assert chamfer == chamfer_loss_and_grad(gen, tgt)[0]
+        assert supinf == directed_supinf(tgt, gen)
+
 
 class TestSlicedLoss:
     def test_matched_batches_zero(self):
@@ -82,6 +111,20 @@ class TestSlicedLoss:
         with pytest.raises(InvalidArgumentError):
             sliced_w2sq_loss_and_grad(np.zeros((3, 1)), np.zeros((4, 1)),
                                       draw_directions(1, 4, 0))
+        with pytest.raises(InvalidArgumentError):
+            sliced_w2sq(np.zeros((3, 1)), np.zeros((4, 1)), draw_directions(1, 4, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 4),
+           st.integers(1, 20), st.integers(1, 3))
+    def test_value_half_bitwise_equal_to_loss_value(self, seed, n, d, k, spread):
+        # Duplicate rows and grid points give equal projections, which the
+        # gradient half sorts stably and the value half does not.
+        gen, tgt = _tied_clouds(seed, n, d, spread)
+        rng = np.random.default_rng(seed + 1)
+        dirs = draw_directions(d, k, rng)
+        dirs = np.where(rng.uniform(size=dirs.shape) < 0.3, 0.0, dirs.round(1))
+        assert sliced_w2sq(gen, tgt, dirs) == sliced_w2sq_loss_and_grad(gen, tgt, dirs)[0]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 5),
@@ -496,6 +539,46 @@ class TestRunLayerwise:
 
 
 class TestObstructionSmoke:
+    def test_one_record_peak_below_4mb(self):
+        # One diagnostics record on the obstruction arm's 512-point eval set
+        # holds one 2 MB distance matrix at a time and builds no loss
+        # gradient: its traced peak is ~2.7 MB.  With a Chamfer and a
+        # sliced gradient and the matrix held through 256-row Lipschitz
+        # blocks it was 6.15 MB.
+        from injflow import training
+        target = training.trefoil_target(scale=1.0)
+        eval_latent = training.sample_circle(512)
+        eval_target = target.map_points(training._ArclengthSampler(target).grid(512))
+        net = build_obstruction_network(seed=0)
+        weights = {"density": 1.0, "manifold": 0.1}
+        dirs = draw_directions(3, 64, 7)
+        record = training._record(net, 0, weights, eval_latent, eval_target, dirs, 7)
+        tracemalloc.start()
+        try:
+            again = training._record(net, 0, weights, eval_latent, eval_target, dirs, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == record
+        assert peak < 4 * 2 ** 20
+
+    def test_seed_sweep_tool_line(self, capsys):
+        # tools/obstruction_seeds.py at a smoke budget: one JSON line per
+        # seed, with the criterion-7 verdict and its margins.
+        path = Path(__file__).resolve().parents[1] / "tools" / "obstruction_seeds.py"
+        spec = importlib.util.spec_from_file_location("obstruction_seeds", path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.main(["--seeds", "0", "--steps-manifold", "20",
+                          "--steps-density", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        line = json.loads(lines[0])
+        assert list(line) == ["seed", "passed", "control_final_sliced_w2",
+                              "control_final_lipschitz", "treatment_min_sliced_w2",
+                              "treatment_tight_records", "lipschitz_ratio", "wall_s"]
+        assert line["seed"] == 0 and isinstance(line["passed"], bool)
+
     def test_tiny_budget_run_shapes_and_summary(self):
         from injflow.training import run_obstruction_experiment
         result = run_obstruction_experiment(seed=1, steps_manifold=6,
