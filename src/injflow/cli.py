@@ -17,7 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, projection, training
+# Only what every command needs: each command imports the other modules it
+# runs when it runs, so a process that only projects never loads training
+# or metrics.
 from ._util import as_rng, write_csv, write_json
 from .errors import (
     InjectiveFlowError,
@@ -27,7 +29,6 @@ from .errors import (
     UnsupportedLayerError,
 )
 from .expansive import random_well_conditioned
-from .geometry import load_points_csv
 from .network import InjectiveNetwork
 
 # The parameters each preset accepts, from a flag or the config: the least
@@ -75,6 +76,7 @@ def _write_summary(out_dir: Path, preset: str, seed: int, wall_time: float,
 
 
 def _preset_gap_visualization(params: dict, out_dir: Path, fmt: str, seed: int) -> dict:
+    from . import metrics
     count = params.get("count", 201)
     kx = np.linspace(-1.0, 1.0, count)[:, None]
     amp = 0.8
@@ -114,6 +116,7 @@ def _preset_gap_visualization(params: dict, out_dir: Path, fmt: str, seed: int) 
 
 
 def _preset_layerwise_toy(params: dict, out_dir: Path, fmt: str, seed: int) -> dict:
+    from . import training
     steps = {k: v for k, v in params.items() if k.endswith("_steps")}
     net, result = training.run_layerwise_toy(seed=seed, **steps)
     result.trace.to_csv(out_dir / "trace.csv")
@@ -134,6 +137,7 @@ def _preset_layerwise_toy(params: dict, out_dir: Path, fmt: str, seed: int) -> d
 
 def _preset_trefoil_obstruction(params: dict, out_dir: Path, fmt: str,
                                 seed: int) -> dict:
+    from . import training
     result = training.run_obstruction_experiment(**{**params, "seed": seed})
     result.treatment.to_csv(out_dir / "treatment_trace.csv")
     result.control.to_csv(out_dir / "control_trace.csv")
@@ -142,6 +146,7 @@ def _preset_trefoil_obstruction(params: dict, out_dir: Path, fmt: str,
 
 def _preset_projection_bench(params: dict, out_dir: Path, fmt: str,
                              seed: int) -> dict:
+    from . import projection
     trials = params.get("trials", 500)
     dims = [params["n"]] * 4 if "n" in params else [1, 2, 3, 5]
     rng = as_rng(seed)
@@ -256,6 +261,7 @@ def _cmd_run(args) -> int:
 def _read_points(path, columns: int, what: str) -> np.ndarray:
     """The rows of a points CSV whose width the checkpoint fixes; a file of
     another width is a usage error naming it."""
+    from .geometry import load_points_csv
     points = load_points_csv(path)
     if points.shape[1] != columns:
         raise InvalidArgumentError(
@@ -264,6 +270,7 @@ def _read_points(path, columns: int, what: str) -> np.ndarray:
 
 
 def _cmd_project(args) -> int:
+    from . import projection
     out_dir = Path(args.out)
     _make_dirs(out_dir)
     net = InjectiveNetwork.load_checkpoint(args.checkpoint)
@@ -280,6 +287,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    from . import metrics
+    from .geometry import load_points_csv
     if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
         raise _bad_parameter("tolerance", "a finite number >= 0", args.tolerance)
     if args.seed < 0:

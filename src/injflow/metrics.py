@@ -156,6 +156,9 @@ def _fit_affine(X: np.ndarray, targets: np.ndarray):
     return sol[:-1].T, sol[-1]
 
 
+# A surrogate or gradient past the float range is inf or NaN, which no
+# descent step accepts: the refinement then keeps the affine incumbent.
+@np.errstate(over="ignore", invalid="ignore")
 def _small_flow_descent_point(pert: Mlp, scale: float, base: np.ndarray,
                               X: np.ndarray, FX: np.ndarray, g,
                               g_domain: DomainBox):
@@ -428,18 +431,17 @@ def _cloud(points) -> np.ndarray:
 # The LP routine imports its solver at first call: loading scipy.optimize
 # adds ~0.5 s and ~43 MB to a process, and only unequal-size clouds need
 # the transportation LP.
-def _w2_exact_lp(a: np.ndarray, b: np.ndarray) -> float:
+def _w2_exact_lp(cost: np.ndarray) -> float:
     from scipy import sparse
     from scipy.optimize import linprog
 
-    n, m = len(a), len(b)
-    cost = pairwise_sq_dists(a, b).ravel()
+    n, m = cost.shape
     # Transportation polytope: row sums 1/n, column sums 1/m.
     a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
                           sparse.kron(np.ones((1, n)), sparse.eye(m))])
     b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
     # HiGHS's default 1e-7 feasibility tolerances leave ~1e-8 errors in W2.
-    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
@@ -462,9 +464,14 @@ def wasserstein2_exact(a, b) -> float:
         raise BudgetExceededError(
             f"combined support {len(a) + len(b)} exceeds the exact budget "
             f"{EXACT_W2_MAX_POINTS}; use wasserstein2_sliced")
+    # A squared distance past the float range is inf: a numeric failure,
+    # which neither solver is given.
+    with np.errstate(over="ignore"):
+        cost = pairwise_sq_dists(a, b)
+    if not np.all(np.isfinite(cost)):
+        raise NumericError("exact W2 cost matrix has non-finite entries")
     if len(a) != len(b):
-        return _w2_exact_lp(a, b)
-    cost = pairwise_sq_dists(a, b)
+        return _w2_exact_lp(cost)
     cols = _assignment(cost)
     return float(np.sqrt(cost[np.arange(len(cols)), cols].mean()))
 

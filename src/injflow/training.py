@@ -10,7 +10,6 @@ knotted-target experiment.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from dataclasses import dataclass
 
@@ -254,6 +253,7 @@ class TrainingTrace:
 
 
 def _digest(net: InjectiveNetwork, stage_indices) -> str:
+    import hashlib  # only phases with frozen stages compute a digest
     params = flatten(arr for _, _, arr in net.parameters(stage_indices))
     return hashlib.sha256(params.tobytes()).hexdigest()
 

@@ -796,10 +796,12 @@ def test_input_file_contract(data):
 
 # The values one leaf of a valid checkpoint is set to: every JSON type, a
 # float that may well be valid, integers that may pass for a count or an
-# index, one past the float range and a nested list.  1e300 is left out: a
-# finite weight that large overflows later, which numpy reports as a
-# warning, not as an error record.
+# index, one past the float range and a nested list.
 _LEAF_POOL = (None, True, 2.5, -1, 0, "x", [], {}, 10 ** 400, [[0.5, [1.5]]])
+
+# Factors a whole subnet weight matrix or bias vector is scaled by: finite,
+# so the file loads, but every product through it overflows.
+_SCALE_POOL = (1e300, -1e300)
 
 
 def _leaf_groups(node, path=()):
@@ -815,32 +817,56 @@ def _leaf_groups(node, path=()):
     return {tuple(k for k in path if isinstance(k, str)): [path]}
 
 
+def _subnet_arrays(cfg):
+    """Paths of every Mlp weight matrix and bias vector in cfg: the
+    coupling's s_net and t_net and the autoregressive conditioners."""
+    return sorted({leaf[:leaf.index(group[-1]) + 2]
+                   for group, leaves in _leaf_groups(cfg).items()
+                   if group[-1] in ("weights", "biases") for leaf in leaves}, key=repr)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_checkpoint_leaf_contract(data):
     """`injflow project` and `injflow gap --family affine` on a valid
-    checkpoint with one leaf set to a value from _LEAF_POOL never raise:
-    each call exits 0 or 2, a call that exits 2 leaves exactly one JSON
-    record on stderr, and one that exits 0 loaded a network whose
-    to_config() is the mutated file."""
+    checkpoint with one leaf set to a value from _LEAF_POOL, or one subnet
+    array scaled by a factor from _SCALE_POOL, never raise and print no
+    numpy warning.  A leaf draw exits 0 or 2, a scaled draw 0, 1 or 2; a
+    call that does not exit 0 leaves exactly one JSON record on stderr, and
+    one that exits 0 loaded a network whose to_config() is the mutated
+    file."""
     cfg = _mixed_network().to_config()
-    groups = _leaf_groups(cfg)
-    group = data.draw(st.sampled_from(sorted(groups, key=repr)), label="group")
-    path = data.draw(st.sampled_from(groups[group]), label="leaf")
-    value = data.draw(st.sampled_from(_LEAF_POOL), label="value")
+    factor = None
+    if data.draw(st.booleans(), label="scale"):
+        path = data.draw(st.sampled_from(_subnet_arrays(cfg)), label="array")
+        factor = data.draw(st.sampled_from(_SCALE_POOL), label="factor")
+    else:
+        groups = _leaf_groups(cfg)
+        group = data.draw(st.sampled_from(sorted(groups, key=repr)), label="group")
+        path = data.draw(st.sampled_from(groups[group]), label="leaf")
+        value = data.draw(st.sampled_from(_LEAF_POOL), label="value")
     owner = cfg
     for key in path[:-1]:
         owner = owner[key]
+    if factor is not None:
+        # Biases and the last layers start at zero; a zero entry becomes
+        # the factor itself, so every draw changes the network.
+        array = np.array(owner[path[-1]])
+        value = (np.where(array == 0.0, 1.0, array) * factor).tolist()
     owner[path[-1]] = value
+    exits = (0, 2) if factor is None else (0, 1, 2)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         ckpt = tmp / "net.json"
         ckpt.write_text(json.dumps(cfg))
         for argv in _mixed_network_calls(tmp, ckpt):
             err = io.StringIO()
-            with contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
                 code = main(argv)
-            assert code in (0, 2), err.getvalue()
+            assert not caught, [str(w.message) for w in caught]
+            assert code in exits, err.getvalue()
             if code == 0:
                 loaded = InjectiveNetwork.load_checkpoint(ckpt).to_config()
                 assert json.dumps(loaded, sort_keys=True) == json.dumps(cfg, sort_keys=True)
@@ -893,6 +919,67 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# The names `injflow` exported before its import went lazy, and the modules
+# benchmark/tracer.py fetches from it by name.
+_PUBLIC_NAMES = (
+    "BudgetExceededError", "InjectiveFlowError", "InvalidArgumentError",
+    "InvalidCandidateError", "InvalidConfigError", "InvalidLayerError", "NumericError",
+    "UnsupportedLayerError", "InjectiveRelu", "LinearExpansive", "ZeroPad",
+    "AutoregressiveLayer", "CouplingLayer", "FlowBlock", "Mlp", "identity_block",
+    "make_autoregressive_block", "make_coupling_block", "ManifoldTarget",
+    "sample_circle", "trefoil", "EmbeddingGapEstimate", "directed_supinf",
+    "embedding_gap_upper", "estimate_embedding_gap", "fit_candidate_alignment",
+    "wasserstein2_exact", "wasserstein2_sliced", "wasserstein_bound_check",
+    "InjectiveNetwork", "lipschitz_estimate", "ProjectionResult",
+    "linear_pseudo_inverse", "project_to_range", "relu_pseudo_inverse", "PhaseConfig",
+    "TrainingConfig", "TrainingTrace", "compute_gradients", "run_layerwise",
+    "run_obstruction_experiment", "__version__")
+_TRACED_MODULES = ("geometry", "expansive", "flows", "network", "training", "metrics",
+                   "projection", "cli", "_util")
+
+_IMPORT_SET_SCRIPT = """
+import json, sys
+def loaded():
+    return {m.split(".", 1)[1] for m in sys.modules if m.startswith("injflow.")}
+import injflow
+assert loaded() == {"errors"}, loaded()
+import injflow.cli
+assert not loaded() & {"training", "metrics", "projection", "geometry"}, loaded()
+project, gap, names, modules = json.loads(sys.argv[1])
+assert injflow.cli.main(project) == 0
+assert not loaded() & {"training", "metrics"}, loaded()
+assert injflow.cli.main(gap) == 0
+assert "training" not in loaded(), loaded()
+for name in names:
+    scope = {}
+    exec(f"from injflow import {name}", scope)
+    assert scope[name] is getattr(injflow, name), name
+assert set(names) | set(modules) <= set(dir(injflow))
+for module in modules:
+    assert getattr(injflow, module) is sys.modules["injflow." + module], module
+"""
+
+
+def test_each_command_imports_only_its_modules(tmp_path):
+    """`import injflow` loads only `errors`, `import injflow.cli` none of
+    the modules that only some commands run, `injflow project` neither
+    training nor metrics and `injflow gap` no training; every name the
+    package exported still imports from it, and each module the benchmark
+    tracer patches is an attribute of it.  In a fresh interpreter, where
+    nothing is imported yet."""
+    _, ckpt = _toy_checkpoint(tmp_path)
+    qpath = tmp_path / "queries.csv"
+    save_points_csv(qpath, np.random.default_rng(3).normal(size=(20, 3)))
+    project = ["project", "--checkpoint", str(ckpt), "--queries", str(qpath),
+               "--out", str(tmp_path / "proj")]
+    gap = [*_gap_argv(tmp_path), "--family", "affine", "--out", str(tmp_path / "gap")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SET_SCRIPT,
+         json.dumps([project, gap, _PUBLIC_NAMES, _TRACED_MODULES])],
+        capture_output=True, text=True, env=_package_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _package_env():
     """The environment with this package's source first on PYTHONPATH, for
     commands run in a fresh interpreter."""
@@ -906,14 +993,38 @@ def test_overflowing_gap_is_one_numeric_record(tmp_path, family):
     """A linear weight scaled by 1e300 is finite, so the checkpoint loads,
     but the squared distances behind the gap bound overflow: `injflow gap`
     exits 1 with one numeric record and nothing else on stderr.  It printed
-    three numpy RuntimeWarnings and exited 2 ("gap.upper must be finite").
-    Run in a fresh interpreter, so stderr is all that the command wrote."""
+    three numpy RuntimeWarnings and exited 2 ("gap.upper must be finite")."""
     cfg = _mixed_network().to_config()
     linear = cfg["stages"][3]
     linear["weight"] = (np.array(linear["weight"]) * 1e300).tolist()
+    _assert_gap_is_one_numeric_record(tmp_path, cfg, family)
+
+
+@pytest.mark.parametrize("latent_rows", [None, 9], ids=["equal-counts", "unequal-counts"])
+@pytest.mark.parametrize("family", ["affine", "small-flow"])
+def test_overflowing_subnet_gap_is_one_numeric_record(tmp_path, family, latent_rows):
+    """The coupling's t_net with a last layer of 1e300s: the gap bound is
+    finite, but the exact W2 of the bound check overflows, and so do the
+    small-flow refinement's surrogate and gradient.  With as many latent
+    rows as pairs each printed numpy RuntimeWarnings before the numeric
+    record; with 9 latent rows against 12 pairs the transport LP raised
+    scipy's ValueError, a traceback."""
+    cfg = _mixed_network().to_config()
+    t_net = cfg["stages"][0]["layers"][0]["t_net"]
+    t_net["weights"][-1] = np.full_like(t_net["weights"][-1], 1e300).tolist()
+    _assert_gap_is_one_numeric_record(tmp_path, cfg, family, latent_rows)
+
+
+def _assert_gap_is_one_numeric_record(tmp_path, cfg, family, latent_rows=None):
+    """`injflow gap` on cfg's network, with latent_rows latent samples if
+    given, exits 1 with one numeric record and nothing else on stderr, in a
+    fresh interpreter, so stderr is all that the command wrote."""
     ckpt = tmp_path / "net.json"
     ckpt.write_text(json.dumps(cfg))
     _, gap = _mixed_network_calls(tmp_path, ckpt)
+    if latent_rows is not None:
+        save_points_csv(tmp_path / "latent.csv",
+                        np.random.default_rng(5).uniform(-1, 1, size=(latent_rows, 2)))
     gap[gap.index("--family") + 1] = family
     proc = subprocess.run([sys.executable, "-m", "injflow.cli", *gap],
                           capture_output=True, text=True, env=_package_env(),
