@@ -94,10 +94,9 @@ def _preset_gap_visualization(params: dict, out_dir: Path, fmt: str, seed: int) 
         def g_map(ws, _a=alpha):
             return np.column_stack([ws[:, 0], _a * amp * np.sin(np.pi * ws[:, 0])])
 
-        _write_points(out_dir, f"g{i}_samples", g_map(w), fmt)
         gap = metrics.estimate_embedding_gap(kx, fx, g_map, w, family="affine")
-        check = metrics.wasserstein_bound_check(kx, fx, g_map, w, gap,
-                                                tolerance=0.01)
+        _write_points(out_dir, f"g{i}_samples", gap.range_images, fmt)
+        check = metrics.wasserstein_bound_check(fx, gap, tolerance=0.01)
         rows.append([i, gap.lower, gap.upper, check.w2, float(check.passed)])
         lowers.append(gap.lower)
         uppers.append(gap.upper)
@@ -307,9 +306,9 @@ def _cmd_gap(args) -> int:
     x, fx = pairs[:, :n], pairs[:, n:]
     gap = metrics.estimate_embedding_gap(x, fx, net.forward, latent, family=args.family,
                                          seed=args.seed)
-    check = metrics.wasserstein_bound_check(x, fx, net.forward, latent, gap,
-                                            tolerance=args.tolerance, seed=args.seed)
-    w2, method = metrics.wasserstein2(fx, net.forward(latent), seed=args.seed)
+    check = metrics.wasserstein_bound_check(fx, gap, tolerance=args.tolerance,
+                                            seed=args.seed)
+    w2, method = metrics.wasserstein2(fx, gap.range_images, seed=args.seed)
     payload = {
         "lower": gap.lower,
         "upper": gap.upper,

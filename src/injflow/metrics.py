@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -29,31 +28,24 @@ EXACT_W2_MAX_POINTS = 512
 DOMAIN_TOLERANCE = 1e-9
 # Passes of match-then-regress in the affine candidate fit.
 ICP_PASSES = 6
-
-
-@dataclass(frozen=True)
-class CandidateMap:
-    """An alignment map h from the target's parameter set into W."""
-
-    kind: str
-    func: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.func(x)
+# Descent steps of the small-flow refinement.
+SMALL_FLOW_STEPS = 150
 
 
 @dataclass(frozen=True)
 class EmbeddingGapEstimate:
-    """Certified interval [lower, upper] around the embedding gap."""
+    """Certified interval [lower, upper] around the embedding gap, with the
+    fitted candidate's images g(h(x)) and the range samples g(W)."""
 
     lower: float
     upper: float
-    candidate: CandidateMap
+    images: np.ndarray
+    range_images: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper):
+        if not (0.0 <= self.lower <= self.upper < np.inf):
             raise InvalidArgumentError(
-                f"need 0 <= lower <= upper, got [{self.lower}, {self.upper}]")
+                f"need 0 <= lower <= upper < inf, got [{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)
@@ -101,8 +93,8 @@ def _nearest_rows(F: np.ndarray, G: np.ndarray):
     return np.concatenate(nearest), np.concatenate(best)
 
 
-def embedding_gap_upper(f_params, f_points, g, h, g_domain: DomainBox | None = None,
-                        tol: float = DOMAIN_TOLERANCE) -> float:
+def embedding_gap_upper(f_params, f_points, g, h,
+                        g_domain: DomainBox | None = None) -> float:
     """Sup over sampled pairs of ||g(h(x)) - f(x)||_2.
 
     Valid upper bound on the gap for any injective candidate h with
@@ -113,15 +105,21 @@ def embedding_gap_upper(f_params, f_points, g, h, g_domain: DomainBox | None = N
     if X.shape[0] != FX.shape[0] or X.shape[0] == 0:
         raise InvalidArgumentError("f_params and f_points must align and be non-empty")
     H = np.atleast_2d(np.asarray(h(X), dtype=float))
-    if g_domain is not None and not g_domain.contains(H, tol=tol):
+    if g_domain is not None and not g_domain.contains(H):
         raise InvalidCandidateError("candidate output leaves g's declared domain box")
+    return _upper_and_images(FX, g, H)[0]
+
+
+def _upper_and_images(FX: np.ndarray, g, H: np.ndarray):
+    """(sup_i ||g(H_i) - FX_i||_2, g(H)): the upper bound of the candidate
+    whose outputs are H, and the images it is measured on."""
     GH = np.atleast_2d(np.asarray(g(H), dtype=float))
     # Same arithmetic as the directed sup-inf path so the sandwich
     # lower <= upper holds to the last ulp when both see the same pairs.
     # An overflow gives an infinite bound, which _finite_upper reports.
     with np.errstate(over="ignore"):
         devs = np.sqrt(((GH - FX) ** 2).sum(axis=1))
-    return float(devs.max())
+    return float(devs.max()), GH
 
 
 def _finite_upper(upper: float) -> float:
@@ -185,8 +183,7 @@ def _small_flow_descent_point(pert: Mlp, scale: float, base: np.ndarray,
 
 def fit_candidate_alignment(f_params, f_points, g, w_samples,
                             family: str = "affine",
-                            flow_steps: int = 150,
-                            seed: int = 0) -> tuple[CandidateMap, float]:
+                            seed: int = 0):
     """Fit the candidate map h minimizing the empirical gap upper bound.
 
     The affine family generalizes the canonical witness g o A o f^{-1}: match
@@ -197,6 +194,14 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
     deviation, with g's Jacobian taken by central differences.  Returns the
     candidate together with its upper bound; the incumbent never worsens.
     """
+    candidate, upper, _, _ = _fit(f_params, f_points, g, w_samples, family, seed)
+    return candidate, upper
+
+
+def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
+    """(h, upper, g(h(X)), g(W)) of fit_candidate_alignment: the inputs are
+    checked once, and g runs once on W, once per candidate and once per
+    small-flow descent point."""
     X = np.asarray(f_params, dtype=float)
     FX = np.asarray(f_points, dtype=float)
     W = np.asarray(w_samples, dtype=float)
@@ -210,17 +215,15 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
     g_domain = DomainBox.from_points(W, margin=1e-9)
     GW = np.atleast_2d(np.asarray(g(W), dtype=float))
 
-    def upper_of(func) -> float:
-        return embedding_gap_upper(X, FX, g, func, g_domain=g_domain)
-
-    candidates: list[tuple[float, CandidateMap]] = []
-    best_affine: tuple[np.ndarray, np.ndarray] | None = None
-
     if X.shape[0] == 1:
         # Degenerate single-point reduction: the best constant map into W.
         j = int(np.argmin(np.linalg.norm(GW - FX[0][None, :], axis=1)))
-        cand = CandidateMap("constant", _constant_func(W[j].copy()))
-        return cand, _finite_upper(upper_of(cand.func))
+        constant = _constant_func(W[j].copy())
+        upper, images = _upper_and_images(FX, g, constant(X))
+        return constant, _finite_upper(upper), images, GW
+
+    # (upper, g(h(X)), h) per candidate inside the box.
+    candidates: list = []
 
     # Identity-style embedding of the parameters into R^o as the incumbent.
     if o >= n:
@@ -228,42 +231,40 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
             out = np.zeros((Xb.shape[0], _o))
             out[:, :_n] = Xb
             return out
-        if g_domain.contains(identity_pad(X)):
-            cand = CandidateMap("identity", identity_pad)
-            candidates.append((upper_of(cand.func), cand))
+        H = identity_pad(X)
+        if g_domain.contains(H):
+            candidates.append((*_upper_and_images(FX, g, H), identity_pad))
 
     # Nearest-neighbor matched affine fit, ICP-style refinement.  A
     # rank-deficient regression is a caller error regardless of incumbents.
     nearest_w, d_gw = _nearest_rows(FX, GW)
     matched = W[nearest_w]
     prev_upper = np.inf
+    best_affine, affine_upper = None, np.inf
     for _ in range(ICP_PASSES):
         a, c = _fit_affine(X, matched)
-        func = _affine_func(a, c)
-        if not g_domain.contains(func(X)):
+        H = _affine_func(a, c)(X)
+        if not g_domain.contains(H):
             # Pull outputs toward the box center until feasible; stays affine.
             center = 0.5 * (g_domain.lo + g_domain.hi)
             for shrink in (0.9, 0.7, 0.5, 0.25, 0.1):
                 a2 = a * shrink
                 c2 = center + (c - center) * shrink
-                if g_domain.contains(_affine_func(a2, c2)(X)):
-                    a, c, func = a2, c2, _affine_func(a2, c2)
+                H2 = _affine_func(a2, c2)(X)
+                if g_domain.contains(H2):
+                    a, c, H = a2, c2, H2
                     break
             else:
                 break
-        cand = CandidateMap("affine", func)
-        up = upper_of(cand.func)
-        candidates.append((up, cand))
-        if best_affine is None or up <= min(u for u, cc in candidates
-                                            if cc.kind == "affine"):
-            best_affine = (a, c)
+        up, GH = _upper_and_images(FX, g, H)
+        candidates.append((up, GH, _affine_func(a, c)))
+        if best_affine is None or up <= affine_upper:
+            best_affine, affine_upper = (a, c), up
         if up >= prev_upper - 1e-15:
             break
         prev_upper = up
         # Re-match each target against the closer of W samples and the
         # candidate's own in-domain outputs.
-        H = func(X)
-        GH = np.atleast_2d(np.asarray(g(H), dtype=float))
         d_gh = np.sum((GH - FX) ** 2, axis=1)
         use_h = d_gh < d_gw
         matched_new = W[nearest_w]
@@ -275,7 +276,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
     if not candidates:
         raise InvalidArgumentError("no feasible candidate found inside the domain box")
 
-    best_upper, best = min(candidates, key=lambda t: t[0])
+    best_upper, images, best = min(candidates, key=lambda t: t[0])
     _finite_upper(best_upper)  # no refinement starts from an infinite bound
 
     if family == "small-flow":
@@ -296,7 +297,7 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
         base = affine(X)
         value, grad = _small_flow_descent_point(pert, scale, base, X, FX, g, g_domain)
         step = 0.05
-        for _ in range(max(0, flow_steps)):
+        for _ in range(SMALL_FLOW_STEPS):
             kept = vec.copy()
             vec -= step * grad
             trial = _small_flow_descent_point(pert, scale, base, X, FX, g, g_domain)
@@ -315,15 +316,13 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
 
         def flow(x):
             return affine(x) + scale * pert(x)
-        try:
-            flow_upper = upper_of(flow)
-        except InvalidCandidateError:
-            flow_upper = np.inf
-        if flow_upper < best_upper:
-            best_upper = flow_upper
-            best = CandidateMap("small-flow", flow)
+        H = flow(X)
+        if g_domain.contains(H):
+            flow_upper, flow_images = _upper_and_images(FX, g, H)
+            if flow_upper < best_upper:
+                best_upper, images, best = flow_upper, flow_images, flow
 
-    return best, float(best_upper)
+    return best, float(best_upper), images, GW
 
 
 def estimate_embedding_gap(f_params, f_points, g, w_samples,
@@ -334,18 +333,11 @@ def estimate_embedding_gap(f_params, f_points, g, w_samples,
     The candidate's own outputs g(h(x)) are counted as range samples when
     taking the directed sup-inf, which makes lower <= upper hold exactly.
     """
-    X = np.asarray(f_params, dtype=float)
-    FX = np.asarray(f_points, dtype=float)
-    W = np.asarray(w_samples, dtype=float)
-    candidate, upper = fit_candidate_alignment(
-        X, FX, g, W, family=family, seed=seed)
-    GW = np.atleast_2d(np.asarray(g(W), dtype=float))
-    GH = np.atleast_2d(np.asarray(g(candidate(X)), dtype=float))
-    lower = directed_supinf(FX, np.vstack([GW, GH]))
+    _, upper, images, range_images = _fit(f_params, f_points, g, w_samples, family, seed)
+    lower = directed_supinf(f_points, np.vstack([range_images, images]))
     # g(h(x)) sits in the candidate set, so lower <= upper holds exactly;
     # the min guards the one-ulp case where reductions round differently.
-    lower = min(lower, upper)
-    return EmbeddingGapEstimate(lower=lower, upper=upper, candidate=candidate)
+    return EmbeddingGapEstimate(min(lower, upper), upper, images, range_images)
 
 
 # --- Wasserstein-2 -------------------------------------------------------
@@ -444,8 +436,10 @@ def _w2_exact_lp(cost: np.ndarray) -> float:
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
+    # The inputs are finite and the transportation LP is always feasible
+    # and bounded, so a failed solve is numeric.
     if not res.success:
-        raise InvalidArgumentError(f"transport LP failed: {res.message}")
+        raise NumericError(f"transport LP failed: {res.message}")
     return float(np.sqrt(max(res.fun, 0.0)))
 
 
@@ -602,22 +596,14 @@ class BoundCheckReport:
     method: str
 
 
-def wasserstein_bound_check(f_params, f_points, g, w_samples,
-                            gap: EmbeddingGapEstimate,
+def wasserstein_bound_check(f_points, gap: EmbeddingGapEstimate,
                             tolerance: float = 0.01,
                             n_projections: int = 128,
                             seed: int = 0) -> BoundCheckReport:
-    """Construct mu_o by pushing the parameter samples through the fitted
-    candidate and verify W2(f#mu, g#mu_o) <= gap.upper + tolerance."""
-    X = np.asarray(f_params, dtype=float)
-    FX = np.asarray(f_points, dtype=float)
-    if not np.isfinite(gap.upper):
-        raise InvalidArgumentError("gap.upper must be finite")
-    H = np.atleast_2d(np.asarray(gap.candidate(X), dtype=float))
-    box = DomainBox.from_points(np.asarray(w_samples, dtype=float), margin=1e-6)
-    if not box.contains(H, tol=1e-6):
-        raise InvalidCandidateError("candidate output leaves the W sample box")
-    w2, method = wasserstein2(FX, np.atleast_2d(np.asarray(g(H), dtype=float)),
+    """Verify W2(f#mu, g#mu_o) <= gap.upper + tolerance, where g#mu_o is the
+    uniform measure on gap.images: the parameter samples pushed through the
+    fitted candidate and g."""
+    w2, method = wasserstein2(f_points, gap.images,
                               n_projections=n_projections, seed=seed)
     return BoundCheckReport(w2=w2, upper=gap.upper, tolerance=tolerance,
                             passed=bool(w2 <= gap.upper + tolerance),

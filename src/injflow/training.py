@@ -40,6 +40,8 @@ from .metrics import draw_directions, sliced_w2sq, sliced_w2sq_loss_and_grad
 from .network import InjectiveNetwork, lipschitz_estimate
 
 LOSSES = ("manifold", "density")
+# Directions of the sliced-W2 density loss and of its diagnostics value.
+N_PROJECTIONS = 64
 TRACE_COLUMNS = ("step", "loss", "directed_supinf", "sliced_w2",
                  "lipschitz_estimate")
 
@@ -191,13 +193,10 @@ class TrainingConfig:
     batch_size: int = 256
     seed: int = 0
     lipschitz_log_interval: int = 50
-    n_projections: int = 64
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidConfigError("batch_size must be >= 1")
-        if self.n_projections < 1:
-            raise InvalidConfigError("n_projections must be >= 1")
         if self.lipschitz_log_interval < 1:
             raise InvalidConfigError("lipschitz_log_interval must be >= 1")
         object.__setattr__(self, "phases", tuple(self.phases))
@@ -313,8 +312,7 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
     frozen_digests = []
     frozen_intact = True
 
-    diag_dirs = draw_directions(eval_target.shape[1], config.n_projections,
-                                diag_seed)
+    diag_dirs = draw_directions(eval_target.shape[1], N_PROJECTIONS, diag_seed)
 
     for phase in config.phases:
         trainable = sorted(set(phase.trainable_stages))
@@ -326,7 +324,7 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
             latent = latent_sampler(config.batch_size, rng)
             target = target_sampler(config.batch_size, rng)
             needs_dirs = weights.get("density", 0.0) > 0.0
-            dirs = (draw_directions(target.shape[1], config.n_projections, rng)
+            dirs = (draw_directions(target.shape[1], N_PROJECTIONS, rng)
                     if needs_dirs else None)
             if global_step % interval == 0:
                 trace.append(_record(net, global_step, weights, eval_latent,
@@ -420,8 +418,7 @@ def default_layerwise_config(seed: int = 0, phase1_steps: int = 2400,
             PhaseConfig(trainable_stages=(0,), loss="density",
                         steps=leg5, learning_rate=3e-3),
         ),
-        batch_size=320, seed=seed, lipschitz_log_interval=50,
-        n_projections=64)
+        batch_size=320, seed=seed, lipschitz_log_interval=50)
 
 
 def run_layerwise_toy(seed: int = 0, phase1_steps: int = 2400,
@@ -510,8 +507,7 @@ def _obstruction_arm(arm: str, seed: int, steps_manifold: int, steps_density: in
                         loss_weights=density_mix),
         ),
         batch_size=batch_size, seed=seed,
-        lipschitz_log_interval=lipschitz_log_interval,
-        n_projections=64)
+        lipschitz_log_interval=lipschitz_log_interval)
     arclen = _ArclengthSampler(target)
 
     def latent_sampler(count, rng):

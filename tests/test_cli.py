@@ -273,6 +273,25 @@ class TestGapSubcommand:
         assert _run(argv) == 0
         assert seen == {"estimate_embedding_gap": 7, "wasserstein_bound_check": 7}
 
+    def test_gap_evaluates_each_point_set_once(self, tmp_path, monkeypatch):
+        # `injflow gap` runs the network once on the latent rows and once per
+        # candidate: the W2 report and the bound check reuse the estimate's
+        # images.
+        ckpt = tmp_path / "net.json"
+        _mixed_network().save_checkpoint(ckpt)
+        _, gap = _mixed_network_calls(tmp_path, ckpt)
+        seen = []
+        forward = InjectiveNetwork.forward
+
+        def recording(self, x):
+            seen.append((np.shape(x), np.asarray(x).tobytes()))
+            return forward(self, x)
+        monkeypatch.setattr(InjectiveNetwork, "forward", recording)
+        assert _run(gap) == 0
+        latent = load_points_csv(tmp_path / "latent.csv")
+        assert seen.count((latent.shape, latent.tobytes())) == 1
+        assert len(set(seen)) == len(seen)
+
     @pytest.mark.parametrize("flags, parameter", [
         (["--tolerance", "nan"], "tolerance"),
         (["--tolerance", "inf"], "tolerance"),
@@ -1013,6 +1032,20 @@ def test_overflowing_subnet_gap_is_one_numeric_record(tmp_path, family, latent_r
     t_net = cfg["stages"][0]["layers"][0]["t_net"]
     t_net["weights"][-1] = np.full_like(t_net["weights"][-1], 1e300).tolist()
     _assert_gap_is_one_numeric_record(tmp_path, cfg, family, latent_rows)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e150])
+@pytest.mark.parametrize("family", ["affine", "small-flow"])
+def test_failed_transport_lp_is_one_numeric_record(tmp_path, family, scale):
+    """The coupling's t_net with a last layer of 1e100s or 1e150s: every
+    cost is finite, but HiGHS fails on the unequal-size W2 report's
+    transport LP (9 latent rows against 12 pairs).  That LP is always
+    feasible and bounded, so the failure is numeric; it exited 2 as a
+    usage error ("transport LP failed")."""
+    cfg = _mixed_network().to_config()
+    t_net = cfg["stages"][0]["layers"][0]["t_net"]
+    t_net["weights"][-1] = np.full_like(t_net["weights"][-1], scale).tolist()
+    _assert_gap_is_one_numeric_record(tmp_path, cfg, family, 9)
 
 
 def _assert_gap_is_one_numeric_record(tmp_path, cfg, family, latent_rows=None):

@@ -17,6 +17,7 @@ from injflow.errors import (
 )
 from injflow.flows import Mlp
 from injflow.metrics import (
+    SMALL_FLOW_STEPS,
     DomainBox,
     directed_supinf,
     draw_directions,
@@ -184,7 +185,7 @@ class TestCandidateFit:
             return np.column_stack([ws[:, 0], np.ones(ws.shape[0])])
 
         cand, upper = fit_candidate_alignment(x, fx, g, w)
-        assert cand.kind == "constant"
+        assert cand(x)[0].tolist() in w.tolist()
         gw = g(w)
         assert upper == pytest.approx(
             float(np.linalg.norm(gw - fx, axis=1).min()))
@@ -250,8 +251,7 @@ class TestCandidateFit:
 
         _, upper_affine = fit_candidate_alignment(x, fx[:, :1], g, w_samples)
         _, upper_flow = fit_candidate_alignment(x, fx[:, :1], g, w_samples,
-                                                family="small-flow",
-                                                flow_steps=100, seed=0)
+                                                family="small-flow", seed=0)
         assert upper_flow <= upper_affine + 1e-12
 
     @pytest.mark.parametrize("o", [1, 2])
@@ -301,8 +301,28 @@ class TestCandidateFit:
             return np.atleast_2d(w)
 
         fit_candidate_alignment(x, fx, g, np.linspace(-1.5, 1.5, 100)[:, None],
-                                family="small-flow", flow_steps=100, seed=0)
-        assert len(calls) <= 2 * 100 + 10
+                                family="small-flow", seed=0)
+        assert len(calls) <= 2 * SMALL_FLOW_STEPS + 10
+
+    @pytest.mark.parametrize("family", ["affine", "small-flow"])
+    def test_estimate_evaluates_each_point_set_once(self, family):
+        # g runs once on W and once per candidate; the estimate carries
+        # g(W) and the chosen candidate's images instead of recomputing them.
+        rng = np.random.default_rng(4)
+        x = np.sort(rng.uniform(-1, 1, 40))[:, None]
+        fx = np.column_stack([x[:, 0], np.sin(0.9 * x[:, 0]) + 0.1])
+        w_samples = rng.uniform(-1.5, 1.5, size=(60, 1))
+        seen = []
+
+        def g(w):
+            seen.append((w.shape, w.tobytes()))
+            return np.column_stack([w[:, 0], np.sin(w[:, 0])])
+
+        gap = estimate_embedding_gap(x, fx, g, w_samples, family=family)
+        assert seen.count((w_samples.shape, w_samples.tobytes())) == 1
+        assert len(set(seen)) == len(seen)
+        assert gap.range_images.tobytes() == g(w_samples).tobytes()
+        assert gap.upper == np.sqrt(((gap.images - fx) ** 2).sum(axis=1)).max()
 
 
 class TestSandwich:
@@ -535,7 +555,7 @@ class TestBoundCheck:
         fx = g(x)
         w_samples = np.linspace(-1, 1, 30)[:, None]
         gap = estimate_embedding_gap(x, fx, g, w_samples)
-        report = wasserstein_bound_check(x, fx, g, w_samples, gap)
+        report = wasserstein_bound_check(fx, gap)
         assert gap.upper <= 1e-8
         assert report.w2 <= 1e-8
         assert report.passed
@@ -551,6 +571,6 @@ class TestBoundCheck:
         fx = np.column_stack([x[:, 0], np.sin(0.9 * x[:, 0]) + 0.1])
         w_samples = np.linspace(-1.5, 1.5, 60)[:, None]
         gap = estimate_embedding_gap(x, fx, g, w_samples)
-        report = wasserstein_bound_check(x, fx, g, w_samples, gap, tolerance=0.01)
+        report = wasserstein_bound_check(fx, gap, tolerance=0.01)
         assert report.w2 <= gap.upper + 0.01
         assert report.passed

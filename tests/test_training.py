@@ -449,8 +449,7 @@ def _tiny_config(seed=0, steps=40):
             PhaseConfig(trainable_stages=(0,), loss="density",
                         steps=steps, learning_rate=1e-2),
         ),
-        batch_size=64, seed=seed, lipschitz_log_interval=20,
-        n_projections=16)
+        batch_size=64, seed=seed, lipschitz_log_interval=20)
 
 
 class TestRunLayerwise:
@@ -496,8 +495,6 @@ class TestRunLayerwise:
         with pytest.raises(InvalidConfigError):
             PhaseConfig(trainable_stages=(0,), loss="nope", steps=5,
                         learning_rate=1e-3)
-        with pytest.raises(InvalidConfigError, match="n_projections"):
-            TrainingConfig(phases=bad.phases, n_projections=0)
 
     def test_unknown_loss_weight_rejected(self):
         # An unknown key, or a weight that is not a finite number >= 0, is
@@ -518,7 +515,7 @@ class TestRunLayerwise:
         config = TrainingConfig(
             phases=(PhaseConfig(trainable_stages=stages, loss=loss, steps=3,
                                 learning_rate=5e-3),),
-            batch_size=32, seed=5, lipschitz_log_interval=2, n_projections=8)
+            batch_size=32, seed=5, lipschitz_log_interval=2)
         final = run_layerwise(net, target, config, eval_count=300).trace.final
         eval_latent = np.linspace(-1.0, 1.0, 300)[:, None]
         eval_target = target.map_points(eval_latent)
