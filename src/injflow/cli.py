@@ -43,6 +43,7 @@ PRESET_PARAMS = {
                             "batch_size": 1, "lipschitz_log_interval": 1},
     "projection-bench": {"seed": 0, "trials": 1, "n": 1},
 }
+PARAM_MAX = {"n": 8}  # the one upper bound: the oracle solves 4^n systems per trial
 
 
 def _write_table(out_dir: Path, name: str, columns, rows, fmt: str) -> Path:
@@ -240,6 +241,8 @@ def _cmd_run(args) -> int:
                 raise _bad_parameter(key, "a file path", value)
         elif type(value) is not int or value < least:  # not bools, not 2.0
             raise _bad_parameter(key, f"an integer >= {least}", value)
+        elif value > PARAM_MAX.get(key, value):
+            raise _bad_parameter(key, f"an integer <= {PARAM_MAX[key]}", value)
     seed = params.pop("seed", 0)
     out_dir = Path(args.out)
     _make_dirs(out_dir, *([Path(params["checkpoint"]).parent]

@@ -98,47 +98,46 @@ def project_to_range(net: InjectiveNetwork, y) -> ProjectionResult:
 
 
 def brute_force_relu_projection(b_mat, d_diag, y):
-    """Enumerate all 2^n sign patterns and solve each cone-constrained
-    least-squares problem numerically; return (best residual, minimizers).
+    """Enumerate all 2^n sign cones and solve each cone's least squares
+    exactly; return (best residual, minimizers).
 
-    In alpha = Bx coordinates the range restricted to a sign pattern is
-    affine, so each pattern yields a bounded least-squares problem over its
-    cone.  Minimizers within 1e-9 of the best feasible value are
-    collected and deduplicated.  Independent of the closed-form path: this
-    route never builds the sign pattern Delta_y or calls pseudo_inverse.
-    Imports its solver at first call, so `injflow project` never loads
-    scipy.optimize.
+    On a cone, beta = |alpha| >= 0 for alpha = Bx and the output is A_s beta,
+    column i of A_s being e_i (alpha_i >= 0) or D_ii e_{n+i} (alpha_i <= 0).
+    Each passive set P of that non-negative least squares gives one set of
+    normal equations (on the columns in P, the identity off P), solved in
+    batches; the feasible beta with the least residual is the cone's optimum.
+    Minimizers within 1e-9 of the best value are kept and deduplicated.
+    Independent of the closed-form path: this route never builds the sign
+    pattern Delta_y or calls pseudo_inverse.
     """
-    from scipy.optimize import lsq_linear
-
     layer = InjectiveRelu(b_mat, d_diag)
     b, d, n = layer.b_mat, layer.d_diag, layer.in_dim
     yv = np.asarray(y, dtype=float).ravel()
     if yv.shape != (2 * n,):
         raise InvalidArgumentError(f"query must have dimension {2 * n}")
-    best_val = np.inf
-    solutions: list[tuple[float, np.ndarray]] = []
-    for bits in range(2 ** n):
-        signs = np.array([(bits >> i) & 1 for i in range(n)])  # 1 = negative cone
-        # On this cone ReLU([alpha; -D alpha]) = A alpha with A affine.
-        a_mat = np.zeros((2 * n, n))
-        lb = np.where(signs == 1, -np.inf, 0.0)
-        ub = np.where(signs == 1, 0.0, np.inf)
-        for i in range(n):
-            if signs[i] == 1:
-                a_mat[n + i, i] = -d[i]
-            else:
-                a_mat[i, i] = 1.0
-        res = lsq_linear(a_mat, yv, bounds=(lb, ub), tol=1e-14)
-        alpha = res.x
-        fitted = np.maximum(np.concatenate([alpha, -d * alpha]), 0.0)
-        val = float(np.linalg.norm(yv - fitted))
-        solutions.append((val, np.linalg.solve(b, alpha)))
-        best_val = min(best_val, val)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1  # row k: cone k and set k
+    cols = np.arange(n)
+    a_mats = np.zeros((2 ** n, 2 * n, n))
+    a_mats[:, cols, cols] = 1 - bits  # 1 = negative cone
+    a_mats[:, n + cols, cols] = bits * d
+    a_t = np.swapaxes(a_mats, 1, 2)
+    gram, rhs = a_t @ a_mats, a_t @ yv  # restricted to each P by the masks below
+    on_p, off_p = bits[:, :, None] * bits[:, None, :], np.eye(n) * (1 - bits)[:, None, :]
+    beta = np.empty((2 ** n, n))
+    step = max(1, 4096 >> n)  # cones per solve: at most 4096 systems
+    for start in range(0, 2 ** n, step):
+        cones = slice(start, start + step)
+        sol = np.linalg.solve(gram[cones, None] * on_p + off_p,
+                              (rhs[cones, None] * bits)[..., None])[..., 0]
+        resid = np.linalg.norm(yv - sol @ a_t[cones], axis=-1)
+        resid[(sol < 0).any(axis=-1)] = np.inf
+        beta[cones] = sol[np.arange(len(sol)), resid.argmin(axis=1)]
+    alpha = np.where(bits == 1, -beta, beta)
+    vals = np.linalg.norm(yv - np.maximum(np.hstack([alpha, -d * alpha]), 0.0), axis=1)
+    best_val = float(vals.min())
     keep: list[np.ndarray] = []
-    for val, x in solutions:
-        if val <= best_val + 1e-9:
-            if not any(np.linalg.norm(x - k) <= 1e-7 * max(1.0, np.linalg.norm(k))
-                       for k in keep):
-                keep.append(x)
+    for x in np.linalg.solve(b, alpha.T).T[vals <= best_val + 1e-9]:
+        if not any(np.linalg.norm(x - k) <= 1e-7 * max(1.0, np.linalg.norm(k))
+                   for k in keep):
+            keep.append(x)
     return best_val, keep

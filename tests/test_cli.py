@@ -519,6 +519,8 @@ class TestErrors:
         ("projection-bench", ["--trials", "0"], None, "trials"),
         ("projection-bench", ["--trials", "2", "--n", "-1"], None, "n"),
         ("projection-bench", ["--trials", "2", "--n", "0"], None, "n"),
+        ("projection-bench", ["--trials", "2", "--n", "9"], None, "n"),
+        ("projection-bench", ["--trials", "2"], {"n": 9}, "n"),
         ("projection-bench", ["--trials", "2", "--seed", "-1"], None, "seed"),
         ("trefoil-obstruction", ["--steps-manifold", "1", "--steps-density", "1"],
          {"batch_size": 2.5}, "batch_size"),
@@ -530,7 +532,8 @@ class TestErrors:
         ("layerwise-toy", [], {"phase1_step": 3}, "phase1_step"),
         ("gap-visualization", ["--trials", "3"], None, "trials"),
         ("projection-bench", [], {"batch_size": 4}, "batch_size"),
-    ], ids=["text-steps", "zero-trials", "negative-n", "zero-n", "negative-seed",
+    ], ids=["text-steps", "zero-trials", "negative-n", "zero-n", "large-n",
+            "large-config-n", "negative-seed",
             "fractional-batch", "obstruction-checkpoint", "bench-checkpoint",
             "gapviz-checkpoint", "unknown-config-key", "config-typo", "foreign-flag",
             "foreign-config-key"])
@@ -896,33 +899,35 @@ def test_checkpoint_leaf_contract(data):
 
 
 # Run in a fresh interpreter: the test process has long since loaded
-# scipy.optimize through the exact-W2 and oracle tests.
+# scipy.optimize through the exact-W2 tests.
 _IMPORT_CONTRACT_SCRIPT = """
 import json, sys
 from injflow.cli import main
-train, project, gap_equal, gap = json.loads(sys.argv[1])
-for argv in train + [project, gap_equal]:
+runs, project, gap_equal, gap = json.loads(sys.argv[1])
+for argv in runs + [project, gap_equal]:
     assert main(argv) == 0, argv
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-assert not loaded, f"training, project or equal-size gap loaded {loaded}"
+assert not loaded, f"training, projection-bench, project or equal-size gap loaded {loaded}"
 assert main(gap) == 0
 assert "scipy.optimize" in sys.modules, "gap ran no transport LP"
 """
 
 
 def test_training_and_project_never_import_scipy_optimize(tmp_path):
-    """Only the transport LP of the exact W2 and the brute-force ReLU oracle
-    use scipy, through scipy.optimize, so `injflow run` on the training
-    presets, `injflow project` and `injflow gap` with as many latent rows
-    as pairs (every W2 an assignment) load no scipy module at all, and
-    `injflow gap` with unequal counts loads scipy.optimize at first use."""
+    """Only the transport LP of the exact W2 uses scipy, through
+    scipy.optimize, so `injflow run` on the training presets and on
+    projection-bench (whose oracle is numpy), `injflow project` and
+    `injflow gap` with as many latent rows as pairs (every W2 an
+    assignment) load no scipy module at all, and `injflow gap` with unequal
+    counts loads scipy.optimize at first use."""
     _, ckpt = _toy_checkpoint(tmp_path)
     qpath = tmp_path / "queries.csv"
     save_points_csv(qpath, np.random.default_rng(3).normal(size=(20, 3)))
-    train = [["run", "layerwise-toy", "--phase1-steps", "3", "--phase2-steps", "2",
-              "--out", str(tmp_path / "toy")],
-             ["run", "trefoil-obstruction", "--steps-manifold", "3",
-              "--steps-density", "2", "--out", str(tmp_path / "obstruction")]]
+    runs = [["run", "layerwise-toy", "--phase1-steps", "3", "--phase2-steps", "2",
+             "--out", str(tmp_path / "toy")],
+            ["run", "trefoil-obstruction", "--steps-manifold", "3",
+             "--steps-density", "2", "--out", str(tmp_path / "obstruction")],
+            ["run", "projection-bench", "--trials", "8", "--out", str(tmp_path / "bench")]]
     project = ["project", "--checkpoint", str(ckpt), "--queries", str(qpath),
                "--out", str(tmp_path / "proj")]
     gap = [*_gap_argv(tmp_path), "--family", "affine", "--out", str(tmp_path / "gap")]
@@ -933,7 +938,7 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
     gap_equal[-1] = str(tmp_path / "gap-equal")
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT,
-         json.dumps([train, project, gap_equal, gap])],
+         json.dumps([runs, project, gap_equal, gap])],
         capture_output=True, text=True, env=_package_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
 

@@ -150,6 +150,70 @@ class TestOracleOptimality:
                 assert abs(np.linalg.det(m_y @ w)) > 1e-12
 
 
+def _query_pair(kind, u, v):
+    return {"free": (u, v), "tie": (abs(u), abs(u)), "negative": (-abs(u), -abs(v))}[kind]
+
+
+def _no_near_tie(pair):
+    head, tail = max(pair[0], 0.0), max(pair[1], 0.0)
+    return head == tail or abs(head ** 2 - tail ** 2) >= 1e-6
+
+
+# Each coordinate pair (y_i, y_{n+i}) of a query: about 60 % drawn freely,
+# 20 % a tie y_i = y_{n+i} and 20 % both negative.  A pair whose two cones
+# differ by less than 1e-6 in squared residual without tying is left out:
+# the 1e-9 keep rule admits its worse cone as a second minimizer.
+_QUERY_PAIRS = st.lists(
+    st.builds(_query_pair, st.sampled_from(("free", "free", "free", "tie", "negative")),
+              st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(_no_near_tie),
+    min_size=1, max_size=5)
+
+
+class TestExactOracle:
+    def test_all_negative_pair_is_one_minimizer(self):
+        # Criterion 1's instance k = 143: pair 2 is all-negative, so alpha_2 = 0
+        # on both of its cones and the two cones share one minimizer.
+        b = np.array([
+            [-0.4350442503914094, -0.4221387660706532, 0.7978768461965727,
+             -0.4112468517826729, 0.1484304767324876],
+            [0.9519278564073852, -0.4848669106296492, 1.680686825897258e-05,
+             -0.5686214264391865, 0.05117322759585053],
+            [-0.14852668324379786, 0.2480095304887182, -0.11589613532056886,
+             -0.47225544427722893, 0.8746730156991249],
+            [-0.482525874400467, -0.5343227369076496, -0.7731376208065965,
+             -0.3393993650273105, -0.11921171495568873],
+            [-0.024081668873876572, 0.651284512483222, 0.021568699133769662,
+             -0.6999226310801326, -0.5170507854689468]])
+        d = np.array([0.724699391532404, 1.8921544422435725, 1.1995487577559927,
+                      1.5885595118480913, 0.5539381989372487])
+        y = np.array([0.015070641239897877, 0.8988617452312784, -0.17043464127226984,
+                      1.642435711889115, -0.28528524349699674, -0.050331154620854315,
+                      -2.6224092009930295, -2.0557889448495517, -0.16406258407931246,
+                      -0.6484649298691028])
+        _, minimizers = brute_force_relu_projection(b, d, y)
+        assert len(minimizers) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(_QUERY_PAIRS, st.integers(0, 2 ** 16))
+    def test_minimizers_attain_oracle_min_and_no_probe_beats_it(self, pairs, seed):
+        n = len(pairs)
+        y = np.array(pairs).T.ravel()
+        rng = np.random.default_rng(seed)
+        b = random_well_conditioned(n, rng)
+        d = rng.uniform(0.5, 2.0, size=n)
+        layer = InjectiveRelu(b, d)
+        oracle_min, minimizers = brute_force_relu_projection(b, d, y)
+
+        def residuals(xs):
+            return np.linalg.norm(y - layer(np.atleast_2d(xs)), axis=1)
+
+        for x in minimizers:
+            assert abs(residuals(x)[0] - oracle_min) <= 1e-12
+            probes = np.vstack([x + scale * rng.normal(size=(25, n))
+                                for scale in (1e-6, 1e-2, 1.0, 10.0)])
+            assert residuals(probes).min() >= oracle_min - 1e-12
+
+
 class TestRegionMap:
     def test_pattern_examples(self):
         assert relu_sign_pattern(np.array([[2.0, 0.5]]))[0].tolist() == [[False]]
