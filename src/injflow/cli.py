@@ -390,7 +390,12 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         commands = {"run": _cmd_run, "project": _cmd_project, "gap": _cmd_gap}
-        return commands[args.command](args)
+        # One floating-point policy for every command, and only while it
+        # runs: an overflow, a division by zero or an invalid operation
+        # anywhere on its path (the forked control arm inherits the mode)
+        # raises, and ends as one numeric record.
+        with np.errstate(all="raise", under="ignore"):
+            return commands[args.command](args)
     except _UsageError as err:
         _error_record("usage", str(err), err.extra)
         return 2
@@ -405,7 +410,7 @@ def main(argv=None) -> int:
                       {k: v for k, v in (("stage", err.stage_index), ("row", err.row))
                        if v is not None})
         return 1
-    except InjectiveFlowError as err:
+    except (InjectiveFlowError, FloatingPointError) as err:
         _error_record("numeric", str(err))
         return 1
 

@@ -77,10 +77,6 @@ def directed_supinf(f_points, g_points) -> float:
     return float(np.sqrt(_nearest_rows(_cloud(f_points), _cloud(g_points))[1].max()))
 
 
-# A squared distance past the float range is inf, farther than any finite
-# one; when every candidate distance is, the bound built on them is not
-# finite, and _finite_upper reports that.
-@np.errstate(over="ignore")
 def _nearest_rows(F: np.ndarray, G: np.ndarray):
     """(argmin, min) per row of F of its squared distances to the rows of G,
     in row blocks of about 2e5 distances; no row depends on the blocking."""
@@ -116,9 +112,7 @@ def _upper_and_images(FX: np.ndarray, g, H: np.ndarray):
     GH = np.atleast_2d(np.asarray(g(H), dtype=float))
     # Same arithmetic as the directed sup-inf path so the sandwich
     # lower <= upper holds to the last ulp when both see the same pairs.
-    # An overflow gives an infinite bound, which _finite_upper reports.
-    with np.errstate(over="ignore"):
-        devs = np.sqrt(((GH - FX) ** 2).sum(axis=1))
+    devs = np.sqrt(((GH - FX) ** 2).sum(axis=1))
     return float(devs.max()), GH
 
 
@@ -458,10 +452,7 @@ def wasserstein2_exact(a, b) -> float:
         raise BudgetExceededError(
             f"combined support {len(a) + len(b)} exceeds the exact budget "
             f"{EXACT_W2_MAX_POINTS}; use wasserstein2_sliced")
-    # A squared distance past the float range is inf: a numeric failure,
-    # which neither solver is given.
-    with np.errstate(over="ignore"):
-        cost = pairwise_sq_dists(a, b)
+    cost = pairwise_sq_dists(a, b)
     if not np.all(np.isfinite(cost)):
         raise NumericError("exact W2 cost matrix has non-finite entries")
     if len(a) != len(b):

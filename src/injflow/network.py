@@ -98,7 +98,7 @@ class InjectiveNetwork:
         for idx, stage in enumerate(self.stages):
             try:
                 X = stage(X)
-            except NumericError as err:
+            except (NumericError, FloatingPointError) as err:
                 raise NumericError(str(err), stage_index=idx) from err
             if not np.all(np.isfinite(X)):
                 raise NumericError("non-finite stage output", stage_index=idx)
@@ -109,7 +109,7 @@ class InjectiveNetwork:
         for idx, stage in enumerate(self.stages):
             try:
                 X, c = stage.forward_with_cache(X)
-            except NumericError as err:
+            except (NumericError, FloatingPointError) as err:
                 raise NumericError(str(err), stage_index=idx) from err
             caches.append(c)
         return X, caches

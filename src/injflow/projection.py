@@ -74,18 +74,20 @@ def project_to_range(net: InjectiveNetwork, y) -> ProjectionResult:
     Y, single = as_batch(y, net.ambient_dim, "query")
     Z = Y
     ties = np.zeros(Y.shape[0], dtype=bool)
-    for idx in range(len(net.stages) - 1, -1, -1):
-        try:
-            Z, stage_ties = net.stages[idx].pseudo_inverse(Z)
-        except UnsupportedLayerError as err:
-            raise UnsupportedLayerError(f"stage {idx}: {err}") from err
-        except (InvalidLayerError, NumericError) as err:
-            raise NumericError(f"stage {idx} inversion failed: {err}",
-                               stage_index=idx) from err
-        _require_finite(Z, "stage inverse", idx)
-        ties |= stage_ties
-    y_hat = net.forward(Z)
-    with np.errstate(over="ignore"):  # an overflow is reported just below
+    # A non-finite stage inverse or residual is reported with its first
+    # row, so no floating-point error may raise where it arises.
+    with np.errstate(all="ignore"):
+        for idx in range(len(net.stages) - 1, -1, -1):
+            try:
+                Z, stage_ties = net.stages[idx].pseudo_inverse(Z)
+            except UnsupportedLayerError as err:
+                raise UnsupportedLayerError(f"stage {idx}: {err}") from err
+            except (InvalidLayerError, NumericError) as err:
+                raise NumericError(f"stage {idx} inversion failed: {err}",
+                                   stage_index=idx) from err
+            _require_finite(Z, "stage inverse", idx)
+            ties |= stage_ties
+        y_hat = net.forward(Z)
         residual = np.linalg.norm(Y - y_hat, axis=1)
     _require_finite(residual, "residual", None)
     if single:
@@ -106,7 +108,8 @@ def brute_force_relu_projection(b_mat, d_diag, y):
     Each passive set P of that non-negative least squares gives one set of
     normal equations (on the columns in P, the identity off P), solved in
     batches; the feasible beta with the least residual is the cone's optimum.
-    Minimizers within 1e-9 of the best value are kept and deduplicated.
+    Minimizers within 4 ulps (relative) of the best value are kept and
+    deduplicated: the cones' own rounding spreads a true tie by about one.
     Independent of the closed-form path: this route never builds the sign
     pattern Delta_y or calls pseudo_inverse.
     """
@@ -136,7 +139,7 @@ def brute_force_relu_projection(b_mat, d_diag, y):
     vals = np.linalg.norm(yv - np.maximum(np.hstack([alpha, -d * alpha]), 0.0), axis=1)
     best_val = float(vals.min())
     keep: list[np.ndarray] = []
-    for x in np.linalg.solve(b, alpha.T).T[vals <= best_val + 1e-9]:
+    for x in np.linalg.solve(b, alpha.T).T[vals <= best_val * (1 + 4 * np.finfo(float).eps)]:
         if not any(np.linalg.norm(x - k) <= 1e-7 * max(1.0, np.linalg.norm(k))
                    for k in keep):
             keep.append(x)

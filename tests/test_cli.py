@@ -624,6 +624,23 @@ class TestErrors:
         assert record["error"]["type"] == "numeric"
         assert "stage" in record["error"]
 
+    def test_floating_point_policy_is_scoped_to_each_call(self, tmp_path, capsys):
+        """main sets its floating-point policy for one call only: numpy's
+        error mode is the caller's again after a success, a usage error
+        raised inside the command and a numeric error."""
+        _, ckpt = _toy_checkpoint(tmp_path)
+        queries = np.random.default_rng(1).normal(size=(4, 3))
+        save_points_csv(tmp_path / "good.csv", queries)
+        save_points_csv(tmp_path / "narrow.csv", queries[:, :2])
+        queries[2, 1] = 1e300
+        save_points_csv(tmp_path / "huge.csv", queries)
+        before = np.geterr()
+        for name, code in (("good", 0), ("narrow", 2), ("huge", 1)):
+            assert _run(["project", "--checkpoint", str(ckpt), "--queries",
+                         str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / name)]) == code
+            assert np.geterr() == before, name
+        assert len(capsys.readouterr().err.splitlines()) == 2
+
     def test_config_file_overridden_by_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"trials": 4, "n": 2}')
@@ -1006,10 +1023,51 @@ def test_each_command_imports_only_its_modules(tmp_path):
 
 def _package_env():
     """The environment with this package's source first on PYTHONPATH, for
-    commands run in a fresh interpreter."""
+    commands run in a fresh interpreter, where a numpy RuntimeWarning is an
+    error: a command that lets one escape fails."""
     src = str(Path(injflow.__file__).resolve().parents[1])
-    return {**os.environ,
+    return {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# A control target scaled past the float range on training batches (the
+# only calls with 7 points), patched in before the control arm's fork.
+_OVERFLOWING_CONTROL_SCRIPT = """
+import sys
+import numpy as np
+from injflow import training
+from injflow.cli import main
+from injflow.geometry import ManifoldTarget
+circle = training.planar_circle_target
+
+def huge_circle(**kwargs):
+    good = circle(**kwargs).map_points
+    return ManifoldTarget("huge-circle", 1, 3,
+                          lambda t: good(t) * 1e300 if len(t) == 7 else good(t),
+                          domain=(0.0, 2.0 * np.pi))
+
+training.planar_circle_target = huge_circle
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_overflow_in_forked_control_arm_is_one_numeric_record(tmp_path):
+    """The control arm's worker inherits the floating-point policy at the
+    fork, so an overflow in its losses ends as one numeric record and exit
+    1.  In a fresh interpreter, so the worker's stderr is captured too.
+    Without the policy the worker printed numpy RuntimeWarnings, and the
+    run exited 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"batch_size": 7}))
+    proc = subprocess.run(
+        [sys.executable, "-c", _OVERFLOWING_CONTROL_SCRIPT, "run", "trefoil-obstruction",
+         "--steps-manifold", "1", "--steps-density", "1", "--config", str(cfg),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=_package_env(), timeout=300)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"]["type"] == "numeric"
 
 
 @pytest.mark.parametrize("family", ["affine", "small-flow"])

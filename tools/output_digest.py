@@ -19,13 +19,16 @@ writer is covered as well.  A CSV table gets one digest per column,
 labelled `label/file:column`, so the `diff` names exactly the columns a
 change touched; any other file gets one digest, and `summary.json` is
 hashed without its `wall_time` field, the one output that depends on the
-clock.  Takes about half a minute.
+clock.  A call that exits non-zero or writes anything to stderr (a numpy
+warning, say, from this process or a forked worker) stops the tool with a
+non-zero exit that names its label.  Takes about half a minute.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -151,14 +154,31 @@ def _digests(path: Path):
     yield path.name, _sha256(data)
 
 
+def _call(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and all it wrote to stderr, read at the file
+    descriptor, so that a forked worker's writes count too."""
+    sys.stderr.flush()
+    saved = os.dup(2)
+    with tempfile.TemporaryFile() as sink:
+        os.dup2(sink.fileno(), 2)
+        try:
+            code = main(argv)
+        finally:
+            sys.stderr.flush()
+            os.dup2(saved, 2)
+            os.close(saved)
+        sink.seek(0)
+        return code, sink.read().decode(errors="replace")
+
+
 def main_digest() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for label, argv in _calls(Path(tmp)):
             out = Path(tmp) / label
-            code = main([*argv, "--out", str(out)])
-            if code != 0:
-                print(f"{label}: injflow exited {code}", file=sys.stderr)
-                return code
+            code, err = _call([*argv, "--out", str(out)])
+            if code != 0 or err:
+                print(f"{label}: injflow exited {code}, stderr: {err!r}", file=sys.stderr)
+                return code or 1
             for path in sorted(out.iterdir()):
                 for name, digest in _digests(path):
                     print(f"{digest}  {label}/{name}")
