@@ -13,7 +13,6 @@ from .errors import (
     BudgetExceededError,
     InjectiveFlowError,
     InvalidArgumentError,
-    InvalidCandidateError,
     InvalidConfigError,
     InvalidLayerError,
     NumericError,

@@ -51,11 +51,9 @@ def _write_table(out_dir: Path, name: str, columns, rows, fmt: str) -> Path:
     if fmt == "csv":
         path = out_dir / f"{name}.csv"
         write_csv(path, columns, rows)
-    elif fmt == "json":
+    else:  # "json"; argparse's choices admit no other format
         path = out_dir / f"{name}.json"
         write_json(path, {"columns": list(columns), "rows": rows.tolist()})
-    else:
-        raise InvalidArgumentError(f"unknown format {fmt!r}")
     return path
 
 

@@ -21,10 +21,6 @@ class UnsupportedLayerError(InjectiveFlowError, TypeError):
     """An operation does not support this layer kind."""
 
 
-class InvalidCandidateError(InjectiveFlowError, ValueError):
-    """A candidate alignment map left the declared domain of the target map."""
-
-
 class BudgetExceededError(InjectiveFlowError, ValueError):
     """An exact solver was asked for a problem beyond its size budget."""
 

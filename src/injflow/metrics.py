@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_rng, flat_store, flatten, pairwise_sq_dists
-from .errors import (
-    BudgetExceededError,
-    InvalidArgumentError,
-    InvalidCandidateError,
-    NumericError,
-)
+from .errors import BudgetExceededError, InvalidArgumentError, NumericError
 from .flows import Mlp
 
 EXACT_W2_MAX_POINTS = 512
@@ -55,11 +50,6 @@ class DomainBox:
     lo: np.ndarray
     hi: np.ndarray
 
-    @classmethod
-    def from_points(cls, points, margin: float = 0.0) -> "DomainBox":
-        pts = np.asarray(points, dtype=float)
-        return cls(pts.min(axis=0) - margin, pts.max(axis=0) + margin)
-
     def contains(self, points, tol: float = DOMAIN_TOLERANCE) -> bool:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return bool(
@@ -89,8 +79,7 @@ def _nearest_rows(F: np.ndarray, G: np.ndarray):
     return np.concatenate(nearest), np.concatenate(best)
 
 
-def embedding_gap_upper(f_params, f_points, g, h,
-                        g_domain: DomainBox | None = None) -> float:
+def embedding_gap_upper(f_params, f_points, g, h) -> float:
     """Sup over sampled pairs of ||g(h(x)) - f(x)||_2.
 
     Valid upper bound on the gap for any injective candidate h with
@@ -101,8 +90,6 @@ def embedding_gap_upper(f_params, f_points, g, h,
     if X.shape[0] != FX.shape[0] or X.shape[0] == 0:
         raise InvalidArgumentError("f_params and f_points must align and be non-empty")
     H = np.atleast_2d(np.asarray(h(X), dtype=float))
-    if g_domain is not None and not g_domain.contains(H):
-        raise InvalidCandidateError("candidate output leaves g's declared domain box")
     return _upper_and_images(FX, g, H)[0]
 
 
@@ -128,12 +115,6 @@ def _finite_upper(upper: float) -> float:
 def _affine_func(a: np.ndarray, c: np.ndarray):
     def apply(X):
         return X @ a.T + c[None, :]
-    return apply
-
-
-def _constant_func(w: np.ndarray):
-    def apply(X):
-        return np.repeat(w[None, :], X.shape[0], axis=0)
     return apply
 
 
@@ -182,10 +163,12 @@ def fit_candidate_alignment(f_params, f_points, g, w_samples,
 
     The affine family generalizes the canonical witness g o A o f^{-1}: match
     each target sample to its nearest g(W) sample, regress an affine map onto
-    the matched parameters, and iterate.  The small-flow family refines the
-    affine incumbent with a scaled tanh perturbation, an Mlp trained by
-    gradient descent through its forward and VJP on the mean squared
-    deviation, with g's Jacobian taken by central differences.  Returns the
+    the matched parameters, and iterate; the identity embedding of the
+    parameters competes too, and a single pair maps to its best constant in
+    W.  The small-flow family refines the best of these affine candidates
+    with a scaled tanh perturbation, an Mlp trained by gradient descent
+    through its forward and VJP on the mean squared deviation, with g's
+    Jacobian taken by central differences.  Returns the
     candidate together with its upper bound; the incumbent never worsens.
     """
     candidate, upper, _, _ = _fit(f_params, f_points, g, w_samples, family, seed)
@@ -206,36 +189,30 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
     if family not in ("affine", "small-flow"):
         raise InvalidArgumentError(f"unknown candidate family {family!r}")
     n, o = X.shape[1], W.shape[1]
-    g_domain = DomainBox.from_points(W, margin=1e-9)
+    g_domain = DomainBox(W.min(axis=0) - 1e-9, W.max(axis=0) + 1e-9)
     GW = np.atleast_2d(np.asarray(g(W), dtype=float))
+    nearest_w, d_gw = _nearest_rows(FX, GW)
+
+    # (upper, g(h(X)), a, c) per candidate h: x -> a x + c inside the box.
+    candidates: list = []
 
     if X.shape[0] == 1:
         # Degenerate single-point reduction: the best constant map into W.
-        j = int(np.argmin(np.linalg.norm(GW - FX[0][None, :], axis=1)))
-        constant = _constant_func(W[j].copy())
-        upper, images = _upper_and_images(FX, g, constant(X))
-        return constant, _finite_upper(upper), images, GW
-
-    # (upper, g(h(X)), h) per candidate inside the box.
-    candidates: list = []
-
-    # Identity-style embedding of the parameters into R^o as the incumbent.
-    if o >= n:
-        def identity_pad(Xb, _n=n, _o=o):
-            out = np.zeros((Xb.shape[0], _o))
-            out[:, :_n] = Xb
-            return out
-        H = identity_pad(X)
+        a, c = np.zeros((o, n)), W[nearest_w[0]].copy()
+        candidates.append((*_upper_and_images(FX, g, _affine_func(a, c)(X)), a, c))
+    elif o >= n:
+        # Identity-style embedding of the parameters into R^o as the incumbent.
+        a, c = np.eye(o, n), np.zeros(o)
+        H = _affine_func(a, c)(X)
         if g_domain.contains(H):
-            candidates.append((*_upper_and_images(FX, g, H), identity_pad))
+            candidates.append((*_upper_and_images(FX, g, H), a, c))
 
-    # Nearest-neighbor matched affine fit, ICP-style refinement.  A
-    # rank-deficient regression is a caller error regardless of incumbents.
-    nearest_w, d_gw = _nearest_rows(FX, GW)
+    # Nearest-neighbor matched affine fit, ICP-style refinement, on two or
+    # more pairs.  A rank-deficient regression is a caller error regardless
+    # of incumbents.
     matched = W[nearest_w]
     prev_upper = np.inf
-    best_affine, affine_upper = None, np.inf
-    for _ in range(ICP_PASSES):
+    for _ in range(ICP_PASSES if X.shape[0] > 1 else 0):
         a, c = _fit_affine(X, matched)
         H = _affine_func(a, c)(X)
         if not g_domain.contains(H):
@@ -251,9 +228,7 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
             else:
                 break
         up, GH = _upper_and_images(FX, g, H)
-        candidates.append((up, GH, _affine_func(a, c)))
-        if best_affine is None or up <= affine_upper:
-            best_affine, affine_upper = (a, c), up
+        candidates.append((up, GH, a, c))
         if up >= prev_upper - 1e-15:
             break
         prev_upper = up
@@ -270,11 +245,15 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
     if not candidates:
         raise InvalidArgumentError("no feasible candidate found inside the domain box")
 
-    best_upper, images, best = min(candidates, key=lambda t: t[0])
+    best_upper, images, a, c = min(candidates, key=lambda t: t[0])
     _finite_upper(best_upper)  # no refinement starts from an infinite bound
+    best = affine = _affine_func(a, c)
+    # Injectivity guard: the perturbation's Lipschitz bound stays below the
+    # affine start's least singular value, so a start whose least singular
+    # value is 0 (the single-pair constant) is not refined.
+    sigma_min = np.linalg.svd(a, compute_uv=False).min() if a.size else 0.0
 
-    if family == "small-flow":
-        a, c = best_affine if best_affine is not None else (np.eye(o, n), np.zeros(o))
+    if family == "small-flow" and sigma_min > 0:
         rng = as_rng(seed)
         hidden = 8
         w1 = rng.normal(0, 0.5, size=(hidden, n))
@@ -283,11 +262,7 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
                    biases=[np.zeros(hidden), np.zeros(o)])
         vec, take = flat_store(arr for _, arr in pert.parameters())
         pert.bind_parameters(take)
-        # Injectivity guard: perturbation Lipschitz below the affine gain.
-        sigma_min = np.linalg.svd(a, compute_uv=False).min() if a.size else 0.0
-        scale = (0.0 if sigma_min <= 0 else
-                 min(1.0, 0.5 * sigma_min / max(pert.lipschitz_bound(), 1e-12)))
-        affine = _affine_func(a, c)
+        scale = min(1.0, 0.5 * sigma_min / max(pert.lipschitz_bound(), 1e-12))
         base = affine(X)
         value, grad = _small_flow_descent_point(pert, scale, base, X, FX, g, g_domain)
         step = 0.05
@@ -305,7 +280,7 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
         # Re-certify injectivity: training may have grown the perturbation
         # weights past the scale chosen at initialization.
         lip = pert.lipschitz_bound()
-        if sigma_min > 0 and scale * lip > 0.9 * sigma_min:
+        if scale * lip > 0.9 * sigma_min:
             scale = 0.9 * sigma_min / max(lip, 1e-12)
 
         def flow(x):
@@ -568,12 +543,12 @@ def wasserstein2_sliced(a, b, n_projections: int = 128, seed: int = 0) -> float:
     return float(np.sqrt(d * total / n_projections))
 
 
-def wasserstein2(a, b, n_projections: int = 128, seed: int = 0) -> tuple[float, str]:
+def wasserstein2(a, b, seed: int = 0) -> tuple[float, str]:
     """(W2, "exact") while the combined support fits EXACT_W2_MAX_POINTS,
-    else (sliced W2, "sliced")."""
+    else (sliced W2 on the default directions, "sliced")."""
     if len(a) + len(b) <= EXACT_W2_MAX_POINTS:
         return wasserstein2_exact(a, b), "exact"
-    return wasserstein2_sliced(a, b, n_projections, seed), "sliced"
+    return wasserstein2_sliced(a, b, seed=seed), "sliced"
 
 
 @dataclass(frozen=True)
@@ -589,13 +564,11 @@ class BoundCheckReport:
 
 def wasserstein_bound_check(f_points, gap: EmbeddingGapEstimate,
                             tolerance: float = 0.01,
-                            n_projections: int = 128,
                             seed: int = 0) -> BoundCheckReport:
     """Verify W2(f#mu, g#mu_o) <= gap.upper + tolerance, where g#mu_o is the
     uniform measure on gap.images: the parameter samples pushed through the
     fitted candidate and g."""
-    w2, method = wasserstein2(f_points, gap.images,
-                              n_projections=n_projections, seed=seed)
+    w2, method = wasserstein2(f_points, gap.images, seed=seed)
     return BoundCheckReport(w2=w2, upper=gap.upper, tolerance=tolerance,
                             passed=bool(w2 <= gap.upper + tolerance),
                             method=method)

@@ -11,7 +11,7 @@ knotted-target experiment.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .network import InjectiveNetwork, lipschitz_estimate
 LOSSES = ("manifold", "density")
 # Directions of the sliced-W2 density loss and of its diagnostics value.
 N_PROJECTIONS = 64
-TRACE_COLUMNS = ("step", "loss", "directed_supinf", "sliced_w2",
-                 "lipschitz_estimate")
 
 
 # --- point-set losses (value and gradient wrt the generated set) -----------
@@ -221,6 +219,9 @@ class TraceRecord:
     lipschitz_estimate: float
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+
+
 class TrainingTrace:
     """Append-only diagnostic log with strictly increasing step indices."""
 
@@ -230,9 +231,7 @@ class TrainingTrace:
     def append(self, record: TraceRecord) -> None:
         if self.records and record.step <= self.records[-1].step:
             raise InvalidArgumentError("trace steps must increase")
-        values = (record.loss, record.directed_supinf, record.sliced_w2,
-                  record.lipschitz_estimate)
-        if not all(np.isfinite(v) for v in values):
+        if not all(np.isfinite(getattr(record, c)) for c in TRACE_COLUMNS[1:]):
             raise NumericError(f"non-finite trace values at step {record.step}")
         self.records.append(record)
 

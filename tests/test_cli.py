@@ -964,7 +964,7 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
 # benchmark/tracer.py fetches from it by name.
 _PUBLIC_NAMES = (
     "BudgetExceededError", "InjectiveFlowError", "InvalidArgumentError",
-    "InvalidCandidateError", "InvalidConfigError", "InvalidLayerError", "NumericError",
+    "InvalidConfigError", "InvalidLayerError", "NumericError",
     "UnsupportedLayerError", "InjectiveRelu", "LinearExpansive", "ZeroPad",
     "AutoregressiveLayer", "CouplingLayer", "FlowBlock", "Mlp", "identity_block",
     "make_autoregressive_block", "make_coupling_block", "ManifoldTarget",

@@ -10,8 +10,9 @@ all its parameters, the config-only `batch_size` and
 `lipschitz_log_interval` too, from a `--config` file, and
 `gap-visualization` runs once more with `--format json`), then `injflow
 project` on a seeded query stack, `injflow gap --family affine` at each of
-`GAP_SIZES` and `injflow gap --family small-flow` at `SMALL_FLOW_SIZE`
-against each layerwise-toy checkpoint, and `injflow project` against one
+`GAP_SIZES`, `injflow gap --family small-flow` at `SMALL_FLOW_SIZE`, and
+both families once more on latents spread over `COVER_SPAN`, against each
+layerwise-toy checkpoint, and `injflow project` against one
 seeded network with a dimension-4 autoregressive block (no preset builds
 one), so the flow inverses are covered too.  Every `injflow project` call
 runs twice, with `--format csv` and `--format json`, so the JSON table
@@ -56,6 +57,11 @@ OBSTRUCTION_CONFIG = {"steps_manifold": 20, "steps_density": 20, "batch_size": 6
 # (pairs, latents) of the small-flow candidate fit, which is trained, so
 # one exact-W2 size covers it.
 SMALL_FLOW_SIZE = (101, 101)
+# Half-width of the latent samples.  The pair parameters span [-1, 1], so
+# only latents over COVER_SPAN put the identity-pad candidate inside the
+# fit's domain box; LATENT_SPAN keeps it out.
+LATENT_SPAN = 0.55
+COVER_SPAN = 1.05
 
 
 def _runs(tmp: Path):
@@ -84,14 +90,15 @@ def _project_argv(checkpoint: Path, inputs: Path, ambient_dim: int, seed: int):
 
 
 def _gap_argv(checkpoint: Path, inputs: Path, seed: int, n_pairs: int, n_latent: int,
-              family: str = "affine"):
-    """Helical-arc pairs and 1-D latent samples for a layerwise-toy checkpoint."""
+              family: str = "affine", span: float = LATENT_SPAN):
+    """Helical-arc pairs and 1-D latent samples on [-span, span] for a
+    layerwise-toy checkpoint."""
     t = np.linspace(-1.0, 1.0, n_pairs)[:, None]
     pairs = inputs / f"pairs-{n_pairs}.csv"
-    latent = inputs / f"latent-{n_pairs}-{n_latent}.csv"
+    latent = inputs / f"latent-{n_pairs}-{n_latent}-{span}.csv"
     save_points_csv(pairs, np.hstack([t, arc_target().map_points(t)]))
     save_points_csv(latent, np.sort(np.random.default_rng(seed).uniform(
-        -0.55, 0.55, size=(n_latent, 1)), axis=0))
+        -span, span, size=(n_latent, 1)), axis=0))
     return ["gap", "--family", family, "--checkpoint", str(checkpoint),
             "--pairs", str(pairs), "--latent", str(latent), "--seed", str(seed)]
 
@@ -126,6 +133,10 @@ def _calls(tmp: Path):
             n_pairs, n_latent = SMALL_FLOW_SIZE
             yield (f"{label}-gap-small-flow{n_pairs}x{n_latent}",
                    _gap_argv(ckpt, inputs, seed, n_pairs, n_latent, "small-flow"))
+            for family in ("affine", "small-flow"):
+                yield (f"{label}-gap-{family}-cover{n_pairs}x{n_latent}",
+                       _gap_argv(ckpt, inputs, seed, n_pairs, n_latent, family,
+                                 COVER_SPAN))
     inputs = tmp / "mixed-inputs"
     inputs.mkdir()
     _mixed_checkpoint(inputs / "net.json", SEEDS[0])
