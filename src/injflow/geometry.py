@@ -106,39 +106,34 @@ def trefoil(theta):
     return out
 
 
-def trefoil_target(scale: float = 1.0) -> ManifoldTarget:
+def trefoil_target() -> ManifoldTarget:
+    """The trefoil knot: the knotted treatment target of the obstruction
+    experiment."""
     def f(params):
-        return scale * trefoil(params[:, 0])
+        return trefoil(params[:, 0])
     return ManifoldTarget("trefoil", 1, 3, f, domain=(0.0, 2.0 * np.pi))
 
 
-def planar_circle_target(radius: float = 1.0, tilt: float = 0.0,
-                         center=(0.0, 0.0, 0.0)) -> ManifoldTarget:
-    """A round circle embedded in R^3, optionally tilted out of the xy plane.
-
-    The unknotted control target for the obstruction experiment.
-    """
-    c = np.asarray(center, dtype=float)
+def planar_circle_target() -> ManifoldTarget:
+    """A round circle of radius 2 in R^3, tilted by 0.35 rad out of the xy
+    plane and centred at (0.1, 0, 0.1): the unknotted control target of
+    the obstruction experiment."""
+    tilt = 0.35
 
     def f(params):
         th = params[:, 0]
-        x = radius * np.cos(th)
-        y = radius * np.sin(th)
-        z = np.zeros_like(th)
-        pts = np.column_stack([x, y * np.cos(tilt) - z * np.sin(tilt),
-                               y * np.sin(tilt) + z * np.cos(tilt)])
-        return pts + c[None, :]
+        y = 2.0 * np.sin(th)
+        pts = np.column_stack([2.0 * np.cos(th), y * np.cos(tilt), y * np.sin(tilt)])
+        return pts + np.array([0.1, 0.0, 0.1])
     return ManifoldTarget("planar-circle", 1, 3, f, domain=(0.0, 2.0 * np.pi))
 
 
-def arc_target(radius: float = 0.5, pitch: float = 0.25,
-               sweep: float = 0.75 * np.pi) -> ManifoldTarget:
-    """A helical arc of diameter about one: the layerwise-toy target curve."""
+def arc_target() -> ManifoldTarget:
+    """A helical arc of diameter about one (radius 0.5, pitch 0.25, swept
+    over 0.75 pi each way): the layerwise-toy target curve."""
     def f(params):
         t = params[:, 0]
-        return np.column_stack([
-            radius * np.cos(sweep * t),
-            radius * np.sin(sweep * t),
-            pitch * t,
-        ])
+        sweep = 0.75 * np.pi
+        return np.column_stack([0.5 * np.cos(sweep * t), 0.5 * np.sin(sweep * t),
+                                0.25 * t])
     return ManifoldTarget("helical-arc", 1, 3, f, domain=(-1.0, 1.0))

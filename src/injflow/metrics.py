@@ -186,6 +186,8 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
         raise InvalidArgumentError("f_params, f_points, w_samples must be 2-D")
     if X.shape[0] != FX.shape[0] or X.shape[0] == 0:
         raise InvalidArgumentError("f_params and f_points must align and be non-empty")
+    if W.shape[0] == 0:
+        raise InvalidArgumentError("w_samples must be non-empty")
     if family not in ("affine", "small-flow"):
         raise InvalidArgumentError(f"unknown candidate family {family!r}")
     n, o = X.shape[1], W.shape[1]

@@ -42,6 +42,8 @@ from .network import InjectiveNetwork, lipschitz_estimate
 LOSSES = ("manifold", "density")
 # Directions of the sliced-W2 density loss and of its diagnostics value.
 N_PROJECTIONS = 64
+# Points of the fixed eval sets behind every diagnostics record.
+EVAL_COUNT = 512
 
 
 # --- point-set losses (value and gradient wrt the generated set) -----------
@@ -73,33 +75,31 @@ def _chamfer_and_supinf(generated: np.ndarray, target: np.ndarray):
             float(np.sqrt(to_generated.max())))
 
 
-def _effective_weights(loss: str, loss_weights) -> dict:
-    """The given loss mix, with the named loss at weight 1.0 unless it is set."""
-    weights = dict(loss_weights) if loss_weights else {}
+def loss_mix(loss: str, loss_weights=None) -> dict:
+    """{name: weight} of the losses summed, in summation order: the given
+    weights in their order, then `loss` at 1.0 unless given, with zero
+    weights dropped.  An unknown name, or a weight that is not a finite
+    real number >= 0, raises InvalidConfigError naming it."""
+    weights = dict(loss_weights or {})
     weights.setdefault(loss, 1.0)
-    return weights
+    for key, weight in weights.items():
+        if key not in LOSSES:
+            raise InvalidConfigError(f"unknown loss {key!r}")
+        if not (isinstance(weight, numbers.Real) and np.isfinite(weight)
+                and weight >= 0):
+            raise InvalidConfigError(
+                f"loss weight {key!r} must be a finite number >= 0, got {weight!r}")
+    return {key: weight for key, weight in weights.items() if weight != 0.0}
 
 
-def _active_terms(weights: dict, directions):
-    """(name, weight) of each loss with a non-zero weight, in order; such
-    a loss with an unknown name, or the density loss without `directions`,
-    raises."""
-    for name, w in weights.items():
-        if w == 0.0:
-            continue
-        if name not in LOSSES:
-            raise InvalidArgumentError(f"unknown loss {name!r}")
-        if name == "density" and directions is None:
-            raise InvalidArgumentError("density loss needs projection directions")
-        yield name, w
-
-
-def _weighted_loss(gen, target, weights: dict, directions):
-    """(value, gradient wrt gen) of the weighted sum of the named losses;
-    zero weights are skipped, and the density loss needs `directions`."""
+def _weighted_loss(gen, target, mix: dict, directions):
+    """(value, gradient wrt gen) of the weighted sum of the losses of a
+    loss_mix; the density loss needs `directions`."""
+    if "density" in mix and directions is None:
+        raise InvalidArgumentError("density loss needs projection directions")
     total = 0.0
     grad = np.zeros_like(gen)
-    for name, w in _active_terms(weights, directions):
+    for name, w in mix.items():
         v, g = (chamfer_loss_and_grad(gen, target) if name == "manifold"
                 else sliced_w2sq_loss_and_grad(gen, target, directions))
         total += w * v
@@ -113,16 +113,16 @@ def compute_gradients(net: InjectiveNetwork, loss: str, latent_batch,
     """Loss value and analytic parameter gradients for the named loss.
 
     loss is 'manifold' or 'density'; loss_weights optionally mixes both
-    ({'manifold': w_m, 'density': w_d}), in which case `directions` must be
-    given for the density part.  Returns (value, flat gradient of net.vjp).
+    ({'manifold': w_m, 'density': w_d}) by the rule of loss_mix, and a
+    density part with a non-zero weight needs `directions`.  Returns
+    (value, flat gradient of net.vjp).
     """
     X = np.atleast_2d(np.asarray(latent_batch, dtype=float))
     T = np.atleast_2d(np.asarray(target_batch, dtype=float))
     if X.shape[0] == 0 or T.shape[0] == 0:
         raise InvalidArgumentError("batches must be non-empty")
     gen, caches = net.forward_with_cache(X)
-    total, grad_gen = _weighted_loss(gen, T, _effective_weights(loss, loss_weights),
-                                     directions)
+    total, grad_gen = _weighted_loss(gen, T, loss_mix(loss, loss_weights), directions)
     _, grads = net.vjp(caches, grad_gen, trainable=trainable)
     if not np.isfinite(grads).all():
         sidx, pname = next((s, n) for s, n, g in net.parameter_views(grads, trainable)
@@ -172,17 +172,7 @@ class PhaseConfig:
             raise InvalidConfigError("steps must be > 0")
         if self.learning_rate <= 0:
             raise InvalidConfigError("learning_rate must be > 0")
-        if self.loss not in LOSSES:
-            raise InvalidConfigError(f"unknown loss {self.loss!r}")
-        unknown = sorted(set(self.loss_weights or ()) - set(LOSSES))
-        if unknown:
-            raise InvalidConfigError(f"unknown loss weights {unknown}")
-        for key, weight in (self.loss_weights or {}).items():
-            if not (isinstance(weight, numbers.Real) and np.isfinite(weight)
-                    and weight >= 0):
-                raise InvalidConfigError(
-                    f"loss weight {key!r} must be a finite number >= 0, "
-                    f"got {weight!r}")
+        loss_mix(self.loss, self.loss_weights)
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,11 @@ class LayerwiseResult:
     phase_end_steps: list
     phase_losses: list
     frozen_digests: list
-    frozen_intact: bool
+
+    @property
+    def frozen_intact(self) -> bool:
+        """Whether every phase left its frozen stages bit-identical."""
+        return all(before == after for before, after in self.frozen_digests)
 
     def record_at_phase_end(self, loss_name: str) -> TraceRecord:
         """Trace record at the end of the last phase using the named loss."""
@@ -274,7 +268,7 @@ class LayerwiseResult:
         return next(r for r in reversed(self.trace.records) if r.step <= step)
 
 
-def _record(net, step, weights, eval_latent, eval_target, diag_dirs,
+def _record(net, step, mix, eval_latent, eval_target, diag_dirs,
             diag_seed) -> TraceRecord:
     """Diagnostics on the fixed eval sets, free of batch sampling noise.
 
@@ -285,7 +279,7 @@ def _record(net, step, weights, eval_latent, eval_target, diag_dirs,
     gen = net.forward(eval_latent)
     chamfer, supinf = _chamfer_and_supinf(gen, eval_target)
     loss = 0.0
-    for name, w in _active_terms(weights, diag_dirs):
+    for name, w in mix.items():
         loss += w * (chamfer if name == "manifold"
                      else sliced_w2sq(gen, eval_target, diag_dirs))
     w2 = metrics.wasserstein2_sliced(gen, eval_target, n_projections=128,
@@ -309,7 +303,6 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
     phase_end_steps = []
     phase_losses = []
     frozen_digests = []
-    frozen_intact = True
 
     diag_dirs = draw_directions(eval_target.shape[1], N_PROJECTIONS, diag_seed)
 
@@ -317,40 +310,36 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
         trainable = sorted(set(phase.trainable_stages))
         frozen = sorted(set(range(len(net.stages))) - set(trainable))
         before = _digest(net, frozen) if frozen else ""
-        weights = _effective_weights(phase.loss, phase.loss_weights)
+        mix = loss_mix(phase.loss, phase.loss_weights)
         optimizer = Adam(net.parameter_store(trainable), lr=phase.learning_rate)
         for local_step in range(phase.steps):
             latent = latent_sampler(config.batch_size, rng)
             target = target_sampler(config.batch_size, rng)
-            needs_dirs = weights.get("density", 0.0) > 0.0
             dirs = (draw_directions(target.shape[1], N_PROJECTIONS, rng)
-                    if needs_dirs else None)
+                    if "density" in mix else None)
             if global_step % interval == 0:
-                trace.append(_record(net, global_step, weights, eval_latent,
+                trace.append(_record(net, global_step, mix, eval_latent,
                                      eval_target, diag_dirs, diag_seed))
             _, grads = compute_gradients(
                 net, phase.loss, latent, target, trainable=set(trainable),
-                directions=dirs, loss_weights=weights)
+                directions=dirs, loss_weights=phase.loss_weights)
             optimizer.step(grads)
             global_step += 1
         # Final state of the phase.
-        trace.append(_record(net, global_step, weights, eval_latent,
+        trace.append(_record(net, global_step, mix, eval_latent,
                              eval_target, diag_dirs, diag_seed))
         global_step += 1
-        after = _digest(net, frozen) if frozen else ""
-        frozen_digests.append((before, after))
-        frozen_intact = frozen_intact and (before == after)
+        frozen_digests.append((before, _digest(net, frozen) if frozen else ""))
         phase_end_steps.append(global_step - 1)
         phase_losses.append(phase.loss)
 
     return LayerwiseResult(trace=trace, phase_end_steps=phase_end_steps,
                            phase_losses=phase_losses,
-                           frozen_digests=frozen_digests,
-                           frozen_intact=frozen_intact)
+                           frozen_digests=frozen_digests)
 
 
 def run_layerwise(net: InjectiveNetwork, target: ManifoldTarget,
-                  config: TrainingConfig, eval_count: int = 512) -> LayerwiseResult:
+                  config: TrainingConfig) -> LayerwiseResult:
     """Two-phase layerwise schedule against a parametrized target.
 
     Latent batches and target parameter batches are drawn from the same base
@@ -370,7 +359,7 @@ def run_layerwise(net: InjectiveNetwork, target: ManifoldTarget,
     def target_sampler(count, rng):
         return target.map_points(sampler(count, rng))
 
-    grid = np.linspace(lo, hi, eval_count)[:, None]
+    grid = np.linspace(lo, hi, EVAL_COUNT)[:, None]
     eval_latent = grid
     eval_target = target.map_points(grid)
     return _run_phases(net, config, sampler, target_sampler,
@@ -392,31 +381,28 @@ def build_layerwise_toy_network(seed: int = 0) -> InjectiveNetwork:
     return InjectiveNetwork([t0, r1, t1, r2, t2])
 
 
+def _annealed(steps: int, shares, rates, **phase) -> tuple:
+    """One PhaseConfig per leg of a `steps`-step schedule annealed over
+    `rates`: leg k takes max(1, steps * num // den) steps for the k-th
+    (num, den) of `shares`, and the last leg takes the rest, at least 1."""
+    legs = [max(1, steps * num // den) for num, den in shares]
+    legs.append(max(1, steps - sum(legs)))
+    return tuple(PhaseConfig(steps=leg, learning_rate=rate, **phase)
+                 for leg, rate in zip(legs, rates, strict=True))
+
+
 def default_layerwise_config(seed: int = 0, phase1_steps: int = 2400,
                              phase2_steps: int = 600) -> TrainingConfig:
     """Manifold phase on the outer stages (with a density component, since
     the dim-1 inner flow is affine and cannot reshape the latent measure
     beyond an affine map), then the frozen-outer density phase on T0.
     Both phases anneal their learning rates over successive legs."""
-    leg1 = max(1, phase1_steps // 2)
-    leg2 = max(1, phase1_steps // 3)
-    leg3 = max(1, phase1_steps - leg1 - leg2)
-    leg4 = max(1, (2 * phase2_steps) // 3)
-    leg5 = max(1, phase2_steps - leg4)
-    mix = {"manifold": 1.0, "density": 0.5}
     return TrainingConfig(
-        phases=(
-            PhaseConfig(trainable_stages=(1, 2, 3, 4), loss="manifold",
-                        steps=leg1, learning_rate=5e-3, loss_weights=mix),
-            PhaseConfig(trainable_stages=(1, 2, 3, 4), loss="manifold",
-                        steps=leg2, learning_rate=1.2e-3, loss_weights=mix),
-            PhaseConfig(trainable_stages=(1, 2, 3, 4), loss="manifold",
-                        steps=leg3, learning_rate=3e-4, loss_weights=mix),
-            PhaseConfig(trainable_stages=(0,), loss="density",
-                        steps=leg4, learning_rate=1e-2),
-            PhaseConfig(trainable_stages=(0,), loss="density",
-                        steps=leg5, learning_rate=3e-3),
-        ),
+        phases=(_annealed(phase1_steps, ((1, 2), (1, 3)), (5e-3, 1.2e-3, 3e-4),
+                          trainable_stages=(1, 2, 3, 4), loss="manifold",
+                          loss_weights={"manifold": 1.0, "density": 0.5})
+                + _annealed(phase2_steps, ((2, 3),), (1e-2, 3e-3),
+                            trainable_stages=(0,), loss="density")),
         batch_size=320, seed=seed, lipschitz_log_interval=50)
 
 
@@ -473,38 +459,24 @@ class ObstructionResult:
 
 
 def _obstruction_arm(arm: str, seed: int, steps_manifold: int, steps_density: int,
-                     batch_size: int, lipschitz_log_interval: int,
-                     eval_count: int) -> TrainingTrace:
+                     batch_size: int, lipschitz_log_interval: int) -> TrainingTrace:
     """Train one arm ("treatment" or "control") of the obstruction run.
 
-    Module-level and built from plain arguments, so a worker process can run
-    it: the targets hold closures that do not pickle.
+    The control arm runs it in a forked worker process, which starts as a
+    copy of the calling one, so nothing is pickled on the way in; only the
+    returned trace, or the error raised, is pickled on the way back.
     """
-    if arm == "treatment":
-        target = trefoil_target(scale=1.0)
-    else:
-        target = planar_circle_target(radius=2.0, tilt=0.35,
-                                      center=(0.1, 0.0, 0.1))
-    leg1 = max(1, steps_density // 2)
-    leg2 = max(1, (3 * steps_density) // 10)
-    leg3 = max(1, steps_density - leg1 - leg2)
-    density_mix = {"density": 1.0, "manifold": 0.1}
+    target = trefoil_target() if arm == "treatment" else planar_circle_target()
     net = build_obstruction_network(seed=seed)
+    # The manifold phase is one plain leg: a one-leg _annealed would floor
+    # steps_manifold = 0 up to 1 step instead of refusing it.
     config = TrainingConfig(
-        phases=(
-            PhaseConfig(trainable_stages=(0, 1, 2), loss="manifold",
-                        steps=steps_manifold, learning_rate=5e-3,
-                        loss_weights={"manifold": 1.0, "density": 0.5}),
-            PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
-                        steps=leg1, learning_rate=2e-3,
-                        loss_weights=density_mix),
-            PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
-                        steps=leg2, learning_rate=7e-4,
-                        loss_weights=density_mix),
-            PhaseConfig(trainable_stages=(0, 1, 2), loss="density",
-                        steps=leg3, learning_rate=2.5e-4,
-                        loss_weights=density_mix),
-        ),
+        phases=(PhaseConfig(trainable_stages=(0, 1, 2), loss="manifold",
+                            steps=steps_manifold, learning_rate=5e-3,
+                            loss_weights={"manifold": 1.0, "density": 0.5}),
+                *_annealed(steps_density, ((1, 2), (3, 10)), (2e-3, 7e-4, 2.5e-4),
+                           trainable_stages=(0, 1, 2), loss="density",
+                           loss_weights={"density": 1.0, "manifold": 0.1})),
         batch_size=batch_size, seed=seed,
         lipschitz_log_interval=lipschitz_log_interval)
     arclen = _ArclengthSampler(target)
@@ -516,8 +488,8 @@ def _obstruction_arm(arm: str, seed: int, steps_manifold: int, steps_density: in
     def target_sampler(count, rng):
         return target.map_points(arclen.sample(count, rng))
 
-    eval_latent = sample_circle(eval_count)
-    eval_target = target.map_points(arclen.grid(eval_count))
+    eval_latent = sample_circle(EVAL_COUNT)
+    eval_target = target.map_points(arclen.grid(EVAL_COUNT))
     return _run_phases(net, config, latent_sampler, target_sampler,
                        eval_latent, eval_target).trace
 
@@ -535,8 +507,7 @@ def _control_arm_into(conn, *args) -> None:
 def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
                                steps_density: int = 3500,
                                batch_size: int = 256,
-                               lipschitz_log_interval: int = 50,
-                               eval_count: int = 512) -> ObstructionResult:
+                               lipschitz_log_interval: int = 50) -> ObstructionResult:
     """Identical-budget paired runs: trefoil treatment vs planar-circle control.
 
     Both arms share the architecture, initialization seed, schedule, and
@@ -553,8 +524,7 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     # Imported here so that `import injflow` stays as light as it was.
     import multiprocessing
 
-    args = (seed, steps_manifold, steps_density, batch_size, lipschitz_log_interval,
-            eval_count)
+    args = (seed, steps_manifold, steps_density, batch_size, lipschitz_log_interval)
     # fork, not spawn: a spawned worker would import numpy and scipy again
     # (about 0.5 s).  The package starts no threads, so the fork is safe.
     ctx = multiprocessing.get_context("fork")
@@ -579,17 +549,16 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     control_final_lip = control.final.lipschitz_estimate
     control_final_w2 = control.final.sliced_w2
     tight = [r for r in treatment.records if r.sliced_w2 < 0.1]
+    tight_lip = min((r.lipschitz_estimate for r in tight), default=float("nan"))
     summary = {
         "control_final_sliced_w2": control_final_w2,
         "control_final_lipschitz": control_final_lip,
         "control_max_lipschitz": float(control.column("lipschitz_estimate").max()),
         "treatment_min_sliced_w2": float(treatment.column("sliced_w2").min()),
         "treatment_steps_below_0.1": len(tight),
-        "treatment_min_lipschitz_when_tight":
-            min((r.lipschitz_estimate for r in tight), default=float("nan")),
+        "treatment_min_lipschitz_when_tight": tight_lip,
         "lipschitz_ratio":
-            (min((r.lipschitz_estimate for r in tight), default=float("nan"))
-             / control_final_lip) if control_final_lip > 0 else float("nan"),
+            tight_lip / control_final_lip if control_final_lip > 0 else float("nan"),
         # Experiment-design constants, not values from the source material.
         "control_lipschitz_ceiling": 20.0,
         "ratio_threshold": 10.0,

@@ -231,6 +231,12 @@ class TestCandidateFit:
             fit_candidate_alignment(x, fx, lambda w: np.zeros((len(np.atleast_2d(w)), 3)),
                                     np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("fit", [fit_candidate_alignment, estimate_embedding_gap])
+    def test_empty_latent_rows_rejected(self, fit):
+        x = np.linspace(-1.0, 1.0, 5)[:, None]
+        with pytest.raises(InvalidArgumentError, match="w_samples"):
+            fit(x, np.hstack([x, x]), lambda w: np.hstack([w, w]), np.zeros((0, 1)))
+
     def test_nearest_match_memory_grows_linearly(self):
         # The whole 4,000 x 4,000 pairs-by-latents distance matrix would
         # take 128 MB; the fit matches rows in blocks, with the same bits.

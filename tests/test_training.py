@@ -28,6 +28,7 @@ from injflow.geometry import ManifoldTarget
 from injflow.metrics import directed_supinf
 from injflow.network import InjectiveNetwork
 from injflow.training import (
+    EVAL_COUNT,
     Adam,
     build_obstruction_network,
     PhaseConfig,
@@ -37,7 +38,9 @@ from injflow.training import (
     _chamfer_and_supinf,
     chamfer_loss_and_grad,
     compute_gradients,
+    default_layerwise_config,
     draw_directions,
+    loss_mix,
     run_layerwise,
     sliced_w2sq,
     sliced_w2sq_loss_and_grad,
@@ -285,6 +288,36 @@ class TestGradients:
         assert err.value.stage_index == 4
 
 
+class TestLossMix:
+    def test_given_weights_first_then_named_loss(self):
+        assert list(loss_mix("density", {"manifold": 0.1}).items()) == [
+            ("manifold", 0.1), ("density", 1.0)]
+        assert list(loss_mix("manifold", {"density": 0.5, "manifold": 2.0}).items()) == [
+            ("density", 0.5), ("manifold", 2.0)]
+
+    @pytest.mark.parametrize("loss, weights", [("manifold", {"density": 0.0}),
+                                               ("density", {"density": 0.0, "manifold": 1.0})])
+    def test_zero_weight_dropped_and_needs_no_directions(self, loss, weights):
+        assert loss_mix(loss, weights) == {"manifold": 1.0}
+        rng = np.random.default_rng(15)
+        net = _mixed_network(16)
+        latent, target = rng.normal(size=(6, 2)), rng.normal(size=(6, 5))
+        value, grads = compute_gradients(net, loss, latent, target, loss_weights=weights)
+        want_value, want_grads = compute_gradients(net, "manifold", latent, target)
+        assert value == want_value
+        assert np.array_equal(grads, want_grads)
+
+    def test_unknown_loss_name_rejected(self):
+        rng = np.random.default_rng(17)
+        net = _mixed_network(18)
+        with pytest.raises(InvalidConfigError, match="foo"):
+            compute_gradients(net, "manifold", rng.normal(size=(6, 2)),
+                              rng.normal(size=(6, 5)), loss_weights={"foo": 1.0})
+        with pytest.raises(InvalidConfigError, match="nope"):
+            compute_gradients(net, "nope", rng.normal(size=(6, 2)),
+                              rng.normal(size=(6, 5)))
+
+
 class TestLosses:
     def test_manifold_loss_examples(self):
         net = InjectiveNetwork([identity_block(1), ZeroPad(1, 2),
@@ -509,20 +542,35 @@ class TestRunLayerwise:
     @pytest.mark.parametrize("loss, stages", [("manifold", (1, 2)), ("density", (0,))])
     def test_record_matches_supinf_and_chamfer_bitwise(self, loss, stages):
         # The record shares one distance matrix between its Chamfer term and
-        # its sup-inf; 300 eval rows cross two row blocks of that matrix.
+        # its sup-inf; the EVAL_COUNT eval rows cross several row blocks of
+        # that matrix.
         net = _tiny_network(5)
         target = _tiny_target()
         config = TrainingConfig(
             phases=(PhaseConfig(trainable_stages=stages, loss=loss, steps=3,
                                 learning_rate=5e-3),),
             batch_size=32, seed=5, lipschitz_log_interval=2)
-        final = run_layerwise(net, target, config, eval_count=300).trace.final
-        eval_latent = np.linspace(-1.0, 1.0, 300)[:, None]
+        final = run_layerwise(net, target, config).trace.final
+        eval_latent = np.linspace(-1.0, 1.0, EVAL_COUNT)[:, None]
         eval_target = target.map_points(eval_latent)
         gen = net.forward(eval_latent)
         assert final.directed_supinf == directed_supinf(eval_target, gen)
         if loss == "manifold":
             assert final.loss == chamfer_loss_and_grad(gen, eval_target)[0]
+
+    def test_zero_weighted_named_loss_trains_as_the_rest_of_the_mix(self):
+        # A density phase whose density weight is 0 draws no projection
+        # directions and trains exactly as a plain manifold phase.
+        traces = []
+        for loss, weights in (("density", {"density": 0.0, "manifold": 1.0}),
+                              ("manifold", None)):
+            config = TrainingConfig(
+                phases=(PhaseConfig(trainable_stages=(1, 2), loss=loss, steps=4,
+                                    learning_rate=5e-3, loss_weights=weights),),
+                batch_size=16, seed=6, lipschitz_log_interval=2)
+            result = run_layerwise(_tiny_network(6), _tiny_target(), config)
+            traces.append(result.trace.records)
+        assert traces[0] == traces[1]
 
     def test_latent_dim_must_match_target(self):
         net = _tiny_network(4)
@@ -535,6 +583,78 @@ class TestRunLayerwise:
             run_layerwise(net, target, _tiny_config())
 
 
+def _phases(config):
+    return [(p.trainable_stages, p.loss, p.steps, p.learning_rate, p.loss_weights)
+            for p in config.phases]
+
+
+def _toy_schedule(p1, p2):
+    leg1 = max(1, p1 // 2)
+    leg2 = max(1, p1 // 3)
+    leg3 = max(1, p1 - leg1 - leg2)
+    leg4 = max(1, (2 * p2) // 3)
+    leg5 = max(1, p2 - leg4)
+    mix = {"manifold": 1.0, "density": 0.5}
+    return [((1, 2, 3, 4), "manifold", leg1, 5e-3, mix),
+            ((1, 2, 3, 4), "manifold", leg2, 1.2e-3, mix),
+            ((1, 2, 3, 4), "manifold", leg3, 3e-4, mix),
+            ((0,), "density", leg4, 1e-2, None),
+            ((0,), "density", leg5, 3e-3, None)]
+
+
+def _obstruction_schedule(steps_manifold, steps_density):
+    leg1 = max(1, steps_density // 2)
+    leg2 = max(1, (3 * steps_density) // 10)
+    leg3 = max(1, steps_density - leg1 - leg2)
+    mix = {"density": 1.0, "manifold": 0.1}
+    return [((0, 1, 2), "manifold", steps_manifold, 5e-3,
+             {"manifold": 1.0, "density": 0.5}),
+            ((0, 1, 2), "density", leg1, 2e-3, mix),
+            ((0, 1, 2), "density", leg2, 7e-4, mix),
+            ((0, 1, 2), "density", leg3, 2.5e-4, mix)]
+
+
+class TestSchedules:
+    """Both presets' annealed schedules, leg by leg, against the leg
+    formulas written out, at every small budget (where the max(1, ...)
+    floors fire) and at the full defaults."""
+
+    def test_layerwise_toy(self):
+        assert _phases(default_layerwise_config()) == _toy_schedule(2400, 600)
+        for steps in range(1, 41):
+            config = default_layerwise_config(seed=steps, phase1_steps=steps,
+                                              phase2_steps=steps)
+            assert _phases(config) == _toy_schedule(steps, steps)
+            assert (config.batch_size, config.seed,
+                    config.lipschitz_log_interval) == (320, steps, 50)
+
+    @pytest.mark.parametrize("arm", ["treatment", "control"])
+    def test_obstruction_arm(self, arm, monkeypatch):
+        import inspect
+
+        from injflow import training
+
+        configs = []
+
+        def capture(net, config, *samplers_and_eval_sets):
+            configs.append(config)
+            return training.LayerwiseResult(TrainingTrace(), [], [], [])
+
+        monkeypatch.setattr(training, "_run_phases", capture)
+        defaults = inspect.signature(training.run_obstruction_experiment).parameters
+        budgets = [(defaults["steps_manifold"].default, defaults["steps_density"].default),
+                   *((steps, steps) for steps in range(1, 41))]
+        for steps_manifold, steps_density in budgets:
+            training._obstruction_arm(arm, seed=3, steps_manifold=steps_manifold,
+                                      steps_density=steps_density, batch_size=8,
+                                      lipschitz_log_interval=2)
+            config = configs.pop()
+            assert _phases(config) == _obstruction_schedule(steps_manifold, steps_density)
+            assert (config.batch_size, config.seed,
+                    config.lipschitz_log_interval) == (8, 3, 2)
+        assert budgets[0] == (2500, 3500)
+
+
 class TestObstructionSmoke:
     def test_one_record_peak_below_4mb(self):
         # One diagnostics record on the obstruction arm's 512-point eval set
@@ -543,7 +663,7 @@ class TestObstructionSmoke:
         # sliced gradient and the matrix held through 256-row Lipschitz
         # blocks it was 6.15 MB.
         from injflow import training
-        target = training.trefoil_target(scale=1.0)
+        target = training.trefoil_target()
         eval_latent = training.sample_circle(512)
         eval_target = target.map_points(training._ArclengthSampler(target).grid(512))
         net = build_obstruction_network(seed=0)
@@ -580,8 +700,7 @@ class TestObstructionSmoke:
         from injflow.training import run_obstruction_experiment
         result = run_obstruction_experiment(seed=1, steps_manifold=6,
                                             steps_density=6, batch_size=32,
-                                            lipschitz_log_interval=3,
-                                            eval_count=128)
+                                            lipschitz_log_interval=3)
         for trace in (result.treatment, result.control):
             steps = trace.column("step")
             assert (np.diff(steps) > 0).all()
@@ -597,8 +716,7 @@ class TestObstructionSmoke:
         forked = run_obstruction_experiment(seed=1, steps_manifold=6,
                                             steps_density=6).control
         local = _obstruction_arm("control", seed=1, steps_manifold=6, steps_density=6,
-                                 batch_size=256, lipschitz_log_interval=50,
-                                 eval_count=512)
+                                 batch_size=256, lipschitz_log_interval=50)
         assert len(forked) > 0
         assert forked.records == local.records
 
@@ -608,7 +726,7 @@ class TestObstructionSmoke:
         from injflow import training
 
         budget = dict(seed=1, steps_manifold=300, steps_density=300, batch_size=7,
-                      lipschitz_log_interval=50, eval_count=512)
+                      lipschitz_log_interval=50)
         start = time.perf_counter()
         training._obstruction_arm("control", **budget)
         control_s = time.perf_counter() - start
@@ -646,8 +764,7 @@ class TestObstructionSmoke:
         with pytest.raises(InjectiveFlowError, match="worker process died"):
             training.run_obstruction_experiment(seed=1, steps_manifold=6,
                                                 steps_density=6, batch_size=32,
-                                                lipschitz_log_interval=3,
-                                                eval_count=128)
+                                                lipschitz_log_interval=3)
 
 
 class TestTrace:

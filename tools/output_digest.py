@@ -7,8 +7,9 @@ so two versions of the package can be checked for byte-identical outputs:
 The calls go through the CLI only and write into a temporary directory:
 `injflow run` on every digested preset (one `trefoil-obstruction` run takes
 all its parameters, the config-only `batch_size` and
-`lipschitz_log_interval` too, from a `--config` file, and
-`gap-visualization` runs once more with `--format json`), then `injflow
+`lipschitz_log_interval` too, from a `--config` file, one run of each
+training preset sits at `FLOOR_BUDGETS`, and `gap-visualization` runs once
+more with `--format json`), then `injflow
 project` on a seeded query stack, `injflow gap --family affine` at each of
 `GAP_SIZES`, `injflow gap --family small-flow` at `SMALL_FLOW_SIZE`, and
 both families once more on latents spread over `COVER_SPAN`, against each
@@ -54,6 +55,13 @@ GAP_SIZES = ((101, 101), (300, 300), (300, 250), (101, 80), (1, 101))
 # defaults.
 OBSTRUCTION_CONFIG = {"steps_manifold": 20, "steps_density": 20, "batch_size": 64,
                       "lipschitz_log_interval": 10}
+# Step budgets at which the `max(1, ...)` floors of the annealed learning-rate
+# legs fire: every leg of both training schedules takes one step.
+FLOOR_BUDGETS = (
+    ("layerwise-toy-floor", ["layerwise-toy", "--phase1-steps", "1", "--phase2-steps", "1"]),
+    ("trefoil-obstruction-floor",
+     ["trefoil-obstruction", "--steps-manifold", "1", "--steps-density", "3"]),
+)
 # (pairs, latents) of the small-flow candidate fit, which is trained, so
 # one exact-W2 size covers it.
 SMALL_FLOW_SIZE = (101, 101)
@@ -73,6 +81,8 @@ def _runs(tmp: Path):
         yield (f"layerwise-toy-seed{seed}",
                ["layerwise-toy", "--seed", str(seed),
                 "--phase1-steps", "300", "--phase2-steps", "100"], True)
+    for label, argv in FLOOR_BUDGETS:
+        yield label, argv, False
     yield "gap-visualization", ["gap-visualization"], False
     yield "gap-visualization-json", ["gap-visualization", "--format", "json"], False
     yield ("projection-bench-n2",
