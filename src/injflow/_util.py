@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvalidLayerError
 
 # 17 significant digits round-trip every float64.
 CSV_FLOAT_FORMAT = "%.17g"
@@ -83,6 +83,12 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def flatten(arrays) -> np.ndarray:
     """One float64 vector of the arrays' entries in order (empty for none)."""
     return np.concatenate([np.zeros(0), *arrays], axis=None)
+
+
+def check_finite(*arrays) -> None:
+    """Raise InvalidLayerError on a NaN or inf entry (None: no array)."""
+    if not np.isfinite(flatten(a for a in arrays if a is not None)).all():
+        raise InvalidLayerError("non-finite parameter entry")
 
 
 def flat_views(vector, arrays) -> list:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_rng, spectral_norm
+from ._util import as_rng, check_finite, spectral_norm
 from .errors import InvalidLayerError, UnsupportedLayerError
 
 RANK_TOLERANCE = 1e-10
@@ -135,7 +135,7 @@ class LinearExpansive(ExpansiveLayer):
         return spectral_norm(self.weight)
 
     def validate(self) -> None:
-        _check_finite(self.weight)
+        check_finite(self.weight)
         _check_column_rank(np.linalg.svd(self.weight, compute_uv=False))
 
     def to_config(self) -> dict:
@@ -145,12 +145,6 @@ class LinearExpansive(ExpansiveLayer):
     @classmethod
     def from_config(cls, cfg: dict) -> "LinearExpansive":
         return cls(cfg["weight"])
-
-
-def _check_finite(*arrays) -> None:
-    """Raise InvalidLayerError on a NaN or inf entry (None: no array)."""
-    if not all(np.isfinite(a).all() for a in arrays if a is not None):
-        raise InvalidLayerError("non-finite parameter entry")
 
 
 def _check_column_rank(sv: np.ndarray) -> None:
@@ -247,7 +241,7 @@ class InjectiveRelu(ExpansiveLayer):
         return spectral_norm(self.weight)
 
     def validate(self) -> None:
-        _check_finite(self.b_mat, self.d_diag, self.m_mat)
+        check_finite(self.b_mat, self.d_diag, self.m_mat)
         if np.any(self.d_diag <= 0.0):
             raise InvalidLayerError("D has non-positive entries")
         sv = np.linalg.svd(self.b_mat, compute_uv=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_rng, spectral_norm
+from ._util import as_rng, check_finite, spectral_norm
 from .errors import InvalidLayerError, NumericError
 
 SCALE_CLAMP = 5.0
@@ -431,6 +431,11 @@ class FlowBlock:
 
     def ball_bound(self, radius: float):
         return compose_ball_bounds(self.layers, radius)
+
+    def validate(self) -> None:
+        """Raise InvalidLayerError on a non-finite parameter entry; flow
+        layers are invertible for any finite parameters."""
+        check_finite(*(arr for _, arr in self.parameters()))
 
     def to_config(self) -> dict:
         return {"kind": self.kind, "dim": self.dim,

@@ -1,14 +1,13 @@
 """The composed injective network: flow blocks alternating with expansive layers.
 
 Stage order is T0, R1, T1, ..., RL, TL with non-decreasing dimensions; every
-expansive layer must pass its injectivity validation, so the composition is
-injective from the latent space into the ambient space.
+stage must pass its validate(), so the composition is injective from the
+latent space into the ambient space.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -75,11 +74,11 @@ class InjectiveNetwork:
                     raise InvalidLayerError(
                         f"stage {idx}: expansive input {stage.in_dim} "
                         f"does not match {dim}")
-                try:
-                    stage.validate()
-                except InvalidLayerError as err:
-                    raise InvalidLayerError(f"stage {idx}: {err}") from err
                 dim = stage.out_dim
+            try:
+                stage.validate()
+            except InvalidLayerError as err:
+                raise InvalidLayerError(f"stage {idx}: {err}") from err
             expect_flow = not expect_flow
         if not isinstance(self.stages[-1], FlowBlock):
             raise InvalidLayerError("network must end with a flow block (TL)")
@@ -180,24 +179,16 @@ class InjectiveNetwork:
     @classmethod
     def load_checkpoint(cls, path) -> "InjectiveNetwork":
         """Load a saved network; an unreadable, malformed, too deeply nested,
-        incomplete or invalid checkpoint (see from_config), or one holding a
-        non-finite number (NaN, Infinity, 1e999 or an integer past the float
-        range), raises InvalidArgumentError naming the path."""
+        incomplete or invalid checkpoint (see from_config; a non-finite
+        parameter fails its stage's validate()) raises InvalidArgumentError
+        naming the path."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_config(json.load(fh, parse_float=_finite_float,
-                                                 parse_constant=_finite_float))
+                return cls.from_config(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, AttributeError,
                 OverflowError, RecursionError) as err:
             raise InvalidArgumentError(
                 f"cannot load checkpoint {path}: {type(err).__name__}: {err}") from err
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
 
 
 def lipschitz_estimate(forward, samples, chunk: int = 64) -> float:

@@ -221,8 +221,9 @@ class TrainingTrace:
     def append(self, record: TraceRecord) -> None:
         if self.records and record.step <= self.records[-1].step:
             raise InvalidArgumentError("trace steps must increase")
-        if not all(np.isfinite(getattr(record, c)) for c in TRACE_COLUMNS[1:]):
-            raise NumericError(f"non-finite trace values at step {record.step}")
+        bad = [c for c in TRACE_COLUMNS[1:] if not np.isfinite(getattr(record, c))]
+        if bad:
+            raise NumericError(f"non-finite trace values at step {record.step}: {', '.join(bad)}")
         self.records.append(record)
 
     def __len__(self) -> int:

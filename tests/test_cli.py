@@ -856,6 +856,13 @@ def _leaf_groups(node, path=()):
     return {tuple(k for k in path if isinstance(k, str)): [path]}
 
 
+def _leaf_owner(cfg, path):
+    """The dict or list that holds the leaf at path."""
+    for key in path[:-1]:
+        cfg = cfg[key]
+    return cfg
+
+
 def _subnet_arrays(cfg):
     """Paths of every Mlp weight matrix and bias vector in cfg: the
     coupling's s_net and t_net and the autoregressive conditioners."""
@@ -884,9 +891,7 @@ def test_checkpoint_leaf_contract(data):
         group = data.draw(st.sampled_from(sorted(groups, key=repr)), label="group")
         path = data.draw(st.sampled_from(groups[group]), label="leaf")
         value = data.draw(st.sampled_from(_LEAF_POOL), label="value")
-    owner = cfg
-    for key in path[:-1]:
-        owner = owner[key]
+    owner = _leaf_owner(cfg, path)
     if factor is not None:
         # Biases and the last layers start at zero; a zero entry becomes
         # the factor itself, so every draw changes the network.
@@ -913,6 +918,42 @@ def test_checkpoint_leaf_contract(data):
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1, lines
                 json.loads(lines[0])
+
+
+def _float_slots():
+    """{group: paths of its float leaves} over _mixed_network()'s config,
+    a group named by its keys past "stages", e.g. "layers.t_net.biases"."""
+    cfg = _mixed_network().to_config()
+    slots = {}
+    for group, leaves in _leaf_groups(cfg).items():
+        floats = [path for path in leaves if type(_leaf_owner(cfg, path)[path[-1]]) is float]
+        if floats:
+            slots[".".join(group[1:])] = floats
+    return slots
+
+
+_FLOAT_SLOTS = _float_slots()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("group", sorted(_FLOAT_SLOTS))
+def test_non_finite_number_in_every_float_slot(tmp_path, capsys, group, literal):
+    """The JSON reader takes a non-finite literal in any float slot; the
+    checkpoint is still refused naming the file: a parameter fails its
+    stage's validate(), a scale_clamp its round trip."""
+    cfg = _mixed_network().to_config()
+    ckpt = tmp_path / "net.json"
+    qpath = tmp_path / "queries.csv"
+    save_points_csv(qpath, np.zeros((2, 5)))
+    for path in _FLOAT_SLOTS[group]:
+        owner = _leaf_owner(cfg, path)
+        owner[path[-1]], kept = "@", owner[path[-1]]
+        ckpt.write_text(json.dumps(cfg).replace('"@"', literal))
+        owner[path[-1]] = kept
+        record = TestInputFailures._expect_usage_error(
+            ["project", "--checkpoint", str(ckpt), "--queries", str(qpath),
+             "--out", str(tmp_path / "o")], ckpt, capsys)
+        assert record["error"]["message"].startswith("cannot load checkpoint"), path
 
 
 # Run in a fresh interpreter: the test process has long since loaded

@@ -44,6 +44,18 @@ def _random_network(seed):
     return InjectiveNetwork([t0, r1, t1, r2, t2])
 
 
+def _mixed_stages():
+    """coupling -> ReLU -> autoregressive -> linear -> identity block."""
+    rng = np.random.default_rng(0)
+    return [make_coupling_block(2, 1, rng=rng, hidden=4), random_injective_relu(2, 4, rng),
+            make_autoregressive_block(4, 1, rng=rng, hidden=4),
+            random_linear_expansive(4, 5, rng), identity_block(5)]
+
+
+_PARAMETER_SLOTS = [(idx, name) for idx, name, _
+                    in InjectiveNetwork(_mixed_stages()).parameters()]
+
+
 class TestForward:
     def test_identity_zero_pad(self):
         net = InjectiveNetwork([identity_block(1), ZeroPad(1, 2), identity_block(2)])
@@ -76,11 +88,15 @@ class TestForward:
             np.testing.assert_allclose(y, net.forward(X)[0], rtol=0, atol=1e-12)
 
     def test_stage_indexed_numeric_error(self):
-        def bad():
-            return Mlp([1, 1], weights=[np.zeros((1, 1))], biases=[[np.inf]])
+        def zero():
+            return Mlp([1, 1], weights=[np.zeros((1, 1))], biases=[[0.0]])
 
-        bad_block = FlowBlock(2, [CouplingLayer(2, 1, bad(), bad())])
-        net = InjectiveNetwork([identity_block(1), ZeroPad(1, 2), bad_block])
+        layer = CouplingLayer(2, 1, zero(), zero())
+        net = InjectiveNetwork([identity_block(1), ZeroPad(1, 2), FlowBlock(2, [layer])])
+        # In place after construction, as a diverging step would: validate()
+        # refuses a block built with an inf bias.
+        for mlp in (layer.s_net, layer.t_net):
+            mlp.biases[0][:] = np.inf
         with pytest.raises(NumericError) as err:
             net.forward([1.0])
         assert err.value.stage_index == 2
@@ -105,6 +121,18 @@ class TestConstruction:
         layer.weight[:] = 0.0  # as a training step updates it, in place
         with pytest.raises(InvalidLayerError):
             InjectiveNetwork([identity_block(2), layer, identity_block(3)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("idx, name", _PARAMETER_SLOTS,
+                             ids=[f"{idx}.{name}" for idx, name in _PARAMETER_SLOTS])
+    def test_non_finite_parameter_rejected(self, idx, name, value):
+        # Every parameter array of every stage kind: coupling subnets, the
+        # autoregressive first pair and conditioners, a linear weight.
+        stages = _mixed_stages()
+        dict(stages[idx].parameters())[name].flat[-1] = value
+        with pytest.raises(InvalidLayerError,
+                           match=f"^stage {idx}: non-finite parameter entry$"):
+            InjectiveNetwork(stages)
 
 
 class TestLipschitz:

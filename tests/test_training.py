@@ -776,8 +776,11 @@ class TestTrace:
 
     def test_finite_values_enforced(self):
         trace = TrainingTrace()
-        with pytest.raises(Exception):
+        with pytest.raises(NumericError, match="^non-finite trace values at step 0: loss$"):
             trace.append(TraceRecord(0, np.nan, 1.0, 1.0, 1.0))
+        with pytest.raises(NumericError, match="at step 2000: sliced_w2, lipschitz_estimate$"):
+            trace.append(TraceRecord(2000, 1.0, 1.0, np.inf, -np.inf))
+        assert len(trace) == 0
 
     def test_csv_columns(self, tmp_path):
         trace = TrainingTrace()
