@@ -304,6 +304,10 @@ def _cmd_gap(args) -> int:
             f"pairs CSV {args.pairs} must hold parameter columns followed by "
             f"{m} target coordinates, got {pairs.shape[1]} columns")
     n = pairs.shape[1] - m
+    if n > net.latent_dim:  # the gap bound needs an injective h: R^n -> R^o
+        raise InvalidArgumentError(
+            f"pairs CSV {args.pairs} has {n} parameter columns, more than the "
+            f"latent dimension {net.latent_dim}")
     x, fx = pairs[:, :n], pairs[:, n:]
     gap = metrics.estimate_embedding_gap(x, fx, net.forward, latent, family=args.family,
                                          seed=args.seed)
@@ -410,6 +414,9 @@ def main(argv=None) -> int:
         return 1
     except (InjectiveFlowError, FloatingPointError) as err:
         _error_record("numeric", str(err))
+        return 1
+    except MemoryError as err:  # an input too large for this process
+        _error_record("memory", str(err) or "out of memory")
         return 1
 
 

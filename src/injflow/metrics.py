@@ -11,6 +11,7 @@ bracket it in the sampling limit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,6 +192,8 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
     if family not in ("affine", "small-flow"):
         raise InvalidArgumentError(f"unknown candidate family {family!r}")
     n, o = X.shape[1], W.shape[1]
+    if n > o:  # the upper bound needs an injective h: R^n -> R^o
+        raise InvalidArgumentError(f"{n} parameter columns exceed the latent dimension {o}")
     g_domain = DomainBox(W.min(axis=0) - 1e-9, W.max(axis=0) + 1e-9)
     GW = np.atleast_2d(np.asarray(g(W), dtype=float))
     nearest_w, d_gw = _nearest_rows(FX, GW)
@@ -202,7 +205,7 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
         # Degenerate single-point reduction: the best constant map into W.
         a, c = np.zeros((o, n)), W[nearest_w[0]].copy()
         candidates.append((*_upper_and_images(FX, g, _affine_func(a, c)(X)), a, c))
-    elif o >= n:
+    else:
         # Identity-style embedding of the parameters into R^o as the incumbent.
         a, c = np.eye(o, n), np.zeros(o)
         H = _affine_func(a, c)(X)
@@ -314,71 +317,93 @@ def estimate_embedding_gap(f_params, f_points, g, w_samples,
 # --- Wasserstein-2 -------------------------------------------------------
 
 
-def _assignment(cost: np.ndarray) -> np.ndarray:
-    """cols minimizing cost[arange(n), cols].sum() over permutations of a
-    square matrix.
+def _transport(cost: np.ndarray):
+    """An optimal plan of the uniform transport problem on an (n, m) cost
+    matrix: an integer (n, m) array whose rows each ship m/g units and whose
+    columns each take n/g, g = gcd(n, m).  At n = m it is a permutation
+    matrix: scipy.optimize's when the optimum is unique, of equal cost on ties.
 
-    Shortest augmenting paths with dual prices u, v (Crouse 2016, the
-    method of scipy.optimize's assignment solver).  Warm start: v holds the
-    column minima, each row claims its cheapest reduced column, the first
-    claimant of a column keeps it, and u makes its edge tight.  Each free
-    row then runs one Dijkstra pass over whole rows of reduced costs; a
-    finished column's working price is -inf, so its reduced cost is +inf
-    and it is neither updated nor picked again.  With a unique optimum the
-    permutation is scipy's; on ties the total cost is.
+    Successive shortest paths with dual prices u, v (Crouse 2016 at n = m).
+    Warm start: v holds the column minima, each row in turn ships what it
+    can to its cheapest reduced column, and u makes that edge tight.  Each
+    row with supply left runs Dijkstra passes over whole rows of reduced
+    costs until spent, popping the cheapest column: one with room ends the
+    pass, a full one passes its label to the rows that ship into it.  A
+    finished column's price is -inf, so it is not updated or picked again.
     """
-    cost = np.asarray(cost, dtype=float)
     if not np.all(np.isfinite(cost)):
-        raise NumericError("assignment cost matrix has non-finite entries")
-    n = cost.shape[0]
+        raise NumericError("transport cost matrix has non-finite entries")
+    n, m = cost.shape
+    g = math.gcd(n, m)
+    supply, room = [m // g] * n, [n // g] * m
+    ships = [{} for _ in range(m)]  # ships[col][row]: the units row sends col
     v = cost.min(axis=0)
     reduced = cost - v
-    claim = reduced.argmin(axis=1)
-    cols, first = np.unique(claim, return_index=True)
-    col4row = np.full(n, -1)
-    row4col = np.full(n, -1)
-    col4row[first] = cols
-    row4col[cols] = first
     u = np.zeros(n)
-    u[first] = reduced[first, cols]
-    r = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    for free in np.flatnonzero(col4row < 0):
-        dist = np.full(n, np.inf)
-        path = np.empty(n, dtype=int)
-        price = v.copy()
-        done, lengths = [], []
-        row, low = free, 0.0
-        while True:
-            np.subtract(cost[row], price, out=r)
-            r += low - u[row]
-            np.less(r, dist, out=better)
-            np.copyto(dist, r, where=better)
-            np.copyto(path, row, where=better)
-            col = int(dist.argmin())
-            low = dist[col]
-            if row4col[col] < 0:
-                break
-            done.append(col)
-            lengths.append(low)
-            dist[col] = np.inf
-            price[col] = -np.inf
-            row = row4col[col]
-        # Shift the prices of the rows and columns the search finished by
-        # their slack below the path length: reduced costs stay nonnegative
-        # and the path's edges become tight.  Then flip the path.
-        done = np.array(done, dtype=int)
-        slack = low - np.array(lengths)
-        u[free] += low
-        u[row4col[done]] += slack
-        v[done] -= slack
-        while True:
-            row = path[col]
-            row4col[col] = row
-            col4row[row], col = col, col4row[row]
-            if row == free:
-                break
-    return col4row
+    for row, col in enumerate(reduced.argmin(axis=1).tolist()):
+        units = min(supply[row], room[col])
+        if units:
+            ships[col][row] = units
+            supply[row] -= units
+            room[col] -= units
+            u[row] = reduced[row, col]
+    r = np.empty(m)
+    better = np.empty(m, dtype=bool)
+    for free in range(n):
+        while supply[free]:
+            dist = np.full(m, np.inf)
+            path = np.empty(m, dtype=int)
+            price = v.copy()
+            via = {free: -1}  # each row reached: the column it was reached by
+            popped = {}  # each finished column: its path length
+            queue, low = [free], 0.0
+            while True:
+                while queue:
+                    row = queue.pop()
+                    np.subtract(cost[row], price, out=r)
+                    r += low - u[row]
+                    np.less(r, dist, out=better)
+                    np.copyto(dist, r, where=better)
+                    np.copyto(path, row, where=better)
+                col = int(dist.argmin())
+                low = dist[col]
+                if room[col]:
+                    break
+                popped[col] = low
+                dist[col] = np.inf
+                price[col] = -np.inf
+                for row in ships[col]:
+                    if row not in via:
+                        via[row] = col
+                        queue.append(row)
+            # Shift the prices of the rows and columns the search finished by
+            # their slack below the path length: reduced costs stay nonnegative
+            # and the path's edges become tight.
+            reached = list(via)[1:]
+            u[free] += low
+            u[reached] += low - np.array([popped[via[row]] for row in reached])
+            v[list(popped)] -= low - np.array(list(popped.values()))
+            # Push the most units the path allows, then move them along it.
+            end, units, row = col, min(supply[free], room[col]), int(path[col])
+            while row != free:
+                units = min(units, ships[via[row]][row])
+                row = int(path[via[row]])
+            supply[free] -= units
+            room[end] -= units
+            row = int(path[end])
+            while True:
+                ships[col][row] = ships[col].get(row, 0) + units
+                if row == free:
+                    break
+                col = via[row]
+                ships[col][row] -= units
+                if not ships[col][row]:
+                    del ships[col][row]
+                row = int(path[col])
+    plan = np.zeros((n, m), dtype=int)
+    for col, shippers in enumerate(ships):
+        plan[list(shippers), col] = list(shippers.values())
+    return plan
 
 
 def _cloud(points) -> np.ndarray:
@@ -391,36 +416,13 @@ def _cloud(points) -> np.ndarray:
     return pts
 
 
-# The LP routine imports its solver at first call: loading scipy.optimize
-# adds ~0.5 s and ~43 MB to a process, and only unequal-size clouds need
-# the transportation LP.
-def _w2_exact_lp(cost: np.ndarray) -> float:
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    n, m = cost.shape
-    # Transportation polytope: row sums 1/n, column sums 1/m.
-    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
-                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
-    b_eq = np.concatenate([np.full(n, 1.0 / n), np.full(m, 1.0 / m)])
-    # HiGHS's default 1e-7 feasibility tolerances leave ~1e-8 errors in W2.
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    # The inputs are finite and the transportation LP is always feasible
-    # and bounded, so a failed solve is numeric.
-    if not res.success:
-        raise NumericError(f"transport LP failed: {res.message}")
-    return float(np.sqrt(max(res.fun, 0.0)))
-
-
 def wasserstein2_exact(a, b) -> float:
     """Exact discrete W2, squared Euclidean ground cost, between the uniform
     measures on the rows of a and b.
 
-    Equal row counts go through an assignment solve, unequal ones through
-    the transportation LP.  Supports are capped at EXACT_W2_MAX_POINTS
-    combined; larger inputs must use the sliced variant.
+    The square root of the cost of _transport's plan per unit moved.
+    Supports are capped at EXACT_W2_MAX_POINTS combined; larger inputs must
+    use the sliced variant.
     """
     a, b = _cloud(a), _cloud(b)
     if a.shape[1] != b.shape[1]:
@@ -430,12 +432,9 @@ def wasserstein2_exact(a, b) -> float:
             f"combined support {len(a) + len(b)} exceeds the exact budget "
             f"{EXACT_W2_MAX_POINTS}; use wasserstein2_sliced")
     cost = pairwise_sq_dists(a, b)
-    if not np.all(np.isfinite(cost)):
-        raise NumericError("exact W2 cost matrix has non-finite entries")
-    if len(a) != len(b):
-        return _w2_exact_lp(cost)
-    cols = _assignment(cost)
-    return float(np.sqrt(cost[np.arange(len(cols)), cols].mean()))
+    plan = _transport(cost)
+    used = plan > 0  # in row order: at n = m, the mean over the permutation
+    return float(np.sqrt((plan[used] * cost[used]).sum() / plan.sum()))
 
 
 def w2_1d_squared(x, y) -> float:
@@ -579,8 +578,8 @@ def wasserstein_bound_check(f_points, gap: EmbeddingGapEstimate,
 def w2_enumeration_uniform(a, b) -> float:
     """Brute-force W2 over all permutation couplings (uniform equal supports).
 
-    Independent oracle for the assignment path; factorial cost, so only for
-    supports of size <= ~8.
+    Independent oracle for the transport solver at n = m; factorial cost,
+    so only for supports of size <= ~8.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -526,8 +526,8 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     import multiprocessing
 
     args = (seed, steps_manifold, steps_density, batch_size, lipschitz_log_interval)
-    # fork, not spawn: a spawned worker would import numpy and scipy again
-    # (about 0.5 s).  The package starts no threads, so the fork is safe.
+    # fork, not spawn: a spawned worker would import numpy and the package
+    # again.  The package starts no threads, so the fork is safe.
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     worker = ctx.Process(target=_control_arm_into, args=(send, *args))

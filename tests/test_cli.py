@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -385,6 +386,24 @@ class TestInputFailures:
             record = self._expect_usage_error(argv, bad_path, capsys)
         assert [str(w.message) for w in caught] == []
         assert "no data rows" in record["error"]["message"]
+
+    @pytest.mark.parametrize("family", ["affine", "small-flow"])
+    def test_more_parameter_columns_than_latent_dimensions(self, tmp_path, capsys, family):
+        """Pairs whose 2 parameter columns hold a 4-rad arc, against the 1-D
+        latent of a layerwise-toy checkpoint: no affine R^2 -> R^1 map is
+        injective on the arc, so no gap bound is certified; it exited 0."""
+        ckpt = tmp_path / "net.json"
+        training.build_layerwise_toy_network().save_checkpoint(ckpt)
+        t = np.linspace(-1.0, 1.0, 40)[:, None]
+        pairs, latent = tmp_path / "pairs.csv", tmp_path / "latent.csv"
+        save_points_csv(pairs, np.hstack([np.cos(2.0 * t), np.sin(2.0 * t),
+                                          training.arc_target().map_points(t)]))
+        save_points_csv(latent, np.linspace(-1.0, 1.0, 50)[:, None])
+        record = self._expect_usage_error(
+            ["gap", "--family", family, "--pairs", str(pairs), "--latent", str(latent),
+             "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")], pairs, capsys)
+        assert record["error"]["message"].endswith(
+            "has 2 parameter columns, more than the latent dimension 1")
 
     @pytest.mark.parametrize("block", [
         {"b": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "d": [1.0, 1.0]},
@@ -956,28 +975,23 @@ def test_non_finite_number_in_every_float_slot(tmp_path, capsys, group, literal)
         assert record["error"]["message"].startswith("cannot load checkpoint"), path
 
 
-# Run in a fresh interpreter: the test process has long since loaded
-# scipy.optimize through the exact-W2 tests.
+# Run in a fresh interpreter: the test process has long since loaded scipy,
+# the oracle of the exact-W2 tests.
 _IMPORT_CONTRACT_SCRIPT = """
 import json, sys
 from injflow.cli import main
-runs, project, gap_equal, gap = json.loads(sys.argv[1])
-for argv in runs + [project, gap_equal]:
+for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-assert not loaded, f"training, projection-bench, project or equal-size gap loaded {loaded}"
-assert main(gap) == 0
-assert "scipy.optimize" in sys.modules, "gap ran no transport LP"
+assert not loaded, f"a command loaded {loaded}"
 """
 
 
 def test_training_and_project_never_import_scipy_optimize(tmp_path):
-    """Only the transport LP of the exact W2 uses scipy, through
-    scipy.optimize, so `injflow run` on the training presets and on
-    projection-bench (whose oracle is numpy), `injflow project` and
-    `injflow gap` with as many latent rows as pairs (every W2 an
-    assignment) load no scipy module at all, and `injflow gap` with unequal
-    counts loads scipy.optimize at first use."""
+    """No command loads any scipy module: `injflow run` on every preset
+    (projection-bench's oracle is numpy), `injflow project`, and `injflow
+    gap` with as many latent rows as pairs and with fewer, where the exact
+    W2 of unequal clouds is the numpy transport solver's too."""
     _, ckpt = _toy_checkpoint(tmp_path)
     qpath = tmp_path / "queries.csv"
     save_points_csv(qpath, np.random.default_rng(3).normal(size=(20, 3)))
@@ -985,7 +999,8 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
              "--out", str(tmp_path / "toy")],
             ["run", "trefoil-obstruction", "--steps-manifold", "3",
              "--steps-density", "2", "--out", str(tmp_path / "obstruction")],
-            ["run", "projection-bench", "--trials", "8", "--out", str(tmp_path / "bench")]]
+            ["run", "projection-bench", "--trials", "8", "--out", str(tmp_path / "bench")],
+            ["run", "gap-visualization", "--out", str(tmp_path / "visualization")]]
     project = ["project", "--checkpoint", str(ckpt), "--queries", str(qpath),
                "--out", str(tmp_path / "proj")]
     gap = [*_gap_argv(tmp_path), "--family", "affine", "--out", str(tmp_path / "gap")]
@@ -996,7 +1011,7 @@ def test_training_and_project_never_import_scipy_optimize(tmp_path):
     gap_equal[-1] = str(tmp_path / "gap-equal")
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_CONTRACT_SCRIPT,
-         json.dumps([runs, project, gap_equal, gap])],
+         json.dumps([*runs, project, gap_equal, gap])],
         capture_output=True, text=True, env=_package_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -1140,16 +1155,26 @@ def test_overflowing_subnet_gap_is_one_numeric_record(tmp_path, family, latent_r
 
 @pytest.mark.parametrize("scale", [1e100, 1e150])
 @pytest.mark.parametrize("family", ["affine", "small-flow"])
-def test_failed_transport_lp_is_one_numeric_record(tmp_path, family, scale):
+def test_unequal_count_gap_on_huge_finite_costs(tmp_path, family, scale):
     """The coupling's t_net with a last layer of 1e100s or 1e150s: every
-    cost is finite, but HiGHS fails on the unequal-size W2 report's
-    transport LP (9 latent rows against 12 pairs).  That LP is always
-    feasible and bounded, so the failure is numeric; it exited 2 as a
-    usage error ("transport LP failed")."""
+    cost of the unequal-size W2 report (9 latent rows against 12 pairs) is
+    finite, up to ~1e300.  The HiGHS transport LP failed on them (exit 1);
+    the transport solver reports them, and nothing reaches stderr."""
     cfg = _mixed_network().to_config()
     t_net = cfg["stages"][0]["layers"][0]["t_net"]
     t_net["weights"][-1] = np.full_like(t_net["weights"][-1], scale).tolist()
-    _assert_gap_is_one_numeric_record(tmp_path, cfg, family, 9)
+    ckpt = tmp_path / "net.json"
+    ckpt.write_text(json.dumps(cfg))
+    _, gap = _mixed_network_calls(tmp_path, ckpt)
+    save_points_csv(tmp_path / "latent.csv",
+                    np.random.default_rng(5).uniform(-1, 1, size=(9, 2)))
+    gap[gap.index("--family") + 1] = family
+    proc = subprocess.run([sys.executable, "-m", "injflow.cli", *gap],
+                          capture_output=True, text=True, env=_package_env(),
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    w2 = json.loads((tmp_path / "gap" / "gap.json").read_text())["w2_exact"]
+    assert 0.1 * scale < w2 < np.inf
 
 
 def _assert_gap_is_one_numeric_record(tmp_path, cfg, family, latent_rows=None):
@@ -1170,6 +1195,32 @@ def _assert_gap_is_one_numeric_record(tmp_path, cfg, family, latent_rows=None):
     assert proc.returncode == 1, proc.stderr
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"]["type"] == "numeric"
+
+
+def _address_space_limit():
+    """Caps the child's address space at 3e9 bytes, in the child only."""
+    resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))
+
+
+@pytest.mark.parametrize("preset, config", [
+    ("gap-visualization", {"count": 10 ** 12}),
+    ("trefoil-obstruction", {"batch_size": 10 ** 12}),
+], ids=["gap-visualization-count", "trefoil-obstruction-batch-size"])
+def test_out_of_memory_is_one_record(tmp_path, preset, config):
+    """An input too large for the address space ended in an
+    _ArrayMemoryError traceback with exit 1; it is one record now."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    proc = subprocess.run(
+        [sys.executable, "-m", "injflow.cli", "run", preset, "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+        preexec_fn=_address_space_limit)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "memory" and "Unable to allocate" in error["message"]
 
 
 # VmHWM, not ru_maxrss: Linux carries the high-water mark of the process

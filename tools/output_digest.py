@@ -46,11 +46,12 @@ from injflow.network import InjectiveNetwork
 SEEDS = (1, 2, 3)
 QUERIES = 200
 # (pairs, latents) per `injflow gap` call.  101 + 101 points keep W2 on the
-# exact assignment; 300 + 300 take sliced W2's sort kernel, and 300 + 250
-# its per-direction `w2_1d_squared` loop (the bound check's pushforwards
-# stay 300 + 300).  101 + 80 take the exact transport LP, and 1 + 101 the
-# single-pair constant candidate.
-GAP_SIZES = ((101, 101), (300, 300), (300, 250), (101, 80), (1, 101))
+# exact solver's assignment case; 300 + 300 take sliced W2's sort kernel, and
+# 300 + 250 its per-direction `w2_1d_squared` loop (the bound check's
+# pushforwards stay 300 + 300).  101 + 80 and 256 + 255 take the exact
+# solver on unequal counts, the latter its slowest near-square shape within
+# the exact budget, and 1 + 101 the single-pair constant candidate.
+GAP_SIZES = ((101, 101), (300, 300), (300, 250), (101, 80), (256, 255), (1, 101))
 # A config-driven obstruction run: the config-only keys set away from their
 # defaults.
 OBSTRUCTION_CONFIG = {"steps_manifold": 20, "steps_density": 20, "batch_size": 64,
