@@ -3,7 +3,8 @@
 Three kinds: zero padding, full-rank linear maps and injective ReLU layers
 ReLU(Wx) with W = [B; -DB; M].  Every kind carries a computable Lipschitz
 bound (operator norm of the assembled weights) and an injectivity check,
-`validate()`, that raises InvalidLayerError.  Layers take (N, n) float
+`validate()`, that raises InvalidLayerError; constructors check shapes
+only, and InjectiveNetwork runs validate().  Layers take (N, n) float
 arrays, one point per row.
 """
 
@@ -99,7 +100,7 @@ class ZeroPad(ExpansiveLayer):
 
 
 class LinearExpansive(ExpansiveLayer):
-    """x -> Wx for a full-rank tall matrix W (rank checked at construction)."""
+    """x -> Wx for a full-rank tall matrix W (rank checked by validate())."""
 
     kind = "linear"
 
@@ -109,7 +110,6 @@ class LinearExpansive(ExpansiveLayer):
             raise InvalidLayerError("weight must be a matrix")
         super().__init__(w.shape[1], w.shape[0])
         self.weight = w.copy()
-        self.validate()
 
     def forward_with_cache(self, X):
         # The input batch is the cache: the weight gradient needs it.  np.dot,
@@ -201,7 +201,6 @@ class InjectiveRelu(ExpansiveLayer):
         self.b_mat = b.copy()
         self.d_diag = d.copy()
         self.m_mat = None if m is None or not m.size else m.copy()
-        self.validate()
         self.weight = assemble_relu_weight(self.b_mat, self.d_diag, self.m_mat)
 
     def forward_with_cache(self, X):

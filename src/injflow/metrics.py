@@ -21,6 +21,9 @@ from .errors import BudgetExceededError, InvalidArgumentError, NumericError
 from .flows import Mlp
 
 EXACT_W2_MAX_POINTS = 512
+# Directions projected at once on sliced W2's unequal-count path, which
+# would otherwise hold every row's projections on all directions.
+SLICE_BLOCK = 16
 DOMAIN_TOLERANCE = 1e-9
 # Passes of match-then-regress in the affine candidate fit.
 ICP_PASSES = 6
@@ -44,18 +47,10 @@ class EmbeddingGapEstimate:
                 f"need 0 <= lower <= upper < inf, got [{self.lower}, {self.upper}]")
 
 
-@dataclass(frozen=True)
-class DomainBox:
-    """Axis-aligned box used as the declared domain of an evaluable map."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def contains(self, points, tol: float = DOMAIN_TOLERANCE) -> bool:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return bool(
-            np.all(pts >= self.lo[None, :] - tol)
-            and np.all(pts <= self.hi[None, :] + tol))
+def _inside(H: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            tol: float = DOMAIN_TOLERANCE) -> bool:
+    """Whether every row of H lies in the box [lo - tol, hi + tol]."""
+    return bool(np.all(H >= lo - tol) and np.all(H <= hi + tol))
 
 
 def directed_supinf(f_points, g_points) -> float:
@@ -135,14 +130,15 @@ def _fit_affine(X: np.ndarray, targets: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def _small_flow_descent_point(pert: Mlp, scale: float, base: np.ndarray,
                               X: np.ndarray, FX: np.ndarray, g,
-                              g_domain: DomainBox):
+                              lo: np.ndarray, hi: np.ndarray):
     """Surrogate mean_i ||g(H_i) - f(x_i)||^2 at H = base + scale * pert(X)
     and its gradient in pert.parameters() order; (inf, 0.0) when H leaves
-    the box.  One g call on [H; H + fd e_j; H - fd e_j], j < o, gives g(H)
-    and g's Jacobian by central differences; pert.vjp carries the rest."""
+    the box [lo, hi].  One g call on [H; H + fd e_j; H - fd e_j], j < o,
+    gives g(H) and g's Jacobian by central differences; pert.vjp carries
+    the rest."""
     out, cache = pert.forward_with_cache(X)
     H = base + scale * out
-    if not g_domain.contains(H, tol=0.0):
+    if not _inside(H, lo, hi, 0.0):
         return np.inf, 0.0
     rows, o = H.shape
     fd = 1e-5
@@ -194,7 +190,7 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
     n, o = X.shape[1], W.shape[1]
     if n > o:  # the upper bound needs an injective h: R^n -> R^o
         raise InvalidArgumentError(f"{n} parameter columns exceed the latent dimension {o}")
-    g_domain = DomainBox(W.min(axis=0) - 1e-9, W.max(axis=0) + 1e-9)
+    lo, hi = W.min(axis=0) - 1e-9, W.max(axis=0) + 1e-9  # g's domain box
     GW = np.atleast_2d(np.asarray(g(W), dtype=float))
     nearest_w, d_gw = _nearest_rows(FX, GW)
 
@@ -209,7 +205,7 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
         # Identity-style embedding of the parameters into R^o as the incumbent.
         a, c = np.eye(o, n), np.zeros(o)
         H = _affine_func(a, c)(X)
-        if g_domain.contains(H):
+        if _inside(H, lo, hi):
             candidates.append((*_upper_and_images(FX, g, H), a, c))
 
     # Nearest-neighbor matched affine fit, ICP-style refinement, on two or
@@ -220,14 +216,14 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
     for _ in range(ICP_PASSES if X.shape[0] > 1 else 0):
         a, c = _fit_affine(X, matched)
         H = _affine_func(a, c)(X)
-        if not g_domain.contains(H):
+        if not _inside(H, lo, hi):
             # Pull outputs toward the box center until feasible; stays affine.
-            center = 0.5 * (g_domain.lo + g_domain.hi)
+            center = 0.5 * (lo + hi)
             for shrink in (0.9, 0.7, 0.5, 0.25, 0.1):
                 a2 = a * shrink
                 c2 = center + (c - center) * shrink
                 H2 = _affine_func(a2, c2)(X)
-                if g_domain.contains(H2):
+                if _inside(H2, lo, hi):
                     a, c, H = a2, c2, H2
                     break
             else:
@@ -269,12 +265,12 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
         pert.bind_parameters(take)
         scale = min(1.0, 0.5 * sigma_min / max(pert.lipschitz_bound(), 1e-12))
         base = affine(X)
-        value, grad = _small_flow_descent_point(pert, scale, base, X, FX, g, g_domain)
+        value, grad = _small_flow_descent_point(pert, scale, base, X, FX, g, lo, hi)
         step = 0.05
         for _ in range(SMALL_FLOW_STEPS):
             kept = vec.copy()
             vec -= step * grad
-            trial = _small_flow_descent_point(pert, scale, base, X, FX, g, g_domain)
+            trial = _small_flow_descent_point(pert, scale, base, X, FX, g, lo, hi)
             if trial[0] < value:
                 value, grad = trial
             else:
@@ -291,7 +287,7 @@ def _fit(f_params, f_points, g, w_samples, family: str, seed: int):
         def flow(x):
             return affine(x) + scale * pert(x)
         H = flow(X)
-        if g_domain.contains(H):
+        if _inside(H, lo, hi):
             flow_upper, flow_images = _upper_and_images(FX, g, H)
             if flow_upper < best_upper:
                 best_upper, images, best = flow_upper, flow_images, flow
@@ -527,7 +523,7 @@ def wasserstein2_sliced(a, b, n_projections: int = 128, seed: int = 0) -> float:
     ||v|| in expectation; deterministic under the seed.  Equal row counts
     go through sliced_w2sq, the value half of the training loss's
     sort-and-subtract kernel, unequal ones through one quantile coupling
-    per direction.
+    per direction, SLICE_BLOCK directions projected at a time.
     """
     a, b = _cloud(a), _cloud(b)
     if a.shape[1] != b.shape[1]:
@@ -536,11 +532,12 @@ def wasserstein2_sliced(a, b, n_projections: int = 128, seed: int = 0) -> float:
     dirs = draw_directions(d, n_projections, seed)
     if len(a) == len(b):
         return float(np.sqrt(sliced_w2sq(a, b, dirs)))
-    px = a @ dirs
-    py = b @ dirs
     total = 0.0
-    for k in range(n_projections):
-        total += w2_1d_squared(px[:, k], py[:, k])
+    for start in range(0, n_projections, SLICE_BLOCK):
+        block = dirs[:, start:start + SLICE_BLOCK]
+        px, py = a @ block, b @ block
+        for k in range(block.shape[1]):
+            total += w2_1d_squared(px[:, k], py[:, k])
     return float(np.sqrt(d * total / n_projections))
 
 

@@ -54,34 +54,29 @@ class InjectiveNetwork:
         self._validate()
 
     def _validate(self) -> None:
-        if not self.stages:
-            raise InvalidLayerError("network needs at least one stage")
-        if not isinstance(self.stages[0], FlowBlock):
-            raise InvalidLayerError("stage 0 must be a flow block (T0)")
-        expect_flow = True
-        dim = self.stages[0].dim
+        """Flow blocks at even indices, expansive layers at odd ones, an odd
+        stage count, each stage's input the previous stage's output, and
+        every stage's validate() run once."""
+        if len(self.stages) % 2 == 0:
+            raise InvalidLayerError(
+                f"network needs an odd number of stages, got {len(self.stages)}")
         for idx, stage in enumerate(self.stages):
-            if expect_flow:
+            if idx % 2 == 0:
                 if not isinstance(stage, FlowBlock):
                     raise InvalidLayerError(f"stage {idx}: expected a flow block")
-                if stage.dim != dim:
-                    raise InvalidLayerError(
-                        f"stage {idx}: flow dim {stage.dim} does not match {dim}")
+                dims = stage.dim, stage.dim
             else:
                 if not isinstance(stage, ExpansiveLayer):
                     raise InvalidLayerError(f"stage {idx}: expected an expansive layer")
-                if stage.in_dim != dim:
-                    raise InvalidLayerError(
-                        f"stage {idx}: expansive input {stage.in_dim} "
-                        f"does not match {dim}")
-                dim = stage.out_dim
+                dims = stage.in_dim, stage.out_dim
+            if idx and dims[0] != dim:
+                raise InvalidLayerError(
+                    f"stage {idx}: input dim {dims[0]} does not match {dim}")
+            dim = dims[1]
             try:
                 stage.validate()
             except InvalidLayerError as err:
                 raise InvalidLayerError(f"stage {idx}: {err}") from err
-            expect_flow = not expect_flow
-        if not isinstance(self.stages[-1], FlowBlock):
-            raise InvalidLayerError("network must end with a flow block (TL)")
 
     @property
     def latent_dim(self) -> int:

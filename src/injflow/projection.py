@@ -114,6 +114,7 @@ def brute_force_relu_projection(b_mat, d_diag, y):
     pattern Delta_y or calls pseudo_inverse.
     """
     layer = InjectiveRelu(b_mat, d_diag)
+    layer.validate()
     b, d, n = layer.b_mat, layer.d_diag, layer.in_dim
     yv = np.asarray(y, dtype=float).ravel()
     if yv.shape != (2 * n,):

@@ -425,6 +425,19 @@ class TestInputFailures:
                                   "--checkpoint", str(ckpt),
                                   "--out", str(tmp_path / "o")], ckpt, capsys)
 
+    def test_zero_linear_weight_names_its_stage(self, tmp_path, capsys):
+        _, ckpt = _toy_checkpoint(tmp_path)
+        cfg = json.loads(ckpt.read_text())
+        cfg["stages"][1]["weight"] = [[0.0, 0.0]] * 3
+        ckpt.write_text(json.dumps(cfg))
+        qpath = tmp_path / "queries.csv"
+        save_points_csv(qpath, np.zeros((2, 3)))
+        record = self._expect_usage_error(["project", "--checkpoint", str(ckpt),
+                                           "--queries", str(qpath),
+                                           "--out", str(tmp_path / "o")], ckpt, capsys)
+        assert record["error"]["message"].endswith(
+            ": stage 1: zero weight matrix has rank 0")
+
     @pytest.mark.parametrize("kind", ["dropped-column", "wide-s-net"])
     def test_malformed_subnet_checkpoint(self, tmp_path, capsys, kind):
         _, ckpt = _toy_checkpoint(tmp_path)

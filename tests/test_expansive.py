@@ -47,9 +47,9 @@ class TestLinear:
         np.testing.assert_array_equal(LinearExpansive(w)(np.array([[1.0, 2.0]])),
                                       [[1, 2, 3]])
 
-    def test_rank_deficiency_rejected_at_construction(self):
-        with pytest.raises(InvalidLayerError):
-            LinearExpansive([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]])
+    def test_rank_deficiency_rejected_by_validate(self):
+        with pytest.raises(InvalidLayerError, match="^rank-deficient"):
+            LinearExpansive([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]).validate()
 
     def test_validation_reports(self):
         LinearExpansive([[1.0], [0.0]]).validate()
@@ -76,11 +76,11 @@ class TestInjectiveRelu:
         layer = InjectiveRelu([[1.0]], [2.0], [[1.0]])
         np.testing.assert_array_equal(layer(np.array([[1.0]])), [[1, 0, 1]])
 
-    def test_invalid_construction(self):
-        with pytest.raises(InvalidLayerError):
-            InjectiveRelu([[1.0]], [0.0])
-        with pytest.raises(InvalidLayerError):
-            InjectiveRelu([[0.0]], [1.0])
+    def test_invalid_parameters_rejected_by_validate(self):
+        with pytest.raises(InvalidLayerError, match="^D has non-positive entries$"):
+            InjectiveRelu([[1.0]], [0.0]).validate()
+        with pytest.raises(InvalidLayerError, match="^B nearly singular"):
+            InjectiveRelu([[0.0]], [1.0]).validate()
 
     def test_nonpositive_diagonal_reported(self):
         bad = InjectiveRelu([[1.0]], [1.0])
@@ -99,7 +99,7 @@ def test_non_finite_parameters_rejected(make):
     # Every comparison with NaN is false, so the rank and sign checks alone
     # would pass these; a linear layer with an inf weight then hung in lstsq.
     with pytest.raises(InvalidLayerError, match="^non-finite parameter entry$"):
-        make()
+        make().validate()
 
 
 def _sampled_injectivity(layer, rng, n_pairs=10_000, box=5.0):

@@ -13,8 +13,8 @@ from injflow._util import flat_store, pairwise_sq_dists
 from injflow.errors import BudgetExceededError, InvalidArgumentError, NumericError
 from injflow.flows import Mlp
 from injflow.metrics import (
+    SLICE_BLOCK,
     SMALL_FLOW_STEPS,
-    DomainBox,
     directed_supinf,
     draw_directions,
     embedding_gap_upper,
@@ -313,13 +313,13 @@ class TestCandidateFit:
         pert.bind_parameters(take)
         base = x @ rng.normal(size=(o, 1)).T + 0.2
         scale = 0.3
-        box = DomainBox(np.full(o, -10.0), np.full(o, 10.0))
+        lo, hi = np.full(o, -10.0), np.full(o, 10.0)
 
         def surrogate():
             resid = g(base + scale * pert(x)) - fx
             return float(np.mean(np.sum(resid ** 2, axis=1)))
 
-        value, grad = _small_flow_descent_point(pert, scale, base, x, fx, g, box)
+        value, grad = _small_flow_descent_point(pert, scale, base, x, fx, g, lo, hi)
         assert value == pytest.approx(surrogate(), rel=1e-12)
         ref = np.empty_like(vec)
         for i in range(vec.size):
@@ -625,6 +625,29 @@ class TestSlicedW2:
         m = np.zeros((2, 2))
         with pytest.raises(InvalidArgumentError):
             wasserstein2_sliced(m, m, 0)
+
+    @pytest.mark.parametrize("k", [1, SLICE_BLOCK, SLICE_BLOCK + 1, 3 * SLICE_BLOCK - 5])
+    def test_unequal_counts_match_per_direction_reference(self, k):
+        rng = np.random.default_rng(k)
+        x, y = rng.normal(size=(23, 3)), rng.normal(0.5, 1.5, size=(31, 3))
+        dirs = draw_directions(3, k, 4)
+        total = sum(w2_1d_squared(x @ dirs[:, j], y @ dirs[:, j]) for j in range(k))
+        reference = np.sqrt(3 * total / k)
+        got = wasserstein2_sliced(x, y, n_projections=k, seed=4)
+        assert abs(got - reference) <= 1e-12 * reference
+
+    def test_unequal_counts_memory(self):
+        # SLICE_BLOCK directions at a time: projecting all 128 at once held
+        # 22 MB of projections for these rows.
+        rng = np.random.default_rng(12)
+        mu, nu = rng.normal(size=(5, 3)), rng.normal(size=(20_000, 3))
+        tracemalloc.start()
+        try:
+            wasserstein2_sliced(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestBudgetedW2:

@@ -122,6 +122,37 @@ class TestConstruction:
         with pytest.raises(InvalidLayerError):
             InjectiveNetwork([identity_block(2), layer, identity_block(3)])
 
+    @pytest.mark.parametrize("stages, message", [
+        ([], "^network needs an odd number of stages, got 0$"),
+        ([identity_block(1), ZeroPad(1, 2)],
+         "^network needs an odd number of stages, got 2$"),
+        ([ZeroPad(1, 2), identity_block(2), ZeroPad(2, 3)],
+         "^stage 0: expected a flow block$"),
+        ([identity_block(1), identity_block(1), identity_block(1)],
+         "^stage 1: expected an expansive layer$"),
+        ([identity_block(1), ZeroPad(1, 2), identity_block(3)],
+         "^stage 2: input dim 3 does not match 2$"),
+        ([identity_block(2), ZeroPad(1, 3), identity_block(3)],
+         "^stage 1: input dim 1 does not match 2$"),
+    ], ids=["empty", "T0-R1", "expansive-first", "flow-at-odd-index",
+            "flow-dim-mismatch", "expansive-dim-mismatch"])
+    def test_structure_rejected(self, stages, message):
+        with pytest.raises(InvalidLayerError, match=message):
+            InjectiveNetwork(stages)
+
+    def test_one_svd_per_expansive_stage(self, tmp_path, monkeypatch):
+        # Layer constructors check shapes only: the network's validate()
+        # calls are the only rank checks, on construction and on loading.
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+        net = InjectiveNetwork(_mixed_stages())  # a ReLU and a linear stage
+        assert len(calls) == 2
+        net.save_checkpoint(tmp_path / "net.json")
+        calls.clear()
+        InjectiveNetwork.load_checkpoint(tmp_path / "net.json")
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
     @pytest.mark.parametrize("idx, name", _PARAMETER_SLOTS,
                              ids=[f"{idx}.{name}" for idx, name in _PARAMETER_SLOTS])

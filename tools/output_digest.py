@@ -23,7 +23,15 @@ change touched; any other file gets one digest, and `summary.json` is
 hashed without its `wall_time` field, the one output that depends on the
 clock.  A call that exits non-zero or writes anything to stderr (a numpy
 warning, say, from this process or a forked worker) stops the tool with a
-non-zero exit that names its label.  Takes about half a minute.
+non-zero exit that names its label.
+
+Then come the refused calls of `_refusals`: `injflow project` on
+checkpoints that break one rule each, and on a ReLU stage with M rows,
+which has no pseudo-inverse.  Each must exit 1 or 2 with one JSON line on
+stderr; the tool prints one digest per call, `refusals/<label>`, over the
+exit code and that record with the temporary directory's path replaced,
+so the `diff` shows a change in how bad inputs are refused too.  Takes
+about half a minute.
 """
 
 from __future__ import annotations
@@ -38,10 +46,11 @@ from pathlib import Path
 import numpy as np
 
 from injflow.cli import main
-from injflow.expansive import random_injective_relu, random_linear_expansive
-from injflow.flows import make_autoregressive_block, make_coupling_block
+from injflow.expansive import (InjectiveRelu, LinearExpansive, ZeroPad,
+                               random_injective_relu, random_linear_expansive)
+from injflow.flows import identity_block, make_autoregressive_block, make_coupling_block
 from injflow.geometry import arc_target, save_points_csv
-from injflow.network import InjectiveNetwork
+from injflow.network import CHECKPOINT_FORMAT, InjectiveNetwork
 
 SEEDS = (1, 2, 3)
 QUERIES = 200
@@ -156,6 +165,36 @@ def _calls(tmp: Path):
     yield "mixed-project-json", [*project, "--format", "json"]
 
 
+def _refusals(tmp: Path):
+    """(label, full argv) for every refused call: `injflow project`, with
+    3-D queries, on checkpoints that break one rule each and on a ReLU stage
+    with M rows, which has no pseudo-inverse.  The checkpoints are edited
+    from valid stages' configs, so that every version of the package
+    writes them."""
+    one, two, three = (identity_block(dim).to_config() for dim in (1, 2, 3))
+    linear = LinearExpansive([[1.0], [0.0]]).to_config()
+    relu = InjectiveRelu([[1.0]], [1.0]).to_config()
+    coupling = make_coupling_block(2, 1, rng=SEEDS[0], hidden=4).to_config()
+    coupling["layers"][0]["s_net"]["weights"][0][0][0] = float("nan")
+    refused = {
+        "linear-first": [linear, two, ZeroPad(2, 3).to_config()],
+        "flow-then-linear": [one, linear],
+        "zero-linear-weight": [one, {**linear, "weight": [[0.0], [0.0]]}, two],
+        "relu-zero-d": [one, {**relu, "d": [0.0]}, two],
+        "nan-coupling-weight": [coupling, ZeroPad(2, 3).to_config(), three],
+        "project-relu-m-rows": [one, InjectiveRelu([[1.0]], [1.0], [[0.5]]).to_config(),
+                                three],
+    }
+    inputs = tmp / "refusals"
+    inputs.mkdir()
+    queries = inputs / "queries.csv"
+    save_points_csv(queries, np.zeros((2, 3)))
+    for label, stages in refused.items():
+        ckpt = inputs / f"{label}.json"
+        ckpt.write_text(json.dumps({"format": CHECKPOINT_FORMAT, "stages": stages}))
+        yield label, ["project", "--checkpoint", str(ckpt), "--queries", str(queries)]
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -204,6 +243,18 @@ def main_digest() -> int:
             for path in sorted(out.iterdir()):
                 for name, digest in _digests(path):
                     print(f"{digest}  {label}/{name}")
+        for label, argv in _refusals(Path(tmp)):
+            code, err = _call([*argv, "--out", str(Path(tmp) / "refusals" / label)])
+            try:
+                one_record = err.count("\n") == 1 and json.loads(err)
+            except ValueError:
+                one_record = False
+            if code not in (1, 2) or not one_record:
+                print(f"refusals/{label}: injflow exited {code}, stderr: {err!r}",
+                      file=sys.stderr)
+                return 1
+            record = f"{code} {err.replace(tmp, '<tmp>')}"
+            print(f"{_sha256(record.encode())}  refusals/{label}")
     return 0
 
 
