@@ -467,7 +467,7 @@ def _slice_projections(generated: np.ndarray, target: np.ndarray,
 
 def _scaled_mean_square(diffs: np.ndarray, d: int) -> float:
     # mean sums in memory order, so it reads the C-ordered (n, K) transpose.
-    return float(d * np.mean((diffs ** 2).T.copy()))
+    return float(d * np.mean(np.square(diffs.T, out=np.empty(diffs.shape[::-1]))))
 
 
 def sliced_w2sq(generated: np.ndarray, target: np.ndarray,
@@ -500,11 +500,16 @@ def sliced_w2sq_loss_and_grad(generated: np.ndarray, target: np.ndarray,
     if (sorted_pg[:, 1:] == sorted_pg[:, :-1]).any():
         flat = np.argsort(pg, axis=1, kind="stable") + offsets
         sorted_pg = pg.take(flat)
-    diffs = sorted_pg - pt
-    gproj = np.empty_like(pg)
-    gproj.put(flat, 2.0 * d * diffs / (n * k))
+    # The differences, then their gradient, in the buffer take filled; the
+    # gradient is scattered back into pg, whose projections are spent.
+    diffs = sorted_pg
+    diffs -= pt
+    value = _scaled_mean_square(diffs, d)
+    diffs *= 2.0 * d
+    diffs /= n * k
+    pg.reshape(-1)[flat] = diffs
     # matmul, like mean, sums in memory order: it reads the (n, K) transpose.
-    return _scaled_mean_square(diffs, d), gproj.T.copy() @ directions.T
+    return value, pg.T.copy() @ directions.T
 
 
 def draw_directions(dim: int, count: int, rng) -> np.ndarray:

@@ -210,7 +210,11 @@ def lipschitz_estimate(forward, samples, chunk: int = 64) -> float:
         mask = dx > 1e-9
         if mask.any():
             usable = True
-            best = max(best, float((dy[mask] / dx[mask]).max()))
+            # Quotients in place, only on usable pairs; the rest read 0,
+            # which no quotient is below.
+            np.divide(dy, dx, out=dy, where=mask)
+            dy[~mask] = 0.0
+            best = max(best, float(dy.max()))
     if not usable:
         raise InvalidArgumentError("fewer than 2 usable sample pairs")
     return best

@@ -44,6 +44,9 @@ LOSSES = ("manifold", "density")
 N_PROJECTIONS = 64
 # Points of the fixed eval sets behind every diagnostics record.
 EVAL_COUNT = 512
+# Columns of the Chamfer distance matrix per target->generated argmin, which
+# copies its columns to contiguous memory.
+CHAMFER_BLOCK_COLUMNS = 64
 
 
 # --- point-set losses (value and gradient wrt the generated set) -----------
@@ -55,9 +58,13 @@ def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
     if generated.size == 0 or target.size == 0:
         raise InvalidArgumentError("batches must be non-empty")
     d2 = pairwise_sq_dists(generated, target)
-    jmin = np.argmin(d2, axis=1)          # generated -> target
-    imin = np.argmin(d2, axis=0)          # target -> generated
     n_g, n_t = generated.shape[0], target.shape[0]
+    jmin = np.argmin(d2, axis=1)          # generated -> target
+    # target -> generated; columns are independent, so the blocking keeps
+    # every first-occurrence tie-break.
+    imin = np.concatenate([
+        np.argmin(d2[:, start:start + CHAMFER_BLOCK_COLUMNS], axis=0)
+        for start in range(0, n_t, CHAMFER_BLOCK_COLUMNS)])
     value = float(d2[np.arange(n_g), jmin].mean() + d2[imin, np.arange(n_t)].mean())
     grad = 2.0 * (generated - target[jmin]) / n_g
     np.add.at(grad, imin, 2.0 * (generated[imin] - target) / n_t)
@@ -145,15 +152,25 @@ class Adam:
         self.t = 0
 
     def step(self, g: np.ndarray) -> None:
+        """params -= (lr / b1c) * m / (sqrt(v / b2c) + eps), each operation
+        in that order, through one scratch vector: the two moment terms,
+        then the denominator, which the quotient overwrites."""
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
         b1c = 1.0 - beta1 ** self.t
         b2c = 1.0 - beta2 ** self.t
+        scratch = np.multiply(g, 1.0 - beta1)
         self.m *= beta1
-        self.m += (1.0 - beta1) * g
+        self.m += scratch
+        np.multiply(g, 1.0 - beta2, out=scratch)
+        scratch *= g
         self.v *= beta2
-        self.v += (1.0 - beta2) * g * g
-        self.params -= (self.lr / b1c) * self.m / (np.sqrt(self.v / b2c) + eps)
+        self.v += scratch
+        np.divide(self.v, b2c, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        np.divide((self.lr / b1c) * self.m, scratch, out=scratch)
+        self.params -= scratch
 
 
 # --- configuration and traces ----------------------------------------------

@@ -248,6 +248,26 @@ def test_estimate_covers_every_pair_whatever_the_chunk(chunk):
         lipschitz_estimate(lambda x: x, [[1.0], [1.0]], chunk=chunk)
 
 
+@pytest.mark.parametrize("chunk", [1, 64, 1000])
+def test_estimate_skips_duplicated_samples_with_distinct_images(chunk):
+    # A duplicated sample row whose images differ is a pair at distance 0
+    # with a positive image distance: dividing on it would raise under
+    # errstate.  Distinct rows sit 10 apart and their images move by unit
+    # noise, so every quotient is below the image distance of some
+    # duplicated pair, which must not reach the max either.
+    rng = np.random.default_rng(54)
+    grid = 10.0 * np.stack(np.divmod(np.arange(80), 9), axis=1)
+    samples = grid[rng.integers(0, 80, size=150)]
+    images = np.column_stack([samples, np.zeros(150)]) + rng.normal(size=(150, 3))
+    dx = np.linalg.norm(samples[:, None, :] - samples[None, :, :], axis=2)
+    dy = np.linalg.norm(images[:, None, :] - images[None, :, :], axis=2)
+    mask = dx > 1e-9
+    want = float((dy[mask] / dx[mask]).max())
+    assert dy[~mask].max() > want  # duplicated rows, farther-apart images
+    with np.errstate(all="raise"):
+        assert lipschitz_estimate(lambda _: images, samples, chunk=chunk) == want
+
+
 class TestLipschitzProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from injflow.errors import (
     InjectiveFlowError,
@@ -79,6 +80,23 @@ class TestChamfer:
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             chamfer_loss_and_grad(np.zeros((0, 2)), np.zeros((3, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 3),
+           st.integers(1, 3))
+    def test_bitwise_equal_to_full_matrix_reference(self, seed, n, d, spread):
+        # The target -> generated argmin runs over column blocks; with up to
+        # 300 targets, tied minima sit on both sides of a block boundary,
+        # and each column must still pick the first of its tied rows.
+        gen, tgt = _tied_clouds(seed, n, d, spread)
+        d2 = cdist(gen, tgt, "sqeuclidean")
+        jmin, imin = np.argmin(d2, axis=1), np.argmin(d2, axis=0)
+        want = float(d2[np.arange(n), jmin].mean() + d2[imin, np.arange(n)].mean())
+        want_grad = 2.0 * (gen - tgt[jmin]) / n
+        np.add.at(want_grad, imin, 2.0 * (gen[imin] - tgt) / n)
+        value, grad = chamfer_loss_and_grad(gen, tgt)
+        assert value == want
+        np.testing.assert_array_equal(grad, want_grad)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 3),
