@@ -154,7 +154,8 @@ class Adam:
     def step(self, g: np.ndarray) -> None:
         """params -= (lr / b1c) * m / (sqrt(v / b2c) + eps), each operation
         in that order, through one scratch vector: the two moment terms,
-        then the denominator, which the quotient overwrites."""
+        then the denominator, which the quotient overwrites (its numerator
+        is the one other store-sized temporary)."""
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
         b1c = 1.0 - beta1 ** self.t
