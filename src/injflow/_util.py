@@ -11,8 +11,10 @@ from .errors import InvalidArgumentError, InvalidLayerError
 # 17 significant digits round-trip every float64.
 CSV_FLOAT_FORMAT = "%.17g"
 CSV_BLOCK_ROWS = 256
-# Rows of pairwise_sq_dists filled per pass, so its scratch block stays small.
-DIST_BLOCK_ROWS = 128
+# Squared distances per block, 256 KiB: pairwise_sq_dists fills its rows and
+# the nearest-row and minima scans built on it take their rows this many
+# distances at a time, so none holds a whole distance matrix it only reduces.
+DIST_BLOCK_ENTRIES = 2 ** 15
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -47,6 +49,12 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+def block_rows(m: int) -> int:
+    """Rows of an (N, m) distance matrix per DIST_BLOCK_ENTRIES block, at
+    least one."""
+    return max(1, DIST_BLOCK_ENTRIES // max(1, m))
+
+
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a (N,d) and b (M,d).
 
@@ -54,8 +62,9 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     loses absolute accuracy near zero (coincident points).  Each entry sums
     the squared coordinate differences in coordinate order,
     ((dx0^2 + dx1^2) + dx2^2) ..., so the result is bitwise symmetric in
-    (a, b) and bitwise equal to scipy's "sqeuclidean" metric.  Rows are
-    filled in blocks of DIST_BLOCK_ROWS with one reused scratch block.
+    (a, b) and bitwise equal to scipy's "sqeuclidean" metric, however its
+    rows are blocked.  Rows are filled block_rows(M) at a time with one
+    reused scratch block.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -66,10 +75,11 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, d = a.shape
     out = np.empty((n, b.shape[0]))
     bt = np.ascontiguousarray(b.T)
-    scratch = np.empty((min(n, DIST_BLOCK_ROWS), b.shape[0]))
-    for start in range(0, n, DIST_BLOCK_ROWS):
-        block = a[start:start + DIST_BLOCK_ROWS]
-        rows = out[start:start + DIST_BLOCK_ROWS]
+    step = block_rows(b.shape[0])
+    scratch = np.empty((min(n, step), b.shape[0]))
+    for start in range(0, n, step):
+        block = a[start:start + step]
+        rows = out[start:start + step]
         np.subtract(block[:, 0:1], bt[0], out=rows)
         np.multiply(rows, rows, out=rows)
         diff = scratch[:len(block)]

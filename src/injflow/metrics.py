@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_rng, flat_store, flatten, pairwise_sq_dists
+from ._util import as_rng, block_rows, flat_store, flatten, pairwise_sq_dists
 from .errors import BudgetExceededError, InvalidArgumentError, NumericError
 from .flows import Mlp
 
@@ -65,14 +65,15 @@ def directed_supinf(f_points, g_points) -> float:
 
 def _nearest_rows(F: np.ndarray, G: np.ndarray):
     """(argmin, min) per row of F of its squared distances to the rows of G,
-    in row blocks of about 2e5 distances; no row depends on the blocking."""
-    nearest, best = [], []
-    chunk = max(1, int(2e5) // max(1, len(G)))
-    for start in range(0, F.shape[0], chunk):
-        d2 = pairwise_sq_dists(F[start:start + chunk], G)
-        nearest.append(np.argmin(d2, axis=1))
-        best.append(d2.min(axis=1))
-    return np.concatenate(nearest), np.concatenate(best)
+    block_rows(len(G)) rows of F at a time; no row depends on the blocking."""
+    nearest = np.empty(len(F), dtype=np.intp)
+    best = np.empty(len(F))
+    step = block_rows(len(G))
+    for start in range(0, len(F), step):
+        d2 = pairwise_sq_dists(F[start:start + step], G)
+        np.argmin(d2, axis=1, out=nearest[start:start + step])
+        np.min(d2, axis=1, out=best[start:start + step])
+    return nearest, best
 
 
 def embedding_gap_upper(f_params, f_points, g, h) -> float:

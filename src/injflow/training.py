@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import metrics
-from ._util import as_rng, flatten, pairwise_sq_dists, write_csv
+from ._util import as_rng, block_rows, flatten, pairwise_sq_dists, write_csv
 from .errors import (
     InjectiveFlowError,
     InvalidArgumentError,
@@ -74,10 +74,17 @@ def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
 def _chamfer_and_supinf(generated: np.ndarray, target: np.ndarray):
     """(chamfer_loss_and_grad(generated, target)[0],
     metrics.directed_supinf(target, generated)), bitwise, from the row and
-    column minima of one distance matrix, which is freed on return: a
-    minimum is the entry its argmin picks."""
-    d2 = pairwise_sq_dists(generated, target)
-    to_target, to_generated = d2.min(axis=1), d2.min(axis=0)
+    column minima of the distance matrix, block_rows(len(target)) rows at a
+    time: each block's row minima are kept and its column minima folded
+    into a running minimum.  A minimum is exact and is the entry its argmin
+    picks, so neither depends on the blocking."""
+    to_target = np.empty(len(generated))
+    to_generated = np.full(len(target), np.inf)
+    step = block_rows(len(target))
+    for start in range(0, len(generated), step):
+        d2 = pairwise_sq_dists(generated[start:start + step], target)
+        np.min(d2, axis=1, out=to_target[start:start + step])
+        np.minimum(to_generated, d2.min(axis=0), out=to_generated)
     return (float(to_target.mean() + to_generated.mean()),
             float(np.sqrt(to_generated.max())))
 
@@ -291,10 +298,9 @@ def _record(net, step, mix, eval_latent, eval_target, diag_dirs,
             diag_seed) -> TraceRecord:
     """Diagnostics on the fixed eval sets, free of batch sampling noise.
 
-    Only values are computed, no loss gradient, and at most one eval-set
-    distance matrix is alive at a time: the one behind the Chamfer term
-    and the sup-inf is freed before the sliced W2 and the Lipschitz
-    estimate run."""
+    Only values are computed, no loss gradient, and no whole eval-set
+    distance matrix is built: the Chamfer term and the sup-inf come from
+    row blocks of one, and the Lipschitz estimate works in row blocks."""
     gen = net.forward(eval_latent)
     chamfer, supinf = _chamfer_and_supinf(gen, eval_target)
     loss = 0.0
@@ -309,9 +315,11 @@ def _record(net, step, mix, eval_latent, eval_target, diag_dirs,
 
 
 def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
-                eval_target):
+                eval_target, poll=None):
     """Shared schedule runner; diagnostics are evaluated on the fixed
-    eval sets at every lipschitz_log_interval steps."""
+    eval sets at every lipschitz_log_interval steps.  `poll`, if given, is
+    called after every optimizer step, and whatever it raises stops the
+    run."""
 
     config.validate_for(net)
     rng = as_rng(config.seed)
@@ -343,6 +351,8 @@ def _run_phases(net, config, latent_sampler, target_sampler, eval_latent,
                 net, phase.loss, latent, target, trainable=set(trainable),
                 directions=dirs, loss_weights=phase.loss_weights)
             optimizer.step(grads)
+            if poll is not None:
+                poll()
             global_step += 1
         # Final state of the phase.
         trace.append(_record(net, global_step, mix, eval_latent,
@@ -478,8 +488,10 @@ class ObstructionResult:
 
 
 def _obstruction_arm(arm: str, seed: int, steps_manifold: int, steps_density: int,
-                     batch_size: int, lipschitz_log_interval: int) -> TrainingTrace:
-    """Train one arm ("treatment" or "control") of the obstruction run.
+                     batch_size: int, lipschitz_log_interval: int,
+                     poll=None) -> TrainingTrace:
+    """Train one arm ("treatment" or "control") of the obstruction run;
+    `poll` goes to _run_phases.
 
     The control arm runs it in a forked worker process, which starts as a
     copy of the calling one, so nothing is pickled on the way in; only the
@@ -510,7 +522,7 @@ def _obstruction_arm(arm: str, seed: int, steps_manifold: int, steps_density: in
     eval_latent = sample_circle(EVAL_COUNT)
     eval_target = target.map_points(arclen.grid(EVAL_COUNT))
     return _run_phases(net, config, latent_sampler, target_sampler,
-                       eval_latent, eval_target).trace
+                       eval_latent, eval_target, poll).trace
 
 
 def _control_arm_into(conn, *args) -> None:
@@ -538,7 +550,8 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     The arms share no state, so they run at the same time: the control arm
     in one forked worker process, the treatment arm in this one.  Each arm
     computes exactly what it would alone, so the traces are bit-for-bit
-    those of running them one after the other.
+    those of running them one after the other.  An error in either arm
+    stops the run within one treatment step.
     """
     # Imported here so that `import injflow` stays as light as it was.
     import multiprocessing
@@ -551,9 +564,20 @@ def run_obstruction_experiment(seed: int = 0, steps_manifold: int = 2500,
     worker = ctx.Process(target=_control_arm_into, args=(send, *args))
     worker.start()
     send.close()  # the worker holds the only write end: its death is EOF
+    received = []
+
+    def poll():
+        # After each treatment step, without waiting: an error the control
+        # arm sent, or its worker's death (EOF), stops the treatment arm at
+        # once; a trace is kept, and the pipe is not read again.
+        if not received and receive.poll():
+            received.append(receive.recv())
+            if isinstance(received[0], Exception):
+                raise received[0]
+
     try:
-        treatment = _obstruction_arm("treatment", *args)
-        control = receive.recv()
+        treatment = _obstruction_arm("treatment", *args, poll)
+        control = received[0] if received else receive.recv()
     except EOFError:
         raise InjectiveFlowError(
             "the control arm's worker process died before sending its trace") from None

@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
-from injflow._util import flat_store, pairwise_sq_dists
+from injflow._util import block_rows, flat_store, pairwise_sq_dists
 from injflow.errors import BudgetExceededError, InvalidArgumentError, NumericError
 from injflow.flows import Mlp
 from injflow.metrics import (
@@ -49,8 +49,9 @@ class TestPairwiseSqDists:
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_bitwise_equal_to_cdist_across_row_blocks(self, layout):
-        # Network outputs are F-ordered; the kernel fills rows in blocks of
-        # 128, so the row counts cross one and two block edges.
+        # Network outputs are F-ordered; the kernel fills block_rows(M) rows
+        # at a time, so (128, 300) and (300, 257) cross one and two block
+        # edges.
         rng = np.random.default_rng(17)
         for n, m, d in [(1, 7, 1), (127, 5, 2), (128, 300, 3), (129, 64, 4),
                         (300, 257, 5), (257, 1, 3)]:
@@ -65,6 +66,27 @@ class TestPairwiseSqDists:
             got = pairwise_sq_dists(a, b)
             np.testing.assert_array_equal(got, cdist(a, b, "sqeuclidean"))
             np.testing.assert_array_equal(pairwise_sq_dists(b, a), got.T)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_blocks_bitwise_equal_to_full_matrix_reference(self, n):
+        # block_rows(512) is 64, so n rows against 512 fill one block, one
+        # full block, one block and a row, or three blocks, and 512 rows
+        # against n take one block or, at n = 129, two.  Rows of a small grid
+        # repeat, and the rows on both sides of each block edge are equal,
+        # so tied minima must keep the first index across the edges.
+        assert block_rows(512) == 64
+        rng = np.random.default_rng(n)
+        grid = 0.37 * rng.integers(-2, 3, size=(40, 3))
+        F, G = grid[rng.integers(0, 40, size=n)], grid[rng.integers(0, 40, size=512)]
+        for rows, width in ((F, 512), (G, n)):
+            for edge in range(block_rows(width), len(rows), block_rows(width)):
+                rows[edge] = rows[edge - 1]
+        d2 = cdist(F, G, "sqeuclidean")
+        np.testing.assert_array_equal(pairwise_sq_dists(F, G), d2)
+        np.testing.assert_array_equal(pairwise_sq_dists(G, F), d2.T)
+        for (nearest, best), axis in ((_nearest_rows(F, G), 1), (_nearest_rows(G, F), 0)):
+            np.testing.assert_array_equal(nearest, d2.argmin(axis=axis))
+            assert best.tobytes() == d2.min(axis=axis).tobytes()
 
     def test_mismatched_widths_rejected(self):
         with pytest.raises(InvalidArgumentError, match="shapes"):

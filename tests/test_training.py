@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from injflow._util import block_rows
 from injflow.errors import (
     InjectiveFlowError,
     InvalidArgumentError,
@@ -110,6 +111,25 @@ class TestChamfer:
         chamfer, supinf = _chamfer_and_supinf(gen, tgt)
         assert chamfer == chamfer_loss_and_grad(gen, tgt)[0]
         assert supinf == directed_supinf(tgt, gen)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 129])
+    def test_minima_bitwise_equal_to_full_matrix_reference(self, n):
+        # block_rows(512) is 64: n generated rows against 512 targets fill
+        # one block, one full block, one block and a row, or three blocks,
+        # and 512 against n take one block or two.  Rows of a small grid
+        # repeat, and the rows on both sides of each block edge are equal,
+        # so column minima tie across the edges.
+        rng = np.random.default_rng(n)
+        grid = 0.37 * rng.integers(-2, 3, size=(40, 3))
+        gen, tgt = grid[rng.integers(0, 40, size=n)], grid[rng.integers(0, 40, size=512)]
+        for rows, width in ((gen, 512), (tgt, n)):
+            for edge in range(block_rows(width), len(rows), block_rows(width)):
+                rows[edge] = rows[edge - 1]
+        for a, b in ((gen, tgt), (tgt, gen)):
+            d2 = cdist(a, b, "sqeuclidean")
+            to_b, to_a = d2[np.arange(len(a)), d2.argmin(axis=1)], d2.min(axis=0)
+            assert _chamfer_and_supinf(a, b) == (float(to_b.mean() + to_a.mean()),
+                                                 float(np.sqrt(to_a.max())))
 
 
 class TestSlicedLoss:
@@ -559,9 +579,9 @@ class TestRunLayerwise:
 
     @pytest.mark.parametrize("loss, stages", [("manifold", (1, 2)), ("density", (0,))])
     def test_record_matches_supinf_and_chamfer_bitwise(self, loss, stages):
-        # The record shares one distance matrix between its Chamfer term and
-        # its sup-inf; the EVAL_COUNT eval rows cross several row blocks of
-        # that matrix.
+        # The record takes its Chamfer term and its sup-inf from the same
+        # row blocks of one distance matrix; the EVAL_COUNT eval rows cross
+        # several of them.
         net = _tiny_network(5)
         target = _tiny_target()
         config = TrainingConfig(
@@ -674,12 +694,10 @@ class TestSchedules:
 
 
 class TestObstructionSmoke:
-    def test_one_record_peak_below_4mb(self):
+    def test_one_record_peak_below_2mib(self):
         # One diagnostics record on the obstruction arm's 512-point eval set
-        # holds one 2 MB distance matrix at a time and builds no loss
-        # gradient: its traced peak is ~2.7 MB.  With a Chamfer and a
-        # sliced gradient and the matrix held through 256-row Lipschitz
-        # blocks it was 6.15 MB.
+        # builds no loss gradient and no whole 512 x 512 distance matrix,
+        # which alone takes 2 MiB: its traced peak is ~1.6 MB.
         from injflow import training
         target = training.trefoil_target()
         eval_latent = training.sample_circle(512)
@@ -695,7 +713,7 @@ class TestObstructionSmoke:
         finally:
             tracemalloc.stop()
         assert again == record
-        assert peak < 4 * 2 ** 20
+        assert peak < 2 * 2 ** 20
 
     def test_seed_sweep_tool_line(self, capsys):
         # tools/obstruction_seeds.py at a smoke budget: one JSON line per
@@ -764,6 +782,34 @@ class TestObstructionSmoke:
         with pytest.raises(NumericError):
             training.run_obstruction_experiment(**budget)
         assert time.perf_counter() - start < 0.5 * control_s
+
+    def test_control_error_does_not_wait_for_treatment_arm(self, monkeypatch):
+        import time
+
+        from injflow import training
+
+        budget = dict(seed=1, steps_manifold=300, steps_density=300, batch_size=7,
+                      lipschitz_log_interval=50)
+        start = time.perf_counter()
+        training._obstruction_arm("treatment", **budget)
+        treatment_s = time.perf_counter() - start
+
+        # A planar circle that is NaN on training batches (the only calls
+        # with `batch_size` points) makes the forked control arm raise at
+        # its first step; patched before the fork, it reaches only the worker.
+        circle = training.planar_circle_target
+
+        def nan_circle():
+            good = circle().map_points
+            return ManifoldTarget(
+                "nan-circle", 1, 3,
+                lambda t: np.full((7, 3), np.nan) if len(t) == 7 else good(t),
+                domain=(0.0, 2.0 * np.pi))
+        monkeypatch.setattr(training, "planar_circle_target", nan_circle)
+        start = time.perf_counter()
+        with pytest.raises(NumericError):
+            training.run_obstruction_experiment(**budget)
+        assert time.perf_counter() - start < 0.5 * treatment_s
 
     def test_killed_control_worker_raises(self, monkeypatch):
         import os
