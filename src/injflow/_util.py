@@ -15,6 +15,11 @@ CSV_BLOCK_ROWS = 256
 # the nearest-row and minima scans built on it take their rows this many
 # distances at a time, so none holds a whole distance matrix it only reduces.
 DIST_BLOCK_ENTRIES = 2 ** 15
+# nearest_rows screens a call whose coordinates all lie within this bound,
+# so that no product or sum of squares it forms can overflow.
+SCREEN_LIMIT = 2.0 ** 400
+EPS = np.finfo(float).eps
+SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -55,6 +60,16 @@ def block_rows(m: int) -> int:
     return max(1, DIST_BLOCK_ENTRIES // max(1, m))
 
 
+def _point_sets(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or a.shape[1] == 0:
+        raise InvalidArgumentError(
+            f"point sets must be (N, d) and (M, d) arrays with d >= 1, got "
+            f"shapes {a.shape} and {b.shape}")
+    return a, b
+
+
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a (N,d) and b (M,d).
 
@@ -66,12 +81,7 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows are blocked.  Rows are filled block_rows(M) at a time with one
     reused scratch block.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or a.shape[1] == 0:
-        raise InvalidArgumentError(
-            f"point sets must be (N, d) and (M, d) arrays with d >= 1, got "
-            f"shapes {a.shape} and {b.shape}")
+    a, b = _point_sets(a, b)
     n, d = a.shape
     out = np.empty((n, b.shape[0]))
     bt = np.ascontiguousarray(b.T)
@@ -88,6 +98,64 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(diff, diff, out=diff)
             rows += diff
     return out
+
+
+def _paired_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of a to the same row of b, by the
+    arithmetic of pairwise_sq_dists, so each equals its entry there."""
+    diff = a - b
+    diff *= diff
+    out = diff[:, 0].copy()
+    for k in range(1, diff.shape[1]):
+        out += diff[:, k]
+    return out
+
+
+def nearest_rows(a: np.ndarray, b: np.ndarray):
+    """(index, sq_dist) per row of a (N, d): the first-occurrence argmin of
+    its row of pairwise_sq_dists(a, b) and that entry, bit for bit, without
+    the explicit (N, M) matrix.
+
+    A screen, one matrix product [a, 1] @ [-2b, |b|^2]^T, gives
+    |b_j|^2 - 2 a_i.b_j, which is |a_i - b_j|^2 - |a_i|^2, and its row argmin
+    names one candidate per row, whose distance is measured explicitly.  A
+    row whose screen holds a second value within the rounding bound of its
+    minimum is measured in full by pairwise_sq_dists.  The bound,
+    4(d+3) eps (|a_i| + max_j |b_j|)^2 + (3d+1) * (least subnormal), covers
+    the screen's error on both entries and the explicit sum's relative
+    error (each distance is at most (|a_i| + max|b|)^2), and the absolute
+    error of products that underflow; so a row measured only at its
+    candidate has that candidate as its unique exact minimum.  A call with
+    a coordinate that is not finite or exceeds SCREEN_LIMIT in magnitude
+    (or an empty set) takes pairwise_sq_dists as a whole, so it returns
+    and raises exactly what that does.
+    """
+    a, b = _point_sets(a, b)
+    if not (a.size and b.size and np.abs(a).max() <= SCREEN_LIMIT
+            and np.abs(b).max() <= SCREEN_LIMIT):
+        d2 = pairwise_sq_dists(a, b)
+        return d2.argmin(axis=1), d2.min(axis=1)
+    n, d = a.shape
+    sq_norms = np.einsum("ij,ij->i", b, b)
+    lhs = np.ones((n, d + 1))
+    lhs[:, :d] = a
+    rhs = np.empty((d + 1, len(b)))
+    np.multiply(b.T, -2.0, out=rhs[:d])
+    rhs[d] = sq_norms
+    screen = lhs @ rhs
+    rows = np.arange(n)
+    index = screen.argmin(axis=1)
+    reach = np.sqrt(np.einsum("ij,ij->i", a, a)) + np.sqrt(sq_norms.max())
+    bound = (screen[rows, index] + 4 * (d + 3) * EPS * reach * reach
+             + (3 * d + 1) * SUBNORMAL)
+    screen[rows, index] = np.inf
+    close = np.flatnonzero(screen[rows, screen.argmin(axis=1)] <= bound)
+    sq_dist = _paired_sq_dists(a, b[index])
+    if close.size:
+        d2 = pairwise_sq_dists(a[close], b)
+        index[close] = d2.argmin(axis=1)
+        sq_dist[close] = d2.min(axis=1)
+    return index, sq_dist
 
 
 def flatten(arrays) -> np.ndarray:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_rng, block_rows, flat_store, flatten, pairwise_sq_dists
+from ._util import (as_rng, block_rows, flat_store, flatten, nearest_rows,
+                    pairwise_sq_dists)
 from .errors import BudgetExceededError, InvalidArgumentError, NumericError
 from .flows import Mlp
 
@@ -58,21 +59,21 @@ def directed_supinf(f_points, g_points) -> float:
 
     Sample version of sup_{x in K} inf_{w in W} ||g(w) - f(x)||_2; a lower
     bound for the embedding gap in the sampling limit.  Both are checked by
-    _cloud, and pairwise_sq_dists refuses sets of different widths.
+    _cloud, and _util.nearest_rows refuses sets of different widths.
     """
     return float(np.sqrt(_nearest_rows(_cloud(f_points), _cloud(g_points))[1].max()))
 
 
 def _nearest_rows(F: np.ndarray, G: np.ndarray):
     """(argmin, min) per row of F of its squared distances to the rows of G,
-    block_rows(len(G)) rows of F at a time; no row depends on the blocking."""
+    by _util.nearest_rows on block_rows(len(G)) rows of F at a time; no row
+    depends on the blocking."""
     nearest = np.empty(len(F), dtype=np.intp)
     best = np.empty(len(F))
     step = block_rows(len(G))
     for start in range(0, len(F), step):
-        d2 = pairwise_sq_dists(F[start:start + step], G)
-        np.argmin(d2, axis=1, out=nearest[start:start + step])
-        np.min(d2, axis=1, out=best[start:start + step])
+        nearest[start:start + step], best[start:start + step] = nearest_rows(
+            F[start:start + step], G)
     return nearest, best
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import metrics
-from ._util import as_rng, block_rows, flatten, pairwise_sq_dists, write_csv
+# benchmark/tracer.py times the distance kernel under this module's name too.
+from ._util import as_rng, flatten, nearest_rows, pairwise_sq_dists, write_csv  # noqa: F401
 from .errors import (
     InjectiveFlowError,
     InvalidArgumentError,
@@ -44,9 +45,6 @@ LOSSES = ("manifold", "density")
 N_PROJECTIONS = 64
 # Points of the fixed eval sets behind every diagnostics record.
 EVAL_COUNT = 512
-# Columns of the Chamfer distance matrix per target->generated argmin, which
-# copies its columns to contiguous memory.
-CHAMFER_BLOCK_COLUMNS = 64
 
 
 # --- point-set losses (value and gradient wrt the generated set) -----------
@@ -54,18 +52,15 @@ CHAMFER_BLOCK_COLUMNS = 64
 
 def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
     """Symmetric mean-squared Chamfer distance and its gradient in the
-    generated points (argmin selections treated as locally constant)."""
+    generated points (argmin selections treated as locally constant).  The
+    nearest rows in both directions are those of the full distance matrix,
+    first occurrence on ties (_util.nearest_rows)."""
     if generated.size == 0 or target.size == 0:
         raise InvalidArgumentError("batches must be non-empty")
-    d2 = pairwise_sq_dists(generated, target)
     n_g, n_t = generated.shape[0], target.shape[0]
-    jmin = np.argmin(d2, axis=1)          # generated -> target
-    # target -> generated; columns are independent, so the blocking keeps
-    # every first-occurrence tie-break.
-    imin = np.concatenate([
-        np.argmin(d2[:, start:start + CHAMFER_BLOCK_COLUMNS], axis=0)
-        for start in range(0, n_t, CHAMFER_BLOCK_COLUMNS)])
-    value = float(d2[np.arange(n_g), jmin].mean() + d2[imin, np.arange(n_t)].mean())
+    jmin, to_target = nearest_rows(generated, target)
+    imin, to_generated = nearest_rows(target, generated)
+    value = float(to_target.mean() + to_generated.mean())
     grad = 2.0 * (generated - target[jmin]) / n_g
     np.add.at(grad, imin, 2.0 * (generated[imin] - target) / n_t)
     return value, grad
@@ -73,18 +68,11 @@ def chamfer_loss_and_grad(generated: np.ndarray, target: np.ndarray):
 
 def _chamfer_and_supinf(generated: np.ndarray, target: np.ndarray):
     """(chamfer_loss_and_grad(generated, target)[0],
-    metrics.directed_supinf(target, generated)), bitwise, from the row and
-    column minima of the distance matrix, block_rows(len(target)) rows at a
-    time: each block's row minima are kept and its column minima folded
-    into a running minimum.  A minimum is exact and is the entry its argmin
-    picks, so neither depends on the blocking."""
-    to_target = np.empty(len(generated))
-    to_generated = np.full(len(target), np.inf)
-    step = block_rows(len(target))
-    for start in range(0, len(generated), step):
-        d2 = pairwise_sq_dists(generated[start:start + step], target)
-        np.min(d2, axis=1, out=to_target[start:start + step])
-        np.minimum(to_generated, d2.min(axis=0), out=to_generated)
+    metrics.directed_supinf(target, generated)), bitwise, from the nearest
+    rows in both directions, each taken in metrics._nearest_rows' row
+    blocks, so the distance matrix is never built."""
+    to_target = metrics._nearest_rows(generated, target)[1]
+    to_generated = metrics._nearest_rows(target, generated)[1]
     return (float(to_target.mean() + to_generated.mean()),
             float(np.sqrt(to_generated.max())))
 

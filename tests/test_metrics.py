@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
-from injflow._util import block_rows, flat_store, pairwise_sq_dists
+from injflow._util import SCREEN_LIMIT, block_rows, flat_store, nearest_rows, pairwise_sq_dists
 from injflow.errors import BudgetExceededError, InvalidArgumentError, NumericError
 from injflow.flows import Mlp
 from injflow.metrics import (
@@ -93,6 +93,118 @@ class TestPairwiseSqDists:
             pairwise_sq_dists(np.zeros((4, 3)), np.zeros((5, 2)))
         with pytest.raises(InvalidArgumentError):
             pairwise_sq_dists(np.zeros(3), np.zeros((5, 3)))
+
+
+def _first_nearest(a, b):
+    d2 = cdist(a, b, "sqeuclidean")
+    return d2.argmin(axis=1), d2.min(axis=1)
+
+
+_CLOUD_KINDS = ("normal", "duplicates", "grid", "jittered-grid", "near-duplicates",
+                "shifted")
+
+
+def _cloud_pair(seed, n, m, d, kind):
+    """(a (n, d), b (m, d)) of one kind: normal rows, rows repeated from a
+    small shared pool, a 0.1 grid, that grid with a's rows moved by
+    multiples of 1e-3 (near ties), rows 1e-15 (relative) from a row of the
+    other set, or a cloud far from the origin."""
+    rng = np.random.default_rng(seed)
+    if kind == "duplicates":
+        pool = rng.normal(size=(max(n, m) // 3 + 1, d))
+        return pool[rng.integers(0, len(pool), size=n)], pool[rng.integers(0, len(pool), size=m)]
+    if kind in ("grid", "jittered-grid"):
+        a, b = (0.1 * rng.integers(-3, 4, size=(k, d)) for k in (n, m))
+        if kind == "jittered-grid":
+            a = a + 1e-3 * rng.integers(-2, 3, size=(n, d))
+        return a, b
+    b = rng.normal(size=(m, d))
+    if kind == "near-duplicates":
+        a = b[rng.integers(0, m, size=n)] * (1.0 + 1e-15 * rng.integers(-3, 4, size=(n, d)))
+        return a, b
+    a = rng.normal(size=(n, d))
+    if kind == "shifted":
+        shift = 10.0 ** rng.uniform(0.0, 8.0, size=d)
+        return a + shift, b + shift
+    return a, b
+
+
+def _tied_pairs(seed, n, d):
+    """a (n, d), rows 1 apart on a diagonal line, and b (2n, d), which holds
+    a_i + w_i and a_i - w_i for a short w_i: each row of a has two nearest
+    rows at the same true distance and no other row near."""
+    rng = np.random.default_rng(seed)
+    a = rng.permutation(2 * n)[:n, None] + np.zeros((n, d))
+    w = 0.01 * rng.integers(-9, 10, size=(n, d))
+    return a, np.stack([a + w, a - w], axis=1).reshape(2 * n, d)
+
+
+class TestNearestRows:
+    """_util.nearest_rows against the first-occurrence argmin and minimum of
+    the explicit distance matrix (scipy's "sqeuclidean"), to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 300),
+           st.integers(1, 5), st.sampled_from(_CLOUD_KINDS),
+           st.one_of(st.floats(-200.0, 200.0), st.floats(-162.0, -150.0)))
+    def test_bitwise_equal_to_cdist(self, seed, n, m, d, kind, log_scale):
+        # Scales near 1e-160 put squared distances among subnormals, where
+        # rounding is absolute and the screen's bound is tightest.
+        a, b = (10.0 ** log_scale * x for x in _cloud_pair(seed, n, m, d, kind))
+        with np.errstate(under="ignore", over="ignore"):
+            index, sq_dist = nearest_rows(a, b)
+            want_index, want = _first_nearest(a, b)
+        np.testing.assert_array_equal(index, want_index)
+        assert sq_dist.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-156])
+    @pytest.mark.parametrize("kind", ["grid", "jittered-grid", "duplicates", "tied-pairs"])
+    def test_subnormal_ties_bitwise_equal_to_cdist(self, kind, scale):
+        # Squared distances of up to ~1e9 least subnormals: many ties and
+        # near ties, and the screen and the explicit sums round each product
+        # by up to half a subnormal, so the screen's order departs from the
+        # exact one by a large part of its bound (a quarter of the bound
+        # picks a wrong row among the tied pairs).
+        for seed in range(40):
+            d = 1 + seed % 5
+            clouds = (_tied_pairs(seed, 150, d) if kind == "tied-pairs"
+                      else _cloud_pair(seed, 150, 150, d, kind))
+            a, b = (scale * x for x in clouds)
+            with np.errstate(under="ignore"):
+                index, sq_dist = nearest_rows(a, b)
+                want_index, want = _first_nearest(a, b)
+            np.testing.assert_array_equal(index, want_index)
+            assert sq_dist.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 2.0 * SCREEN_LIMIT,
+                                       1e300, -1e300])
+    @pytest.mark.parametrize("side", ["a", "b", "both"])
+    def test_unscreened_entries_match_pairwise(self, entry, side):
+        # A non-finite or huge coordinate: the same values as the explicit
+        # matrix, and under errstate the same FloatingPointError.
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(9, 3)), rng.normal(size=(11, 3))
+        if side in ("a", "both"):
+            a[4, 1] = entry
+        if side in ("b", "both"):
+            b[2, 0], b[7, 2] = entry, -entry
+        with np.errstate(all="ignore"):
+            d2 = pairwise_sq_dists(a, b)
+            index, sq_dist = nearest_rows(a, b)
+        np.testing.assert_array_equal(index, d2.argmin(axis=1))
+        assert sq_dist.tobytes() == d2.min(axis=1).tobytes()
+        with np.errstate(all="raise"):
+            try:
+                pairwise_sq_dists(a, b)
+            except FloatingPointError as exc:
+                with pytest.raises(FloatingPointError, match=f"^{exc}$"):
+                    nearest_rows(a, b)
+            else:
+                nearest_rows(a, b)
+
+    def test_mismatched_widths_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="shapes"):
+            nearest_rows(np.zeros((4, 3)), np.zeros((5, 2)))
 
 
 def _with_entry(value):

@@ -30,8 +30,15 @@ checkpoints that break one rule each, and on a ReLU stage with M rows,
 which has no pseudo-inverse.  Each must exit 1 or 2 with one JSON line on
 stderr; the tool prints one digest per call, `refusals/<label>`, over the
 exit code and that record with the temporary directory's path replaced,
-so the `diff` shows a change in how bad inputs are refused too.  Takes
-about half a minute.
+so the `diff` shows a change in how bad inputs are refused too.
+
+Last come `kernel/<input>/...` digests of the nearest-row queries on fixed
+tie-heavy inputs (`_tie_inputs`: rows drawn with repeats from a small pool,
+a 0.1 grid, that grid moved far from the origin), called in process:
+`chamfer_loss_and_grad`'s value and gradient, `directed_supinf` both ways,
+and the gap fit's matching, `metrics._nearest_rows`, against 512 rows (so
+across its row blocks).  Exact ties are where a nearest-row kernel that
+rounds differently would pick another row.  Takes about half a minute.
 """
 
 from __future__ import annotations
@@ -50,7 +57,9 @@ from injflow.expansive import (InjectiveRelu, LinearExpansive, ZeroPad,
                                random_injective_relu, random_linear_expansive)
 from injflow.flows import identity_block, make_autoregressive_block, make_coupling_block
 from injflow.geometry import arc_target, save_points_csv
+from injflow.metrics import _nearest_rows, directed_supinf
 from injflow.network import CHECKPOINT_FORMAT, InjectiveNetwork
+from injflow.training import chamfer_loss_and_grad
 
 SEEDS = (1, 2, 3)
 QUERIES = 200
@@ -195,6 +204,30 @@ def _refusals(tmp: Path):
         yield label, ["project", "--checkpoint", str(ckpt), "--queries", str(queries)]
 
 
+def _tie_inputs():
+    """(label, generated (320, 3), target (320, 3), range samples (512, 3))
+    per tie-heavy input: exact duplicate rows within and across the sets, a
+    0.1 grid with many equal distances, and that grid at 1e3 from the
+    origin, where the screen's rounding bound is widest."""
+    rng = np.random.default_rng(SEEDS[0])
+    pool = rng.normal(size=(40, 3))
+    yield "duplicates", *(pool[rng.integers(0, 40, size=k)] for k in (320, 320, 512))
+    grid = [0.1 * rng.integers(-3, 4, size=(k, 3)) for k in (320, 320, 512)]
+    yield "grid", *grid
+    yield "far-grid", *(g + 1e3 for g in grid)
+
+
+def _kernel_digests():
+    """(label, sha256) of the nearest-row queries on each _tie_inputs set."""
+    for label, gen, tgt, samples in _tie_inputs():
+        value, grad = chamfer_loss_and_grad(gen, tgt)
+        yield f"kernel/{label}/chamfer", _sha256(value.hex().encode() + grad.tobytes())
+        supinf = (directed_supinf(gen, tgt), directed_supinf(tgt, gen))
+        yield f"kernel/{label}/supinf", _sha256(" ".join(v.hex() for v in supinf).encode())
+        nearest, best = _nearest_rows(gen, samples)
+        yield f"kernel/{label}/gap-match", _sha256(nearest.tobytes() + best.tobytes())
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -255,6 +288,8 @@ def main_digest() -> int:
                 return 1
             record = f"{code} {err.replace(tmp, '<tmp>')}"
             print(f"{_sha256(record.encode())}  refusals/{label}")
+    for label, digest in _kernel_digests():
+        print(f"{digest}  {label}")
     return 0
 
 
