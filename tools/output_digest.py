@@ -4,7 +4,7 @@ so two versions of the package can be checked for byte-identical outputs:
     diff <(PYTHONPATH=<other checkout>/src python tools/output_digest.py) \
          <(PYTHONPATH=src python tools/output_digest.py)
 
-The calls go through the CLI only and write into a temporary directory:
+These calls go through the CLI and write into a temporary directory:
 `injflow run` on every digested preset (one `trefoil-obstruction` run takes
 all its parameters, the config-only `batch_size` and
 `lipschitz_log_interval` too, from a `--config` file, one run of each

@@ -136,9 +136,9 @@ class _Tree:
 def _report(case: str, samples: dict) -> None:
     parent = np.array([s for s, _ in samples["parent"]])
     change = np.array([s for s, _ in samples["change"]])
-    unit, scale = ("s", 1.0) if case == "toy-run" else ("us", 1e6)
-    line = (f"{case}: parent {np.median(parent) * scale:.1f} {unit}, change "
-            f"{np.median(change) * scale:.1f} {unit}, ratio "
+    unit, scale, digits = ("s", 1.0, 3) if case == "toy-run" else ("us", 1e6, 1)
+    line = (f"{case}: parent {np.median(parent) * scale:.{digits}f} {unit}, change "
+            f"{np.median(change) * scale:.{digits}f} {unit}, ratio "
             f"{np.median(change) / np.median(parent):.3f}, change faster in "
             f"{int((change < parent).sum())}/{len(parent)} rounds, at least 20 % "
             f"faster in {int((change <= 0.8 * parent).sum())}")
